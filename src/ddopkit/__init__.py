@@ -3,7 +3,7 @@
 Submodules:
 
 * ``signal_core``: sampled-signal containers, energies, Parseval-exact DFT.
-* ``pulses``: synthesizers for every pulse family and their closed-form spectra.
+* ``pulses``: the pulse-family table, the synthesizers and their closed-form spectra.
 * ``metrics``: numeric localization measurements and the moment-shift identity check.
 * ``analytic``: closed-form localization metrics per family.
 * ``experiments``: parameter sweeps, family comparisons, orthogonality scans.

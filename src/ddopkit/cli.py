@@ -24,21 +24,23 @@ from .experiments import (
     SweepReport,
     SweepRow,
     SweptParameter,
-    _fdm_config,
     compare_families,
     default_mn_values,
     default_q_values,
+    measure_point,
     orthogonality_scan,
     run_sweep,
 )
 from .metrics import AnalysisBand, lemma1_check, measure_all
-from .pulses import FAMILY_ALIASES, PulseFamily, PulseSpec, synth_pulse
+from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, check_oversample, synth_pulse
 from .signal_core import (
     InvalidInputError,
     SampledSignal,
     TimeGrid,
+    check_zero_pad,
     dft_spectrum,
     energy,
+    positive_int,
     spectral_energy,
 )
 
@@ -52,8 +54,7 @@ _CONFIG_KEYS = {"pulse", "oversample", "zero_pad", "band_half_width",
 class RunConfig:
     """Resolved run settings shared by every subcommand.
 
-    band_half_width=None means the per-spec default +-5M/T. subpulse picks the
-    sub-pulse shape for the pulse-train families ("rrc" or "btrrc").
+    band_half_width=None means the per-spec default +-5M/T.
     """
 
     pulse: PulseSpec
@@ -62,19 +63,14 @@ class RunConfig:
     band_half_width: float | None = None
     output_path: str | None = None
     output_format: str = "csv"
-    subpulse: str = "rrc"
 
     def __post_init__(self) -> None:
-        if int(self.oversample) != self.oversample or self.oversample < 1:
-            raise InvalidInputError(f"oversample must be a positive integer, got {self.oversample}")
-        if int(self.zero_pad) != self.zero_pad or self.zero_pad < 1:
-            raise InvalidInputError(f"zero_pad must be a positive integer, got {self.zero_pad}")
+        object.__setattr__(self, "oversample", check_oversample(self.oversample))
+        object.__setattr__(self, "zero_pad", check_zero_pad(self.zero_pad))
         if self.band_half_width is not None and not self.band_half_width > 0:
             raise InvalidInputError(f"band half-width must be > 0, got {self.band_half_width}")
         if self.output_format not in ("csv", "json"):
             raise InvalidInputError(f"output format must be csv or json, got {self.output_format!r}")
-        if self.subpulse not in ("rrc", "btrrc"):
-            raise InvalidInputError(f"subpulse must be 'rrc' or 'btrrc', got {self.subpulse!r}")
 
     @property
     def band(self) -> AnalysisBand:
@@ -108,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, help="sub-pulse half-length (default round(0.05*M))")
     p.add_argument("--otfs-m", type=int, help="delay index for the otfs family (default 0)")
     p.add_argument("--otfs-n", type=int, help="Doppler index for the otfs family (default 0)")
-    p.add_argument("--subpulse", choices=("rrc", "btrrc"),
+    p.add_argument("--subpulse", choices=SUBPULSE_SHAPES,
                    help="sub-pulse shape for pulse-train families (default rrc)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -140,14 +136,23 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flags (later wins)."""
+    """Merge defaults, config file, and flags (later wins).
+
+    The top-level "subpulse" config key sets the pulse's sub-pulse shape, as
+    "pulse": {"subpulse": ...} does; the top-level key wins if both are given.
+    """
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     pulse_kwargs = {"M": 256, "N": 64}
-    pulse_kwargs.update(file_cfg.get("pulse", {}))
+    file_pulse = file_cfg.get("pulse", {})
+    if not isinstance(file_pulse, dict):
+        raise InvalidInputError("config field 'pulse' must be a JSON object")
+    pulse_kwargs.update(file_pulse)
+    if "subpulse" in file_cfg:
+        pulse_kwargs["subpulse"] = file_cfg["subpulse"]
     flag_fields = {"family": args.family, "M": args.M, "N": args.N, "T": args.T,
                    "beta": args.beta, "Q": args.Q, "otfs_m": args.otfs_m,
-                   "otfs_n": args.otfs_n}
+                   "otfs_n": args.otfs_n, "subpulse": args.subpulse}
     for key, val in flag_fields.items():
         if val is not None:
             pulse_kwargs[key] = val
@@ -162,14 +167,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         "band_half_width": None,
         "output_path": None,
         "output_format": "csv",
-        "subpulse": "rrc",
     }
     for key in settings:
         if key in file_cfg:
             settings[key] = file_cfg[key]
     flag_settings = {"oversample": args.oversample, "zero_pad": args.zero_pad,
                      "band_half_width": args.band, "output_path": args.out,
-                     "output_format": args.format, "subpulse": args.subpulse}
+                     "output_format": args.format}
     for key, val in flag_settings.items():
         if val is not None:
             settings[key] = val
@@ -195,7 +199,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    signal = synth_pulse(cfg.pulse, oversample=cfg.oversample, subpulse=cfg.subpulse)
+    signal = synth_pulse(cfg.pulse, oversample=cfg.oversample)
     t = signal.grid.times()
     re, im = signal.samples.real, signal.samples.imag
     if cfg.output_format == "csv":
@@ -210,17 +214,9 @@ def cmd_synth(cfg: RunConfig) -> int:
     return _emit(text, cfg.output_path)
 
 
-def _single_row_report(cfg: RunConfig) -> SweepRow:
-    signal = synth_pulse(cfg.pulse, oversample=cfg.oversample, subpulse=cfg.subpulse)
-    numeric = measure_all(signal, cfg.band, zero_pad=cfg.zero_pad)
-    fdm_cfg = (_fdm_config(cfg.pulse, cfg.band, cfg.oversample)
-               if cfg.pulse.family is PulseFamily.FDM else None)
-    analytic = analytic_for(cfg.pulse, cfg=fdm_cfg, subpulse=cfg.subpulse)
-    return SweepRow(parameter=cfg.pulse.family.value, numeric=numeric, analytic=analytic)
-
-
 def cmd_metrics(cfg: RunConfig, tolerance: float) -> int:
-    row = _single_row_report(cfg)
+    numeric, analytic = measure_point(cfg.pulse, cfg.band, cfg.zero_pad, cfg.oversample)
+    row = SweepRow(parameter=cfg.pulse.family.value, numeric=numeric, analytic=analytic)
     report = SweepReport(rows=(row,))
     text = report.to_csv() if cfg.output_format == "csv" else report.to_json()
     rc = _emit(text, cfg.output_path)
@@ -241,6 +237,8 @@ def cmd_metrics(cfg: RunConfig, tolerance: float) -> int:
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     axis = {"beta": SweptParameter.BETA, "q": SweptParameter.Q,
             "mn": SweptParameter.M_N_PAIR}[args.vary]
+    if args.steps is not None:
+        positive_int(args.steps, "--steps")
     if axis is SweptParameter.BETA:
         lo = 0.0 if args.sweep_from is None else args.sweep_from
         hi = 1.0 if args.sweep_to is None else args.sweep_to
@@ -260,7 +258,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     band = AnalysisBand(half_width=cfg.band_half_width) if cfg.band_half_width else None
     plan = SweepPlan(family=cfg.pulse.family, swept_parameter=axis, values=values,
                      fixed=cfg.pulse, band=band, zero_pad=cfg.zero_pad,
-                     oversample=cfg.oversample, subpulse=cfg.subpulse)
+                     oversample=cfg.oversample)
     report = run_sweep(plan)
     text = report.to_csv() if cfg.output_format == "csv" else report.to_json()
     rc = _emit(text, cfg.output_path)
@@ -294,7 +292,7 @@ class _Checks:
 def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
     checks = _Checks()
     spec = cfg.pulse
-    signal = synth_pulse(spec, oversample=cfg.oversample, subpulse=cfg.subpulse)
+    signal = synth_pulse(spec, oversample=cfg.oversample)
 
     e = energy(signal)
     checks.report(abs(e - 1.0) <= 1e-9, "unit energy", f"energy = {e:.12f}")
@@ -333,9 +331,7 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
                     f"otfs_m = {spec.otfs_m} is a wrap-around delay index; spectral "
                     "closed forms are not asserted there")
     else:
-        fdm_cfg = (_fdm_config(spec, cfg.band, cfg.oversample)
-                   if spec.family is PulseFamily.FDM else None)
-        analytic = analytic_for(spec, cfg=fdm_cfg, subpulse=cfg.subpulse)
+        analytic = analytic_for(spec, cfg.band, cfg.oversample)
         if analytic.time_dispersion_is_bound:
             ok = numeric.time_dispersion <= analytic.time_dispersion
             checks.report(ok, "ΔT bound",

@@ -21,19 +21,19 @@ upper bound report the ΔT comparison as the boolean "numeric <= bound".
 from __future__ import annotations
 
 import enum
-import io
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .analytic import AnalyticConfig, analytic_for
+from .analytic import analytic_for
 from .metrics import AnalysisBand, LocalizationMetrics, measure_all
-from .pulses import PulseFamily, PulseSpec, default_q, pulse_grid, synth_pulse
-from .signal_core import InvalidInputError, energy
+from .pulses import PulseFamily, PulseSpec, check_oversample, default_q, pulse_grid, synth_pulse
+from .signal_core import InvalidInputError, check_zero_pad, energy
 
 __all__ = [
     "SweptParameter",
@@ -42,9 +42,9 @@ __all__ = [
     "SweepReport",
     "REPORT_HEADER",
     "worker_count",
-    "default_beta_values",
     "default_q_values",
     "default_mn_values",
+    "measure_point",
     "run_sweep",
     "compare_families",
     "orthogonality_scan",
@@ -72,10 +72,6 @@ def worker_count() -> int:
     if n < 0:
         raise InvalidInputError(f"DDOP_THREADS must be >= 0, got {n}")
     return n if n > 0 else (os.cpu_count() or 1)
-
-
-def default_beta_values() -> list[float]:
-    return [i / 10 for i in range(11)]
 
 
 def default_q_values(M: int, count: int = 13) -> list[int]:
@@ -107,7 +103,6 @@ class SweepPlan:
     band: AnalysisBand | None = None
     zero_pad: int = 4
     oversample: int = 16
-    subpulse: str = "rrc"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
@@ -117,12 +112,8 @@ class SweepPlan:
             diffs = np.diff([float(v) for v in self.values])
             if len(diffs) and not np.all(diffs > 0):
                 raise InvalidInputError("numeric sweep values must be strictly increasing")
-        if self.zero_pad < 1:
-            raise InvalidInputError(f"zero_pad must be >= 1, got {self.zero_pad}")
-        if self.oversample < 1:
-            raise InvalidInputError(f"oversample must be >= 1, got {self.oversample}")
-        if self.subpulse not in ("rrc", "btrrc"):
-            raise InvalidInputError(f"subpulse must be 'rrc' or 'btrrc', got {self.subpulse!r}")
+        object.__setattr__(self, "zero_pad", check_zero_pad(self.zero_pad))
+        object.__setattr__(self, "oversample", check_oversample(self.oversample))
 
     def spec_at(self, value) -> PulseSpec:
         if self.swept_parameter is SweptParameter.BETA:
@@ -232,49 +223,38 @@ class SweepReport:
     def to_json(self) -> str:
         return json.dumps([r.to_json_dict() for r in self.rows], ensure_ascii=False, indent=2) + "\n"
 
-    def write(self, path: str, output_format: str = "csv") -> None:
-        text = self.to_csv() if output_format == "csv" else self.to_json()
-        with io.open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
-
-def _fdm_config(spec: PulseSpec, band: AnalysisBand, oversample: int) -> AnalyticConfig:
-    # K counts sinc half-lobes the measurement can actually see: the band,
-    # clipped to the sampled Nyquist range.
-    nyquist = 0.5 * spec.M * oversample / spec.T
-    visible = min(band.half_width, nyquist)
-    return AnalyticConfig(K_cutoff=max(1, math.floor(visible * spec.N * spec.T)))
-
-
-def _measure_point(
+def measure_point(
     spec: PulseSpec,
     band: AnalysisBand | None,
     zero_pad: int,
     oversample: int,
-    subpulse: str = "rrc",
 ) -> tuple[LocalizationMetrics, LocalizationMetrics]:
+    """Numeric metrics of the synthesized pulse and its closed form.
+
+    band=None means the spec's default band +-5M/T.
+    """
     resolved = band if band is not None else AnalysisBand.default_for(spec)
-    signal = synth_pulse(spec, oversample=oversample, subpulse=subpulse)
+    signal = synth_pulse(spec, oversample=oversample)
     numeric = measure_all(signal, resolved, zero_pad=zero_pad)
-    cfg = _fdm_config(spec, resolved, oversample) if spec.family is PulseFamily.FDM else None
-    analytic = analytic_for(spec, cfg=cfg, subpulse=subpulse)
-    return numeric, analytic
+    return numeric, analytic_for(spec, resolved, oversample)
+
+
+def _row(label: str, point) -> SweepRow:
+    """Run point() for one row; a ValueError becomes a failed row, not a raise."""
+    try:
+        numeric, analytic = point()
+    except ValueError as exc:
+        return SweepRow(parameter=label, numeric=None, analytic=None, status=f"failed: {exc}")
+    return SweepRow(parameter=label, numeric=numeric, analytic=analytic)
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
     """Measure every point of the plan; failed points become rows, not raises."""
 
     def one(value) -> SweepRow:
-        label = plan.label_at(value)
-        try:
-            spec = plan.spec_at(value)
-            numeric, analytic = _measure_point(
-                spec, plan.band, plan.zero_pad, plan.oversample, plan.subpulse
-            )
-        except ValueError as exc:
-            return SweepRow(parameter=label, numeric=None, analytic=None,
-                            status=f"failed: {exc}")
-        return SweepRow(parameter=label, numeric=numeric, analytic=analytic)
+        return _row(plan.label_at(value), lambda: measure_point(
+            plan.spec_at(value), plan.band, plan.zero_pad, plan.oversample))
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         rows = list(pool.map(one, plan.values))
@@ -288,16 +268,9 @@ def compare_families(
     oversample: int = 16,
 ) -> SweepReport:
     """One row per spec, labeled by family, for side-by-side comparison."""
-    rows = []
-    for spec in specs:
-        try:
-            numeric, analytic = _measure_point(spec, band, zero_pad, oversample)
-        except ValueError as exc:
-            rows.append(SweepRow(parameter=spec.family.value, numeric=None,
-                                 analytic=None, status=f"failed: {exc}"))
-            continue
-        rows.append(SweepRow(parameter=spec.family.value, numeric=numeric, analytic=analytic))
-    return SweepReport(rows=tuple(rows))
+    return SweepReport(rows=tuple(
+        _row(spec.family.value, partial(measure_point, spec, band, zero_pad, oversample))
+        for spec in specs))
 
 
 def orthogonality_scan(

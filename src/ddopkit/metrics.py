@@ -10,7 +10,7 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -85,14 +85,9 @@ class LocalizationMetrics:
 
 @dataclass(frozen=True)
 class AnalysisBand:
-    """Symmetric frequency band |f| <= half_width for spectral moments.
-
-    energy_capture is an output slot: measurements report the in-band energy
-    fraction; it is never asserted against.
-    """
+    """Symmetric frequency band |f| <= half_width for spectral moments."""
 
     half_width: float
-    energy_capture: float | None = None
 
     def __post_init__(self) -> None:
         if not self.half_width > 0:
@@ -102,9 +97,6 @@ class AnalysisBand:
     def default_for(cls, spec: PulseSpec) -> "AnalysisBand":
         """Default band +-5*M/T, wide enough for every family's essential support."""
         return cls(half_width=5.0 * spec.M / spec.T)
-
-    def with_capture(self, capture: float) -> "AnalysisBand":
-        return replace(self, energy_capture=capture)
 
 
 def measure_time(signal: SampledSignal) -> tuple[float, float]:
@@ -123,7 +115,9 @@ def measure_freq(spectrum: Spectrum, band: AnalysisBand) -> tuple[float, float, 
     """Mean frequency, frequency dispersion, and captured energy fraction.
 
     Moments are computed over |f| <= band.half_width only; the returned
-    capture is the in-band fraction of the spectrum's total energy.
+    capture is the in-band fraction of the spectrum's total energy. A band
+    whose energy sits in a single bin has no measurable spread and is
+    rejected.
     """
     f = spectrum.frequencies()
     weights = np.abs(spectrum.values) ** 2 * spectrum.freq_interval
@@ -136,6 +130,11 @@ def measure_freq(spectrum: Spectrum, band: AnalysisBand) -> tuple[float, float, 
     wb = weights[inside]
     mean = float(np.dot(fb, wb) / in_band)
     var = float(np.dot((fb - mean) ** 2, wb) / in_band)
+    if not var > 0.0:
+        raise DegenerateInputError(
+            f"the analysis band |f| <= {band.half_width:g} holds a single spectral bin "
+            f"(bin spacing {spectrum.freq_interval:g}); widen the band"
+        )
     capture = in_band / total if total > 0 else 0.0
     return mean, float(np.sqrt(max(var, 0.0))), capture
 

@@ -14,9 +14,17 @@ Families:
 * ``OTFS_BASIS``: time-frequency multicarrier basis function for delay index
   otfs_m and Doppler index otfs_n.
 
-Every synthesizer renormalizes its discrete Riemann energy to the requested
-total (unit energy unless stated otherwise), is deterministic, and accepts an
-arbitrary TimeGrid covering the pulse support.
+``FAMILIES`` holds one row per family. The first five are sub-pulse trains:
+their row gives the first sub-pulse centre (in delay steps T/M), the
+sub-pulse count and the sub-pulse shape, and one primitive builds them all.
+DDOP and GENERAL_DDOP take the shape from ``PulseSpec.subpulse`` ("rrc" or
+the exponential-rolloff "btrrc"); the other trains fix it. FDM and OTFS_BASIS
+name their own synthesizers. ``pulse_grid``, ``synth_pulse`` and the closed
+forms in ``analytic`` all read this table.
+
+Every synthesizer renormalizes its discrete Riemann energy to unit energy,
+is deterministic, and accepts an arbitrary TimeGrid covering the pulse
+support.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,22 +41,23 @@ from .signal_core import (
     InvalidInputError,
     SampledSignal,
     TimeGrid,
-    energy as signal_energy,
+    positive_int,
 )
 
 __all__ = [
     "PulseFamily",
     "PulseSpec",
+    "SUBPULSE_SHAPES",
+    "Train",
+    "FamilyRow",
+    "FAMILIES",
+    "train_layout",
     "default_q",
+    "check_oversample",
     "pulse_grid",
-    "synth_rrc_subpulse",
     "eval_rrc_freq",
-    "synth_btrrc_subpulse",
     "eval_btrrc_freq",
-    "synth_ddop",
     "eval_ddop_freq",
-    "synth_general_ddop",
-    "synth_tdm",
     "synth_fdm",
     "synth_otfs_basis",
     "synth_pulse",
@@ -91,7 +101,9 @@ def default_q(M: int) -> int:
     return max(1, round(0.05 * M))
 
 
-_SPEC_FIELDS = ("M", "N", "T", "beta", "Q", "family", "otfs_m", "otfs_n")
+SUBPULSE_SHAPES = ("rrc", "btrrc")
+
+_SPEC_FIELDS = ("M", "N", "T", "beta", "Q", "family", "otfs_m", "otfs_n", "subpulse")
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,8 @@ class PulseSpec:
     M delay bins, N Doppler bins (sub-pulses), symbol spacing T, roll-off
     beta in [0, 1], half-length Q (sub-pulse duration T_a = 2*Q*T/M), and the
     pulse family. otfs_m / otfs_n select the basis function for OTFS_BASIS.
+    subpulse is the sub-pulse shape of the DDOP and GENERAL_DDOP trains: "rrc"
+    (root-raised-cosine) or "btrrc" (exponential rolloff).
     """
 
     M: int
@@ -111,6 +125,7 @@ class PulseSpec:
     family: PulseFamily = PulseFamily.DDOP
     otfs_m: int = 0
     otfs_n: int = 0
+    subpulse: str = "rrc"
 
     def __post_init__(self) -> None:
         if int(self.M) != self.M or self.M < 1:
@@ -119,8 +134,8 @@ class PulseSpec:
             raise InvalidInputError(f"N must be a positive integer, got {self.N}")
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "N", int(self.N))
-        if not self.T > 0:
-            raise InvalidInputError(f"T must be > 0, got {self.T}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise InvalidInputError(f"T must be finite and > 0, got {self.T}")
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidInputError(f"beta must be in [0, 1], got {self.beta}")
         q = default_q(self.M) if self.Q is None else self.Q
@@ -129,6 +144,8 @@ class PulseSpec:
         object.__setattr__(self, "Q", int(q))
         if not isinstance(self.family, PulseFamily):
             object.__setattr__(self, "family", parse_family(self.family))
+        if self.subpulse not in SUBPULSE_SHAPES:
+            raise InvalidInputError(f"subpulse must be 'rrc' or 'btrrc', got {self.subpulse!r}")
         if self.family is PulseFamily.DDOP and self.ta > 0.5 * self.T:
             raise InvalidInputError(
                 f"sub-pulse duration T_a = 2*Q*T/M = {self.ta:g} exceeds 0.5*T = {0.5 * self.T:g}; "
@@ -150,14 +167,6 @@ class PulseSpec:
         """Prefix/suffix sub-pulse count of the extended train, ceil(2Q/M)."""
         return -(-2 * self.Q // self.M)
 
-    @property
-    def delay_resolution(self) -> float:
-        return self.T / self.M
-
-    @property
-    def doppler_resolution(self) -> float:
-        return 1.0 / (self.N * self.T)
-
     def to_json_dict(self) -> dict:
         return {
             "M": self.M,
@@ -168,6 +177,7 @@ class PulseSpec:
             "family": self.family.value,
             "otfs_m": self.otfs_m,
             "otfs_n": self.otfs_n,
+            "subpulse": self.subpulse,
         }
 
     @classmethod
@@ -180,34 +190,6 @@ class PulseSpec:
         if "family" in kwargs:
             kwargs["family"] = parse_family(kwargs["family"])
         return cls(**kwargs)
-
-
-def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> TimeGrid:
-    """Default grid for a family: dt = T/(M*oversample), exactly covering the support.
-
-    pad_steps adds that many delay-resolution steps (T/M) of zeros on both
-    sides; shift scans use this so delayed copies stay on the grid.
-    """
-    if int(oversample) != oversample or oversample < 1:
-        raise InvalidInputError(f"oversample must be a positive integer, got {oversample}")
-    oversample = int(oversample)
-    # Support lengths in units of T/M (always an integer for these families).
-    if spec.family in (PulseFamily.RRC_SUBPULSE, PulseFamily.BTRRC_SUBPULSE):
-        units, start_units = 2 * spec.Q, -spec.Q
-    elif spec.family is PulseFamily.DDOP:
-        units, start_units = (spec.N - 1) * spec.M + 2 * spec.Q, 0
-    elif spec.family is PulseFamily.GENERAL_DDOP:
-        units, start_units = (spec.N + 2 * spec.D - 1) * spec.M + 2 * spec.Q, 0
-    elif spec.family is PulseFamily.TDM:
-        units, start_units = 2 * spec.Q, 0
-    else:  # FDM, OTFS_BASIS
-        units, start_units = spec.N * spec.M, 0
-    step = spec.T / spec.M
-    return TimeGrid(
-        start_time=(start_units - pad_steps) * step,
-        sample_interval=step / oversample,
-        num_samples=oversample * (units + 2 * pad_steps),
-    )
 
 
 def _rrc_profile(x: np.ndarray, beta: float) -> np.ndarray:
@@ -240,22 +222,6 @@ def _renormalized(grid: TimeGrid, samples: np.ndarray, target: float, what: str)
     if raw <= 0.0:
         raise InvalidGridError(f"grid does not cover the {what} support")
     return SampledSignal(grid=grid, samples=samples * math.sqrt(target / raw))
-
-
-def synth_rrc_subpulse(spec: PulseSpec, grid: TimeGrid, energy: float) -> SampledSignal:
-    """Truncated root-raised-cosine sub-pulse centered at t = 0.
-
-    Samples sqrt(M*E/T) * profile(M*t/T) on |t| <= T_a/2, zero outside, then
-    renormalizes the discrete energy to the requested value.
-    """
-    if not energy > 0:
-        raise InvalidInputError(f"energy must be > 0, got {energy}")
-    t = grid.times()
-    samples = np.zeros(t.shape, dtype=np.complex128)
-    inside = np.abs(t) <= spec.ta / 2.0
-    amp = math.sqrt(spec.M * energy / spec.T)
-    samples[inside] = amp * _rrc_profile(spec.M * t[inside] / spec.T, spec.beta)
-    return _renormalized(grid, samples, energy, "sub-pulse")
 
 
 def eval_rrc_freq(spec: PulseSpec, f, energy: float = 1.0):
@@ -329,33 +295,13 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray, points_per_branch: int =
     return total
 
 
-def synth_btrrc_subpulse(spec: PulseSpec, grid: TimeGrid, energy: float) -> SampledSignal:
-    """Exponential-rolloff sub-pulse centered at t = 0, truncated to [-T_a/2, T_a/2].
-
-    Synthesized by inverse transform of the closed-form spectrum, then
-    renormalized to the requested energy. At beta = 0 the spectrum equals the
-    root-raised-cosine one, so this delegates to synth_rrc_subpulse.
-    """
-    if not energy > 0:
-        raise InvalidInputError(f"energy must be > 0, got {energy}")
-    if spec.beta == 0.0:
-        return synth_rrc_subpulse(spec, grid, energy)
-    t = grid.times()
-    samples = np.zeros(t.shape, dtype=np.complex128)
-    inside = np.abs(t) <= spec.ta / 2.0
-    samples[inside] = _btrrc_profile_at(spec, t[inside])
-    return _renormalized(grid, samples, energy, "sub-pulse")
-
-
 class _SubpulseEvaluator:
-    """Evaluates the chosen sub-pulse profile at offsets, reusing work across
+    """Evaluates one sub-pulse shape at offsets, reusing work across
     identical offset patterns (the common aligned-grid case)."""
 
-    def __init__(self, spec: PulseSpec, subpulse: str, sub_energy: float):
-        if subpulse not in ("rrc", "btrrc"):
-            raise InvalidInputError(f"subpulse must be 'rrc' or 'btrrc', got {subpulse!r}")
+    def __init__(self, spec: PulseSpec, shape: str, sub_energy: float):
         self.spec = spec
-        self.subpulse = subpulse
+        self.shape = shape
         self.sub_energy = sub_energy
         self._cached_tau: np.ndarray | None = None
         self._cached_val: np.ndarray | None = None
@@ -363,7 +309,7 @@ class _SubpulseEvaluator:
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         if self._cached_tau is not None and np.array_equal(tau, self._cached_tau):
             return self._cached_val
-        if self.subpulse == "rrc" or self.spec.beta == 0.0:
+        if self.shape == "rrc" or self.spec.beta == 0.0:
             amp = math.sqrt(self.spec.M * self.sub_energy / self.spec.T)
             val = amp * _rrc_profile(self.spec.M * tau / self.spec.T, self.spec.beta)
         else:
@@ -373,11 +319,10 @@ class _SubpulseEvaluator:
         return val
 
 
-def _assemble_train(
-    spec: PulseSpec, grid: TimeGrid, first_center: float, count: int, subpulse: str
-) -> SampledSignal:
-    """Sum `count` sub-pulses centered at first_center + k*T and renormalize to unit energy."""
-    support_end = first_center + (count - 1) * spec.T + spec.ta / 2.0
+def _assemble_train(spec: PulseSpec, grid: TimeGrid, train: Train) -> SampledSignal:
+    """Sum the train's sub-pulses, centred at first_center + k*T, and renormalize to unit energy."""
+    first_center = train.first_step * spec.T / spec.M
+    support_end = first_center + (train.count - 1) * spec.T + spec.ta / 2.0
     support_start = first_center - spec.ta / 2.0
     slack = 1e-9 * max(1.0, abs(support_end))
     if grid.start_time > support_start + slack or grid.end_time < support_end - slack:
@@ -387,9 +332,9 @@ def _assemble_train(
         )
     t = grid.times()
     out = np.zeros(t.shape, dtype=np.complex128)
-    evaluate = _SubpulseEvaluator(spec, subpulse, 1.0 / count)
+    evaluate = _SubpulseEvaluator(spec, train.shape, 1.0 / train.count)
     half = spec.ta / 2.0
-    for k in range(count):
+    for k in range(train.count):
         center = first_center + k * spec.T
         lo, hi = np.searchsorted(t, [center - half, center + half], side="left")
         hi = min(hi + 1, t.shape[0])  # side guard: include a possible boundary hit
@@ -397,44 +342,6 @@ def _assemble_train(
         keep = np.abs(tau) <= half
         out[lo:hi][keep] += evaluate(tau[keep])
     return _renormalized(grid, out, 1.0, "pulse train")
-
-
-def synth_ddop(spec: PulseSpec, grid: TimeGrid, subpulse: str = "rrc") -> SampledSignal:
-    """Pulse train of N sub-pulses at spacing T, sub-pulse n centered at n*T + T_a/2.
-
-    Parameters
-    ----------
-    spec : PulseSpec with family DDOP
-    grid : TimeGrid covering [0, (N-1)*T + T_a]
-    subpulse : 'rrc' (default) or 'btrrc' for the exponential-rolloff variant
-
-    Returns
-    -------
-    SampledSignal with unit energy.
-    """
-    if spec.family is not PulseFamily.DDOP:
-        raise InvalidInputError(f"synth_ddop requires family DDOP, got {spec.family.value}")
-    return _assemble_train(spec, grid, spec.ta / 2.0, spec.N, subpulse)
-
-
-def synth_general_ddop(spec: PulseSpec, grid: TimeGrid, subpulse: str = "rrc") -> SampledSignal:
-    """Extended train of N + 2D sub-pulses (D prefix, D suffix), unit energy."""
-    if spec.family is not PulseFamily.GENERAL_DDOP:
-        raise InvalidInputError(
-            f"synth_general_ddop requires family GENERAL_DDOP, got {spec.family.value}"
-        )
-    return _assemble_train(spec, grid, spec.ta / 2.0, spec.N + 2 * spec.D, subpulse)
-
-
-def synth_tdm(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
-    """Single sub-pulse a(t - T_a/2) with unit energy."""
-    t = grid.times()
-    samples = np.zeros(t.shape, dtype=np.complex128)
-    tau = t - spec.ta / 2.0
-    inside = np.abs(tau) <= spec.ta / 2.0
-    amp = math.sqrt(spec.M / spec.T)
-    samples[inside] = amp * _rrc_profile(spec.M * tau[inside] / spec.T, spec.beta)
-    return _renormalized(grid, samples, 1.0, "sub-pulse")
 
 
 def synth_fdm(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
@@ -508,27 +415,73 @@ def eval_ddop_freq(spec: PulseSpec, f, num_tones: int = 40):
     return complex(values[0]) if scalar else values
 
 
-def synth_pulse(
-    spec: PulseSpec,
-    grid: TimeGrid | None = None,
-    oversample: int = 16,
-    subpulse: str = "rrc",
-) -> SampledSignal:
+class Train(NamedTuple):
+    """`count` sub-pulses of one shape, the first centred first_step delay
+    steps (T/M) after t = 0 and the rest every T after it."""
+
+    first_step: int
+    count: int
+    shape: str
+
+
+@dataclass(frozen=True)
+class FamilyRow:
+    """How a family builds its pulse: a sub-pulse train, or its own synthesizer
+    for a pulse spanning N*M delay steps from t = 0."""
+
+    train: Callable[[PulseSpec], Train] | None = None
+    synth: Callable[[PulseSpec, TimeGrid], SampledSignal] | None = None
+
+
+FAMILIES: dict[PulseFamily, FamilyRow] = {
+    PulseFamily.RRC_SUBPULSE: FamilyRow(train=lambda s: Train(0, 1, "rrc")),
+    PulseFamily.BTRRC_SUBPULSE: FamilyRow(train=lambda s: Train(0, 1, "btrrc")),
+    PulseFamily.TDM: FamilyRow(train=lambda s: Train(s.Q, 1, "rrc")),
+    PulseFamily.DDOP: FamilyRow(train=lambda s: Train(s.Q, s.N, s.subpulse)),
+    PulseFamily.GENERAL_DDOP: FamilyRow(train=lambda s: Train(s.Q, s.N + 2 * s.D, s.subpulse)),
+    PulseFamily.FDM: FamilyRow(synth=synth_fdm),
+    PulseFamily.OTFS_BASIS: FamilyRow(synth=synth_otfs_basis),
+}
+
+
+def train_layout(spec: PulseSpec) -> Train | None:
+    """The spec's sub-pulse train, or None for a family with its own synthesizer."""
+    row = FAMILIES[spec.family]
+    return None if row.train is None else row.train(spec)
+
+
+def check_oversample(oversample) -> int:
+    """The grid's samples per delay step T/M: a positive integer."""
+    return positive_int(oversample, "oversample")
+
+
+def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> TimeGrid:
+    """Default grid for a family: dt = T/(M*oversample), exactly covering the support.
+
+    pad_steps adds that many delay-resolution steps (T/M) of zeros on both
+    sides; shift scans use this so delayed copies stay on the grid.
+    """
+    oversample = check_oversample(oversample)
+    # Support in units of T/M: a train spans its sub-pulse centres plus Q steps
+    # on each side; the other families span [0, N*T].
+    train = train_layout(spec)
+    if train is None:
+        units, start_units = spec.N * spec.M, 0
+    else:
+        units, start_units = (train.count - 1) * spec.M + 2 * spec.Q, train.first_step - spec.Q
+    step = spec.T / spec.M
+    return TimeGrid(
+        start_time=(start_units - pad_steps) * step,
+        sample_interval=step / oversample,
+        num_samples=oversample * (units + 2 * pad_steps),
+    )
+
+
+def synth_pulse(spec: PulseSpec, grid: TimeGrid | None = None, oversample: int = 16) -> SampledSignal:
     """Synthesize any family on its default grid (or a caller-provided one)."""
     if grid is None:
         grid = pulse_grid(spec, oversample=oversample)
-    if spec.family is PulseFamily.RRC_SUBPULSE:
-        return synth_rrc_subpulse(spec, grid, 1.0)
-    if spec.family is PulseFamily.BTRRC_SUBPULSE:
-        return synth_btrrc_subpulse(spec, grid, 1.0)
-    if spec.family is PulseFamily.DDOP:
-        return synth_ddop(spec, grid, subpulse=subpulse)
-    if spec.family is PulseFamily.GENERAL_DDOP:
-        return synth_general_ddop(spec, grid, subpulse=subpulse)
-    if spec.family is PulseFamily.TDM:
-        return synth_tdm(spec, grid)
-    if spec.family is PulseFamily.FDM:
-        return synth_fdm(spec, grid)
-    if spec.family is PulseFamily.OTFS_BASIS:
-        return synth_otfs_basis(spec, grid)
-    raise InvalidInputError(f"unhandled family {spec.family}")
+    row = FAMILIES[spec.family]
+    if row.synth is not None:
+        return row.synth(spec, grid)
+    return _assemble_train(spec, grid, row.train(spec))

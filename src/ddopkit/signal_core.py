@@ -29,6 +29,8 @@ __all__ = [
     "energy",
     "spectral_energy",
     "inner_product",
+    "positive_int",
+    "check_zero_pad",
     "dft_spectrum",
 ]
 
@@ -140,6 +142,21 @@ def inner_product(x: SampledSignal, y: SampledSignal) -> complex:
     return complex(np.vdot(y.samples, x.samples) * x.grid.sample_interval)
 
 
+def positive_int(value, name: str) -> int:
+    """value as an int if it is a whole number >= 1; InvalidInputError otherwise."""
+    try:
+        if int(value) == value and value >= 1:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{name} must be a positive integer, got {value}")
+
+
+def check_zero_pad(zero_pad) -> int:
+    """The spectrum's zero-padding factor: a positive integer."""
+    return positive_int(zero_pad, "zero_pad")
+
+
 def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Discrete approximation of the continuous Fourier transform.
 
@@ -156,11 +173,9 @@ def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
         Bin values approximate G(f) = integral g(t) exp(-2j*pi*f*t) dt at the
         bin frequencies; Parseval holds to rounding for any zero_pad_factor.
     """
-    if int(zero_pad_factor) != zero_pad_factor or zero_pad_factor < 1:
-        raise InvalidInputError(f"zero_pad_factor must be a positive integer, got {zero_pad_factor}")
     dt = signal.grid.sample_interval
     n = signal.grid.num_samples
-    length = int(zero_pad_factor) * n
+    length = check_zero_pad(zero_pad_factor) * n
     raw = np.fft.fftshift(np.fft.fft(signal.samples, length))
     freqs = np.fft.fftshift(np.fft.fftfreq(length, d=dt))
     # Anchor the phase at the first sample's true time; the aliased negative

@@ -9,6 +9,7 @@ the failure modes stay visible. See the repository notes for the analysis.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_criterion_5_exponential_rolloff_comparison(capsys):
     for beta in (0.2, 0.5, 1.0):
         spec = PulseSpec(M=256, N=64, beta=beta, Q=13)
         band = AnalysisBand.default_for(spec)
-        num = {s: measure_all(synth_pulse(spec, subpulse=s), band)
+        num = {s: measure_all(synth_pulse(replace(spec, subpulse=s)), band)
                for s in ("rrc", "btrrc")}
         ana = {"rrc": ddop_metrics(spec), "btrrc": btrrc_ddop_metrics(spec)}
         ordering &= num["btrrc"].freq_dispersion > num["rrc"].freq_dispersion

@@ -1,6 +1,7 @@
 """Closed-form localization benchmarks."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from ddopkit.analytic import (
     otfs_metrics,
     tdm_metrics,
 )
-from ddopkit.metrics import Provenance
+from ddopkit.metrics import AnalysisBand, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec
 from ddopkit.signal_core import InvalidInputError
 
@@ -159,14 +160,33 @@ class TestDispatch:
 
     def test_train_subpulse_choice(self):
         assert analytic_for(DEFAULT) == ddop_metrics(DEFAULT)
-        assert analytic_for(DEFAULT, subpulse="btrrc") == btrrc_ddop_metrics(DEFAULT)
+        assert analytic_for(replace(DEFAULT, subpulse="btrrc")) == btrrc_ddop_metrics(DEFAULT)
+        # the extended train built from exponential-rolloff sub-pulses
+        spec = PulseSpec(M=64, N=8, Q=40, beta=0.8, family=PulseFamily.GENERAL_DDOP,
+                         subpulse="btrrc")
+        m = analytic_for(spec)
+        assert m == general_ddop_metrics(spec)
+        assert m.freq_dispersion == pytest.approx(
+            64 * math.sqrt(1 / 12 + EXP_ROLLOFF_COEFF * 0.8**2), rel=1e-12)
+        assert m.time_dispersion == pytest.approx(12 / math.sqrt(12), rel=1e-12)
 
     def test_fdm_requires_config(self):
+        """FDM's K_cutoff comes from the measurement's band and oversample."""
         spec = PulseSpec(M=64, N=8, family=PulseFamily.FDM)
-        with pytest.raises(InvalidInputError, match="K_cutoff"):
-            analytic_for(spec)
-        assert analytic_for(spec, cfg=AnalyticConfig(K_cutoff=100)) == fdm_metrics(
+        # default band +-5M/T = 320 Hz, below the Nyquist 512 Hz at oversample 16
+        assert analytic_for(spec) == fdm_metrics(spec, AnalyticConfig(K_cutoff=320 * 8))
+        band = AnalysisBand(half_width=12.5)
+        assert analytic_for(spec, band, oversample=4) == fdm_metrics(
             spec, AnalyticConfig(K_cutoff=100))
+
+    def test_every_family_but_btrrc_has_a_closed_form(self):
+        for family in PulseFamily:
+            spec = PulseSpec(M=64, N=8, Q=2, family=family, otfs_m=5)
+            if family is PulseFamily.BTRRC_SUBPULSE:
+                with pytest.raises(InvalidInputError, match="no closed-form"):
+                    analytic_for(spec)
+            else:
+                assert analytic_for(spec).provenance is Provenance.ANALYTIC
 
     def test_centered_subpulse_uses_single_pulse_forms(self):
         spec = PulseSpec(M=64, N=8, family=PulseFamily.RRC_SUBPULSE)

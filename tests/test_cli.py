@@ -30,6 +30,20 @@ class TestUsageErrors:
         rc, _, err = run(["metrics", "--M", "32", "--N", "8", "--oversample", "0"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["metrics", "--M", "32", "--N", "8", "--band", "1e-9"], "single spectral bin"),
+        (["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--steps", "0"], "--steps"),
+        (["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--steps", "-3"], "--steps"),
+        (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--steps", "0"], "--steps"),
+        (["metrics", "--M", "32", "--N", "8", "--T", "1e309"], "T must be finite"),
+        (["synth", "--M", "32", "--N", "8", "--zero-pad", "0"], "zero_pad"),
+    ])
+    def test_rejected_inputs(self, argv, message, capsys):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2
+        assert message in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestConfigFile:
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -43,6 +57,27 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"pulse": {"M": 32, "N": 8, "window": "hann"}}))
         rc, _, err = run(["metrics", "--config", str(cfg)], capsys)
         assert rc == 2 and "unknown PulseSpec fields" in err
+
+    @pytest.mark.parametrize("doc", [{"pulse": [1, 2]}, {"pulse": 3}, {"oversample": None},
+                                     {"oversample": [8]}, {"subpulse": "square"}])
+    def test_malformed_values(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        rc, _, err = run(["metrics", "--config", str(cfg)], capsys)
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+
+    def test_subpulse_key_sets_the_pulse(self, tmp_path, capsys):
+        outputs = []
+        for doc in ({"pulse": {"M": 32, "N": 8}, "subpulse": "btrrc"},
+                    {"pulse": {"M": 32, "N": 8, "subpulse": "btrrc"}}):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(doc))
+            rc, out, _ = run(["metrics", "--config", str(cfg), "--beta", "0.5"], capsys)
+            assert rc == 0
+            outputs.append(out)
+        rc, out, _ = run(["metrics", "--M", "32", "--N", "8", "--beta", "0.5",
+                          "--subpulse", "btrrc"], capsys)
+        assert outputs == [out, out]
 
     def test_missing_file(self, tmp_path, capsys):
         rc, _, err = run(["metrics", "--config", str(tmp_path / "absent.json")], capsys)
@@ -113,6 +148,12 @@ class TestMetrics:
         assert rc == 1
         assert "tolerance exceeded" in err
 
+    def test_extended_btrrc_train_matches_its_closed_form(self, capsys):
+        rc, out, err = run(["metrics", "--family", "gddop", "--subpulse", "btrrc",
+                            "--M", "64", "--N", "8", "--Q", "40", "--beta", "0.8"], capsys)
+        assert rc == 0, err
+        assert out.splitlines()[1].startswith("GENERAL_DDOP,")
+
     def test_band_flag(self, capsys):
         rc, out, _ = run(["metrics", "--M", "32", "--N", "8", "--band", "100",
                           "--tolerance", "10"], capsys)
@@ -154,6 +195,17 @@ class TestVerify:
         assert rc == 0
         assert "all checks passed" in out
         assert "[FAIL]" not in out
+
+    def test_btrrc_train_scanned(self, capsys):
+        """The scan and the family ordering see the exponential-rolloff train."""
+        scan_lines = {}
+        for shape in ("rrc", "btrrc"):
+            rc, out, _ = run(["verify", "--M", "256", "--N", "8", "--beta", "0.5",
+                              "--oversample", "8", "--subpulse", shape], capsys)
+            assert rc == 0 and "[FAIL]" not in out
+            scan_lines[shape] = next(line for line in out.splitlines()
+                                     if "fine-shift orthogonality" in line)
+        assert scan_lines["rrc"] != scan_lines["btrrc"]
 
     def test_negative_control(self, capsys):
         rc, out, _ = run(["verify", "--M", "64", "--N", "16", "--corrupt-signal"], capsys)

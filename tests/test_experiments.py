@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from ddopkit.experiments import (
     SweepReport,
     SweepRow,
     SweptParameter,
-    _fdm_config,
     compare_families,
-    default_beta_values,
     default_mn_values,
     default_q_values,
+    measure_point,
     orthogonality_scan,
     run_sweep,
     worker_count,
 )
+from ddopkit.analytic import AnalyticConfig, analytic_for, btrrc_ddop_metrics, fdm_metrics
 from ddopkit.metrics import AnalysisBand
 from ddopkit.pulses import PulseFamily, PulseSpec
 from ddopkit.signal_core import InvalidInputError
@@ -49,9 +50,6 @@ class TestWorkerCount:
 
 
 class TestDefaultGrids:
-    def test_beta_values(self):
-        assert default_beta_values() == [i / 10 for i in range(11)]
-
     def test_q_values(self):
         assert default_q_values(256) == [3, 4, 6, 9, 13, 19, 28, 40, 58, 84, 122, 177, 256]
         vals = default_q_values(64)
@@ -75,10 +73,13 @@ class TestSweepPlan:
             SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
                       values=(0.5, 0.2), fixed=SMALL)
 
-    def test_rejects_unknown_subpulse(self):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize("field,value", [
+        ("oversample", 0), ("oversample", 2.5), ("zero_pad", 0), ("zero_pad", 1.5)])
+    def test_rejects_bad_grid_settings(self, field, value):
+        # one rule each, shared with pulse_grid and dft_spectrum
+        with pytest.raises(InvalidInputError, match=f"{field} must be a positive integer"):
             SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
-                      values=(0.1,), fixed=SMALL, subpulse="square")
+                      values=(0.1,), fixed=SMALL, **{field: value})
 
     def test_spec_at_beta(self):
         plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
@@ -165,14 +166,6 @@ class TestReportRendering:
         assert set(doc[0]) == set(REPORT_HEADER.split(","))
         assert doc[0]["status"] == "ok"
 
-    def test_write_file(self, tmp_path):
-        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
-                         values=(0.2,), fixed=SMALL, oversample=8)
-        report = run_sweep(plan)
-        out = tmp_path / "report.csv"
-        report.write(str(out))
-        assert out.read_text(encoding="utf-8") == report.to_csv()
-
 
 class TestCompareFamilies:
     def test_one_row_per_family(self):
@@ -190,13 +183,25 @@ class TestCompareFamilies:
 class TestFdmBenchmarkConfig:
     def test_counts_in_band_half_lobes(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.FDM)
-        cfg = _fdm_config(spec, AnalysisBand(half_width=5 * 32), oversample=16)
-        assert cfg.K_cutoff == math.floor(5 * 32 * 8)
+        got = analytic_for(spec, AnalysisBand(half_width=5 * 32), oversample=16)
+        assert got == fdm_metrics(spec, AnalyticConfig(K_cutoff=math.floor(5 * 32 * 8)))
 
     def test_clips_at_nyquist(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.FDM)
-        cfg = _fdm_config(spec, AnalysisBand(half_width=1e9), oversample=4)
-        assert cfg.K_cutoff == math.floor(0.5 * 32 * 4 * 8)
+        got = analytic_for(spec, AnalysisBand(half_width=1e9), oversample=4)
+        assert got == fdm_metrics(spec, AnalyticConfig(K_cutoff=math.floor(0.5 * 32 * 4 * 8)))
+
+
+class TestMeasurePoint:
+    def test_sweep_and_comparison_rows_agree(self):
+        spec = replace(SMALL, beta=0.5, subpulse="btrrc")
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
+                         values=(0.5,), fixed=spec, oversample=8)
+        swept = run_sweep(plan).rows[0]
+        compared = compare_families([spec], oversample=8).rows[0]
+        assert (swept.numeric, swept.analytic) == (compared.numeric, compared.analytic)
+        assert (swept.numeric, swept.analytic) == measure_point(spec, None, 4, 8)
+        assert swept.analytic == btrrc_ddop_metrics(spec)
 
 
 class TestOrthogonalityScan:
@@ -226,6 +231,13 @@ class TestOrthogonalityScan:
             expected = 1 - m / (spec.N * spec.M)
             assert scan[4 + m, 0] == pytest.approx(expected, abs=1e-9)
             assert scan[4 + m, 0] > 0.8
+
+    def test_uses_the_spec_subpulse_shape(self):
+        rrc = PulseSpec(M=64, N=8, beta=0.5)
+        a = orthogonality_scan(rrc, 2, 2, oversample=8)
+        b = orthogonality_scan(replace(rrc, subpulse="btrrc"), 2, 2, oversample=8)
+        assert b[2, 2] == pytest.approx(1.0, abs=1e-9)
+        assert not np.allclose(a, b, rtol=0, atol=1e-9)
 
     def test_rejects_negative_extent(self):
         with pytest.raises(InvalidInputError):

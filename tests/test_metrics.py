@@ -67,10 +67,6 @@ class TestAnalysisBand:
         band = AnalysisBand.default_for(PulseSpec(M=256, N=64, T=0.5))
         assert band.half_width == pytest.approx(5 * 256 / 0.5)
 
-    def test_with_capture(self):
-        band = AnalysisBand(half_width=1.0).with_capture(0.87)
-        assert band.energy_capture == 0.87
-
 
 class TestMeasureTime:
     def test_rectangle_moments(self):
@@ -115,6 +111,13 @@ class TestMeasureFreq:
         sig = SampledSignal(grid=grid, samples=np.tile([1.0, -1.0], 32))
         sp = dft_spectrum(sig, zero_pad_factor=1)
         with pytest.raises(DegenerateInputError):
+            measure_freq(sp, AnalysisBand(half_width=sp.freq_interval / 4))
+
+
+    def test_single_bin_band_rejected(self):
+        # only the DC bin is in band: no spread to measure, and no ΔT/ΔF either
+        sp = dft_spectrum(gaussian(), zero_pad_factor=2)
+        with pytest.raises(DegenerateInputError, match="single spectral bin"):
             measure_freq(sp, AnalysisBand(half_width=sp.freq_interval / 4))
 
 

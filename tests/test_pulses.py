@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from ddopkit.pulses import (
+    FAMILIES,
     PulseFamily,
     PulseSpec,
+    Train,
     _dirichlet,
     default_q,
     eval_btrrc_freq,
     eval_ddop_freq,
     eval_rrc_freq,
     pulse_grid,
-    synth_ddop,
     synth_pulse,
-    synth_rrc_subpulse,
+    train_layout,
 )
 from ddopkit.signal_core import (
     InvalidGridError,
@@ -45,8 +46,6 @@ class TestPulseSpec:
     def test_derived(self):
         spec = PulseSpec(**DEFAULTS)
         assert spec.ta == pytest.approx(2 * 13 / 256)
-        assert spec.delay_resolution == pytest.approx(1 / 256)
-        assert spec.doppler_resolution == pytest.approx(1 / 64)
 
     @pytest.mark.parametrize("Q,M,D", [(13, 256, 1), (128, 256, 1), (129, 256, 2),
                                        (256, 256, 2), (300, 256, 3)])
@@ -57,11 +56,17 @@ class TestPulseSpec:
     @pytest.mark.parametrize("kwargs", [
         dict(M=0, N=64), dict(M=256, N=-1), dict(M=256, N=64, T=0.0),
         dict(M=256, N=64, beta=-0.1), dict(M=256, N=64, beta=1.5),
-        dict(M=256, N=64, Q=0),
+        dict(M=256, N=64, Q=0), dict(M=256, N=64, T=math.inf),
+        dict(M=256, N=64, T=math.nan),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(InvalidInputError):
             PulseSpec(**kwargs)
+
+    def test_rejects_unknown_subpulse(self):
+        for subpulse in ("square", "RRC", None):
+            with pytest.raises(InvalidInputError, match="subpulse"):
+                PulseSpec(M=256, N=64, subpulse=subpulse)
 
     def test_plain_train_duration_cap(self):
         # T_a = 2*Q*T/M must stay below T/2 for the non-extended train
@@ -78,8 +83,11 @@ class TestPulseSpec:
         spec = PulseSpec(M=32, N=8, beta=0.3, Q=2, family=PulseFamily.OTFS_BASIS,
                          otfs_m=5, otfs_n=2)
         doc = spec.to_json_dict()
-        assert set(doc) == {"M", "N", "T", "beta", "Q", "family", "otfs_m", "otfs_n"}
+        assert set(doc) == {"M", "N", "T", "beta", "Q", "family", "otfs_m", "otfs_n",
+                            "subpulse"}
         assert PulseSpec.from_json_dict(doc) == spec
+        train = PulseSpec(M=32, N=8, subpulse="btrrc")
+        assert PulseSpec.from_json_dict(train.to_json_dict()) == train
 
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(InvalidInputError, match="unknown"):
@@ -88,7 +96,28 @@ class TestPulseSpec:
     def test_json_missing_fields_use_defaults(self):
         spec = PulseSpec.from_json_dict({"M": 128, "N": 16})
         assert spec.Q == 6 and spec.beta == 0.1
-        assert spec.family is PulseFamily.DDOP
+        assert spec.family is PulseFamily.DDOP and spec.subpulse == "rrc"
+
+
+class TestFamilyTable:
+    def test_every_family_has_a_row(self):
+        assert set(FAMILIES) == set(PulseFamily)
+        for family, row in FAMILIES.items():
+            assert (row.train is None) != (row.synth is None), family
+
+    @pytest.mark.parametrize("family,expected", [
+        (PulseFamily.RRC_SUBPULSE, Train(0, 1, "rrc")),
+        (PulseFamily.BTRRC_SUBPULSE, Train(0, 1, "btrrc")),
+        (PulseFamily.TDM, Train(3, 1, "rrc")),
+        (PulseFamily.DDOP, Train(3, 8, "btrrc")),
+        (PulseFamily.GENERAL_DDOP, Train(3, 10, "btrrc")),
+        (PulseFamily.FDM, None),
+        (PulseFamily.OTFS_BASIS, None),
+    ])
+    def test_layouts(self, family, expected):
+        # only the DDOP trains take the shape from the spec
+        spec = PulseSpec(M=64, N=8, Q=3, family=family, subpulse="btrrc")
+        assert train_layout(spec) == expected
 
 
 class TestPulseGrid:
@@ -108,8 +137,9 @@ class TestPulseGrid:
         assert padded.num_samples == plain.num_samples + 2 * 5 * 8
 
     def test_rejects_bad_oversample(self):
-        with pytest.raises(InvalidInputError):
-            pulse_grid(PulseSpec(M=32, N=4), oversample=0)
+        for oversample in (0, -2, 2.5, "8", None, math.inf):
+            with pytest.raises(InvalidInputError, match="oversample must be a positive integer"):
+                pulse_grid(PulseSpec(M=32, N=4), oversample=oversample)
 
 
 class TestRrcSubpulse:
@@ -126,7 +156,7 @@ class TestRrcSubpulse:
         n = 2 * spec.Q * 16 + 1
         grid = TimeGrid(start_time=-((n - 1) / 2 + 0.5) * dt, sample_interval=dt,
                         num_samples=n)
-        sig = synth_rrc_subpulse(spec, grid, 1.0)
+        sig = synth_pulse(spec, grid=grid)
         peak = abs(sig.samples[(n - 1) // 2])
         pole = abs(sig.samples[(n - 1) // 2 + 40])  # 2.5 steps = 1/(4*beta) steps away
         assert peak == pytest.approx(16.43718327, rel=1e-3)
@@ -138,7 +168,7 @@ class TestRrcSubpulse:
         step = spec.T / spec.M
         grid = TimeGrid(start_time=-(spec.Q + 0.5) * step, sample_interval=step,
                         num_samples=2 * spec.Q + 1)
-        sig = synth_rrc_subpulse(spec, grid, 1.0)
+        sig = synth_pulse(spec, grid=grid)
         k = np.rint(grid.times() / step).astype(int)
         assert np.max(np.abs(sig.samples[k != 0])) < 1e-12
 
@@ -146,14 +176,6 @@ class TestRrcSubpulse:
         spec = PulseSpec(**DEFAULTS, family=PulseFamily.RRC_SUBPULSE)
         sig = synth_pulse(spec, oversample=8)
         assert np.max(np.abs(sig.samples - sig.samples[::-1])) < 1e-12
-
-    def test_energy_request(self):
-        spec = PulseSpec(M=64, N=8, family=PulseFamily.RRC_SUBPULSE)
-        grid = pulse_grid(spec, oversample=8)
-        sig = synth_rrc_subpulse(spec, grid, 0.25)
-        assert energy(sig) == pytest.approx(0.25, rel=1e-12)
-        with pytest.raises(InvalidInputError):
-            synth_rrc_subpulse(spec, grid, 0.0)
 
 
 class TestClosedFormSpectra:
@@ -219,6 +241,9 @@ class TestTrains:
             PulseSpec(M=64, N=8, beta=0.3, family=PulseFamily.BTRRC_SUBPULSE),
             PulseSpec(M=64, N=8, family=PulseFamily.DDOP),
             PulseSpec(M=64, N=8, Q=40, family=PulseFamily.GENERAL_DDOP),
+            PulseSpec(M=64, N=8, beta=0.5, family=PulseFamily.DDOP, subpulse="btrrc"),
+            PulseSpec(M=64, N=8, beta=0.5, Q=40, family=PulseFamily.GENERAL_DDOP,
+                      subpulse="btrrc"),
             PulseSpec(M=64, N=8, family=PulseFamily.TDM),
             PulseSpec(M=64, N=8, family=PulseFamily.FDM),
             PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2),
@@ -272,16 +297,11 @@ class TestTrains:
         assert sig.grid.end_time == pytest.approx((spec.N + 2 * spec.D - 1) * spec.T + spec.ta)
         assert energy(sig) == pytest.approx(1.0, abs=1e-12)
 
-    def test_family_guard(self):
-        spec = PulseSpec(M=64, N=8, family=PulseFamily.TDM)
-        with pytest.raises(InvalidInputError, match="family"):
-            synth_ddop(spec, pulse_grid(spec))
-
     def test_short_grid_rejected(self):
         spec = PulseSpec(M=64, N=8)
         grid = TimeGrid(start_time=0.0, sample_interval=0.01, num_samples=100)
         with pytest.raises(InvalidGridError):
-            synth_ddop(spec, grid)
+            synth_pulse(spec, grid=grid)
 
     def test_fdm_rectangle(self):
         spec = PulseSpec(M=64, N=8, family=PulseFamily.FDM)
