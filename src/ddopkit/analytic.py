@@ -39,6 +39,7 @@ __all__ = [
     "btrrc_ddop_metrics",
     "otfs_metrics",
     "gabor_limit",
+    "has_closed_form",
     "analytic_for",
 ]
 
@@ -175,6 +176,11 @@ _CLOSED_FORMS = {
     PulseFamily.FDM: lambda spec, band, oversample: fdm_metrics(spec, _fdm_config(spec, band, oversample)),
     PulseFamily.OTFS_BASIS: lambda spec, band, oversample: otfs_metrics(spec),
 }
+
+
+def has_closed_form(family: PulseFamily) -> bool:
+    """Whether analytic_for has a closed-form benchmark for this family."""
+    return family in _CLOSED_FORMS
 
 
 def analytic_for(spec: PulseSpec, band: AnalysisBand | None = None, oversample: int = 16) -> LocalizationMetrics:

@@ -10,6 +10,7 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,8 +91,8 @@ class AnalysisBand:
     half_width: float
 
     def __post_init__(self) -> None:
-        if not self.half_width > 0:
-            raise InvalidInputError(f"half_width must be > 0, got {self.half_width}")
+        if not (isinstance(self.half_width, numbers.Real) and self.half_width > 0):
+            raise InvalidInputError(f"band half-width must be a number > 0, got {self.half_width}")
 
     @classmethod
     def default_for(cls, spec: PulseSpec) -> "AnalysisBand":

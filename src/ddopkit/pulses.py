@@ -5,7 +5,8 @@ Families:
 * ``RRC_SUBPULSE``: truncated root-raised-cosine sub-pulse on [-T_a/2, T_a/2],
   T_a = 2*Q*T/M.
 * ``BTRRC_SUBPULSE``: sub-pulse with exponential spectral rolloff, defined by
-  its closed-form spectrum and synthesized by inverse transform.
+  its closed-form spectrum and synthesized from it by Gauss-Legendre
+  quadrature of the inverse Fourier integral, one rule per spectral branch.
 * ``DDOP``: train of N sub-pulses at spacing T, sub-pulse energy 1/N.
 * ``GENERAL_DDOP``: train extended by D = ceil(2Q/M) prefix and suffix
   sub-pulses, sub-pulse energy 1/(N+2D).
@@ -271,27 +272,37 @@ def eval_btrrc_freq(spec: PulseSpec, f, energy: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray, points_per_branch: int = 8192) -> np.ndarray:
+def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     """Time samples of the exponential-rolloff sub-pulse by spectral quadrature.
 
     The spectrum is real and even, so a(t) = 2 * int_0^{f_hi} A(f) cos(2 pi f t) df.
-    Each spectral branch is integrated with its own midpoint rule so the
-    branch edges never straddle a quadrature cell.
+    Each spectral branch (flat [0, f_lo], lower [f_lo, f_mid], upper
+    [f_mid, f_hi]) gets its own Gauss-Legendre rule (Golub & Welsch 1969), so
+    no rule straddles a branch edge; an empty branch (the flat one at beta = 1)
+    is skipped. The upper branch is integrated over s in [0, 1] with
+    f = f_hi - (f_hi - f_mid) s^2, which turns A's square-root endpoint at
+    f_hi into a smooth integrand. A branch's node count follows its phase span
+    (hi - lo) * max|tau| in cycles: 32 nodes plus 4 per cycle, or 8 per cycle
+    on the substituted branch, where the phase is quadratic in s.
     """
-    edges = [
-        0.0,
-        spec.M * (1.0 - spec.beta) / (2.0 * spec.T),
-        spec.M / (2.0 * spec.T),
-        spec.M * (1.0 + spec.beta) / (2.0 * spec.T),
-    ]
+    f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
+    f_mid = spec.M / (2.0 * spec.T)
+    f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
+    reach = float(np.max(np.abs(tau), initial=0.0))
     total = np.zeros(tau.shape, dtype=np.float64)
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi, substituted in ((0.0, f_lo, False), (f_lo, f_mid, False), (f_mid, f_hi, True)):
         if hi <= lo:
             continue
-        df = (hi - lo) / points_per_branch
-        fq = lo + (np.arange(points_per_branch) + 0.5) * df
-        weights = eval_btrrc_freq(spec, fq) * df
-        total += 2.0 * np.cos(2.0 * np.pi * np.outer(tau, fq)) @ weights
+        per_cycle = 8 if substituted else 4
+        nodes, weights = np.polynomial.legendre.leggauss(32 + math.ceil(per_cycle * (hi - lo) * reach))
+        s = 0.5 * (nodes + 1.0)
+        if substituted:
+            fq = hi - (hi - lo) * s * s
+            df = (hi - lo) * s * weights  # 0.5 * weights * |df/ds|
+        else:
+            fq = lo + (hi - lo) * s
+            df = 0.5 * (hi - lo) * weights
+        total += 2.0 * np.cos(2.0 * np.pi * np.outer(tau, fq)) @ (eval_btrrc_freq(spec, fq) * df)
     return total
 
 

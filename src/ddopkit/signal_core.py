@@ -143,13 +143,14 @@ def inner_product(x: SampledSignal, y: SampledSignal) -> complex:
 
 
 def positive_int(value, name: str) -> int:
-    """value as an int if it is a whole number >= 1; InvalidInputError otherwise."""
+    """value as an int if it is a whole number in [1, 2**63 - 1], the range
+    numpy sizes and counts take; InvalidInputError otherwise."""
     try:
-        if int(value) == value and value >= 1:
+        if int(value) == value and 1 <= value <= np.iinfo(np.int64).max:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidInputError(f"{name} must be a positive integer, got {value}")
+    raise InvalidInputError(f"{name} must be a positive integer below 2**63, got {value}")
 
 
 def check_zero_pad(zero_pad) -> int:

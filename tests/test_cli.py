@@ -37,6 +37,14 @@ class TestUsageErrors:
         (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--steps", "0"], "--steps"),
         (["metrics", "--M", "32", "--N", "8", "--T", "1e309"], "T must be finite"),
         (["synth", "--M", "32", "--N", "8", "--zero-pad", "0"], "zero_pad"),
+        (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--from", "1e30"], "--from"),
+        (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--from", "0", "--to", "0"], "--from"),
+        (["metrics", "--M", "32", "--N", "8", "--tolerance", "nan"], "--tolerance"),
+        (["metrics", "--M", "32", "--N", "8", "--tolerance", "inf"], "--tolerance"),
+        (["metrics", "--M", "32", "--N", "8", "--tolerance", "-1"], "--tolerance"),
+        (["metrics", "--M", "32", "--N", "8", "--band", "0"], "band half-width"),
+        (["metrics", "--M", "32", "--N", "8", "--band", "-1"], "band half-width"),
+        (["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--band", "nan"], "band half-width"),
     ])
     def test_rejected_inputs(self, argv, message, capsys):
         rc, out, err = run(argv, capsys)
@@ -59,7 +67,8 @@ class TestConfigFile:
         assert rc == 2 and "unknown PulseSpec fields" in err
 
     @pytest.mark.parametrize("doc", [{"pulse": [1, 2]}, {"pulse": 3}, {"oversample": None},
-                                     {"oversample": [8]}, {"subpulse": "square"}])
+                                     {"oversample": [8]}, {"subpulse": "square"},
+                                     {"band_half_width": "wide"}])
     def test_malformed_values(self, doc, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -222,6 +231,11 @@ class TestVerify:
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",
                           "--otfs-m", "0", "--oversample", "8"], capsys)
         assert rc == 0
+        assert "[SKIP] closed-form agreement" in out
+
+    def test_family_without_closed_form_skipped(self, capsys):
+        rc, out, _ = run(["verify", "--family", "btrrc", "--beta", "0.5"], capsys)
+        assert rc == 0 and "[FAIL]" not in out
         assert "[SKIP] closed-form agreement" in out
 
     def test_interior_index_checked(self, capsys):

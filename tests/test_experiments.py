@@ -74,7 +74,8 @@ class TestSweepPlan:
                       values=(0.5, 0.2), fixed=SMALL)
 
     @pytest.mark.parametrize("field,value", [
-        ("oversample", 0), ("oversample", 2.5), ("zero_pad", 0), ("zero_pad", 1.5)])
+        ("oversample", 0), ("oversample", 2.5), ("oversample", 1e30), ("zero_pad", 0),
+        ("zero_pad", 1.5)])
     def test_rejects_bad_grid_settings(self, field, value):
         # one rule each, shared with pulse_grid and dft_spectrum
         with pytest.raises(InvalidInputError, match=f"{field} must be a positive integer"):

@@ -63,6 +63,11 @@ class TestAnalysisBand:
         with pytest.raises(InvalidInputError):
             AnalysisBand(half_width=0.0)
 
+    @pytest.mark.parametrize("half_width", [-1.0, float("nan"), "wide", None])
+    def test_rejects_other_bad_widths(self, half_width):
+        with pytest.raises(InvalidInputError):
+            AnalysisBand(half_width=half_width)
+
     def test_default_width(self):
         band = AnalysisBand.default_for(PulseSpec(M=256, N=64, T=0.5))
         assert band.half_width == pytest.approx(5 * 256 / 0.5)

@@ -1,6 +1,7 @@
 """Pulse families: specs, synthesis, and closed-form spectra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,34 @@ class TestClosedFormSpectra:
         expected = [18.78351176, 15.62335358, -0.8409167163, -0.08997242472, -0.04098150563]
         got = _btrrc_profile_at(spec, taus)
         assert np.allclose(got, expected, rtol=2e-6)
+
+    @pytest.mark.parametrize("M,Q,beta", [
+        (256, 13, 0.05), (256, 13, 0.5), (256, 13, 1.0),
+        (256, 64, 0.05), (256, 64, 0.5), (256, 64, 1.0),
+        (256, 256, 0.05), (256, 256, 0.5), (256, 256, 1.0),
+        (4, 4, 1.0),
+    ])
+    def test_btrrc_time_profile_against_oscillatory_quadrature(self, M, Q, beta):
+        """a(t) = 2 * int A(f) cos(2 pi f t) df, each spectral branch integrated by
+        QUADPACK's cosine-weighted rule, across [0, T_a/2]. The tolerance is
+        relative to the peak a(0): the profile crosses zero inside the span."""
+        from scipy.integrate import IntegrationWarning, quad
+
+        from ddopkit.pulses import _btrrc_profile_at
+
+        spec = PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
+        edges = [M * (1 - beta) / 2, M / 2, M * (1 + beta) / 2]
+        branches = [(lo, hi) for lo, hi in zip([0.0] + edges, edges) if hi > lo]
+        taus = np.linspace(0.0, spec.ta / 2, 25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            expected = np.array([
+                sum(2.0 * quad(lambda f: eval_btrrc_freq(spec, f), lo, hi, weight="cos",
+                               wvar=2 * np.pi * tau, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                    for lo, hi in branches)
+                for tau in taus])
+        got = _btrrc_profile_at(spec, taus)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * abs(expected[0])
 
 
 class TestTrains:
