@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", help="output file path (default: stdout)")
     g.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     g.add_argument("--oversample", type=int, help="samples per T/M step (default 16)")
-    g.add_argument("--zero-pad", type=int, help="spectrum zero-padding factor (default 4)")
+    g.add_argument("--zero-pad", type=int,
+                   help="minimum spectrum zero-padding factor; the transform length is "
+                        "rounded up to a 5-smooth length (default 4)")
     g.add_argument("--band", type=float, help="analysis band half-width in Hz (default 5M/T)")
     g.add_argument("--tolerance", type=float, default=2.0,
                    help="percent tolerance for metric comparisons, finite and >= 0 (default 2)")

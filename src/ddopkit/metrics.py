@@ -91,8 +91,9 @@ class AnalysisBand:
     half_width: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.half_width, numbers.Real) and self.half_width > 0):
-            raise InvalidInputError(f"band half-width must be a number > 0, got {self.half_width}")
+        width = self.half_width
+        if isinstance(width, bool) or not (isinstance(width, numbers.Real) and width > 0):
+            raise InvalidInputError(f"band half-width must be a number > 0, got {width}")
 
     @classmethod
     def default_for(cls, spec: PulseSpec) -> "AnalysisBand":
@@ -115,20 +116,20 @@ def measure_time(signal: SampledSignal) -> tuple[float, float]:
 def measure_freq(spectrum: Spectrum, band: AnalysisBand) -> tuple[float, float, float]:
     """Mean frequency, frequency dispersion, and captured energy fraction.
 
-    Moments are computed over |f| <= band.half_width only; the returned
-    capture is the in-band fraction of the spectrum's total energy. A band
-    whose energy sits in a single bin has no measurable spread and is
-    rejected.
+    Moments are computed over |f| <= band.half_width only, one contiguous run
+    of bins (``Spectrum.bins_within``); the returned capture is the in-band
+    fraction of the spectrum's total energy. A band whose energy sits in a
+    single bin has no measurable spread and is rejected.
     """
-    f = spectrum.frequencies()
-    weights = np.abs(spectrum.values) ** 2 * spectrum.freq_interval
-    total = float(np.sum(weights))
-    inside = np.abs(f) <= band.half_width
-    in_band = float(np.sum(weights[inside]))
-    if not np.any(inside) or in_band <= 0.0:
+    values = spectrum.values
+    total = float(np.vdot(values, values).real) * spectrum.freq_interval
+    bins = spectrum.bins_within(band.half_width)
+    inside = values[bins]
+    wb = (inside.real ** 2 + inside.imag ** 2) * spectrum.freq_interval
+    in_band = float(np.sum(wb))
+    if in_band <= 0.0:
         raise DegenerateInputError("no spectral energy inside the analysis band")
-    fb = f[inside]
-    wb = weights[inside]
+    fb = spectrum.start_freq + np.arange(bins.start, bins.stop) * spectrum.freq_interval
     mean = float(np.dot(fb, wb) / in_band)
     var = float(np.dot((fb - mean) ** 2, wb) / in_band)
     if not var > 0.0:

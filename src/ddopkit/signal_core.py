@@ -6,10 +6,12 @@ Conventions used throughout the package:
   (midpoint rule). Energies and inner products are midpoint Riemann sums, so
   removable singularities and support edges stay off the sample points on the
   default grids.
-* ``dft_spectrum`` scales the FFT by the sample interval and anchors the phase
-  at the true time of the first sample. The discrete Parseval identity is then
-  exact to rounding for any zero-pad factor, and a signal starting at t0
-  carries the continuous-time factor exp(-2j*pi*f*t0).
+* ``dft_spectrum`` transforms at the smallest 5-smooth length (2**a * 3**b *
+  5**c, see ``fast_length``) of at least zero_pad * num_samples, scales the FFT
+  by the sample interval and anchors the phase at the true time of the first
+  sample. The discrete Parseval identity is then exact to rounding for any
+  transform length, and a signal starting at t0 carries the continuous-time
+  factor exp(-2j*pi*f*t0).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "inner_product",
     "positive_int",
     "check_zero_pad",
+    "fast_length",
     "dft_spectrum",
 ]
 
@@ -120,6 +123,27 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         return self.start_freq + np.arange(self.values.shape[0]) * self.freq_interval
 
+    def bins_within(self, half_width: float) -> slice:
+        """The bins k with |start_freq + k * freq_interval| <= half_width, as one slice.
+
+        Bisects on the float expression of ``frequencies``, which is
+        nondecreasing in k, so the slice holds exactly the bins a mask over
+        ``frequencies()`` would pick, without building the grid.
+        """
+        start, step = self.start_freq, self.freq_interval
+
+        def first(pred) -> int:
+            lo, hi = 0, self.values.shape[0]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if pred(start + mid * step):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        return slice(first(lambda f: f >= -half_width), first(lambda f: f > half_width))
+
 
 def energy(signal: SampledSignal) -> float:
     """Midpoint Riemann sum of |g(t)|^2."""
@@ -144,9 +168,9 @@ def inner_product(x: SampledSignal, y: SampledSignal) -> complex:
 
 def positive_int(value, name: str) -> int:
     """value as an int if it is a whole number in [1, 2**63 - 1], the range
-    numpy sizes and counts take; InvalidInputError otherwise."""
+    numpy sizes and counts take; InvalidInputError otherwise (also for bool)."""
     try:
-        if int(value) == value and 1 <= value <= np.iinfo(np.int64).max:
+        if not isinstance(value, bool) and int(value) == value and 1 <= value <= np.iinfo(np.int64).max:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -154,8 +178,49 @@ def positive_int(value, name: str) -> int:
 
 
 def check_zero_pad(zero_pad) -> int:
-    """The spectrum's zero-padding factor: a positive integer."""
+    """The spectrum's minimum zero-padding factor: a positive integer."""
     return positive_int(zero_pad, "zero_pad")
+
+
+def fast_length(minimum: int) -> int:
+    """The smallest 5-smooth integer 2**a * 3**b * 5**c that is >= minimum.
+
+    FFT lengths with no prime factor above 5 run at full speed; a large prime
+    factor can make the transform several times slower.
+    """
+    minimum = positive_int(minimum, "FFT length")
+    best = 1 << (minimum - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least odd * 2**a >= minimum
+            best = min(best, odd << (-(-minimum // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+# Phase-anchor tables: bin k = a * _ANCHOR_BLOCK + b, applied _ANCHOR_ROWS rows of
+# the block at a time so the product table stays small.
+_ANCHOR_BLOCK = 1024
+_ANCHOR_ROWS = 32
+
+
+def _anchor_phase(values: np.ndarray, freq_interval: float, t_first: float, scale: float) -> None:
+    """values[k] *= scale * exp(-2j*pi*f_k*t_first) in place, f_k = (k - L//2) * freq_interval.
+
+    With k = a*B + b the phasor is exactly exp(-2j*pi*(a*B - L//2)*df*t) times
+    exp(-2j*pi*b*df*t), so two short exp tables replace one exp per bin.
+    """
+    length = values.shape[0]
+    rows = -(-length // _ANCHOR_BLOCK)
+    phase = -2j * np.pi * freq_interval * t_first
+    coarse = np.exp(phase * (np.arange(rows) * _ANCHOR_BLOCK - length // 2))
+    fine = scale * np.exp(phase * np.arange(_ANCHOR_BLOCK))
+    for a in range(0, rows, _ANCHOR_ROWS):
+        chunk = values[a * _ANCHOR_BLOCK:(a + _ANCHOR_ROWS) * _ANCHOR_BLOCK]
+        chunk *= np.multiply.outer(coarse[a:a + _ANCHOR_ROWS], fine).ravel()[:chunk.shape[0]]
 
 
 def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
@@ -165,23 +230,24 @@ def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     ----------
     signal : SampledSignal
     zero_pad_factor : int
-        The transform length is zero_pad_factor * num_samples, so the bin
-        spacing is sample_rate / (zero_pad_factor * num_samples).
+        The minimum padding: the transform length L is the smallest 5-smooth
+        integer >= zero_pad_factor * num_samples (``fast_length``), so the
+        bin spacing is sample_rate / L.
 
     Returns
     -------
     Spectrum
-        Bin values approximate G(f) = integral g(t) exp(-2j*pi*f*t) dt at the
-        bin frequencies; Parseval holds to rounding for any zero_pad_factor.
+        L bins, fftshifted (bin 0 at -(L//2) * sample_rate / L), whose values
+        approximate G(f) = integral g(t) exp(-2j*pi*f*t) dt at the bin
+        frequencies; Parseval holds to rounding for any zero_pad_factor.
     """
     dt = signal.grid.sample_interval
-    n = signal.grid.num_samples
-    length = check_zero_pad(zero_pad_factor) * n
-    raw = np.fft.fftshift(np.fft.fft(signal.samples, length))
-    freqs = np.fft.fftshift(np.fft.fftfreq(length, d=dt))
+    length = fast_length(check_zero_pad(zero_pad_factor) * signal.grid.num_samples)
+    values = np.fft.fftshift(np.fft.fft(signal.samples, length))
+    freq_interval = 1.0 / (length * dt)
     # Anchor the phase at the first sample's true time; the aliased negative
     # frequencies pick up exp(2j*pi*fs*j*dt) = 1 at integer j, so this is
     # consistent with the unshifted transform.
-    t_first = signal.grid.start_time + 0.5 * dt
-    values = raw * dt * np.exp(-2j * np.pi * freqs * t_first)
-    return Spectrum(start_freq=float(freqs[0]), freq_interval=1.0 / (length * dt), values=values)
+    _anchor_phase(values, freq_interval, signal.grid.start_time + 0.5 * dt, dt)
+    return Spectrum(start_freq=-(length // 2) * freq_interval, freq_interval=freq_interval,
+                    values=values)

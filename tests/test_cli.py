@@ -68,12 +68,14 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("doc", [{"pulse": [1, 2]}, {"pulse": 3}, {"oversample": None},
                                      {"oversample": [8]}, {"subpulse": "square"},
-                                     {"band_half_width": "wide"}])
+                                     {"band_half_width": "wide"}, {"band_half_width": True},
+                                     {"oversample": True}, {"zero_pad": True}])
     def test_malformed_values(self, doc, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         rc, _, err = run(["metrics", "--config", str(cfg)], capsys)
         assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_subpulse_key_sets_the_pulse(self, tmp_path, capsys):
         outputs = []

@@ -21,6 +21,7 @@ from ddopkit.signal_core import (
     DegenerateInputError,
     InvalidInputError,
     SampledSignal,
+    Spectrum,
     TimeGrid,
     dft_spectrum,
 )
@@ -63,7 +64,7 @@ class TestAnalysisBand:
         with pytest.raises(InvalidInputError):
             AnalysisBand(half_width=0.0)
 
-    @pytest.mark.parametrize("half_width", [-1.0, float("nan"), "wide", None])
+    @pytest.mark.parametrize("half_width", [-1.0, float("nan"), "wide", None, True])
     def test_rejects_other_bad_widths(self, half_width):
         with pytest.raises(InvalidInputError):
             AnalysisBand(half_width=half_width)
@@ -124,6 +125,68 @@ class TestMeasureFreq:
         sp = dft_spectrum(gaussian(), zero_pad_factor=2)
         with pytest.raises(DegenerateInputError, match="single spectral bin"):
             measure_freq(sp, AnalysisBand(half_width=sp.freq_interval / 4))
+
+
+def check_against_mask(spectrum, band):
+    """measure_freq picks the bins of a |f| <= half_width mask over the whole
+    grid and returns the moments that mask gives, bit for bit."""
+    f = spectrum.frequencies()
+    inside = np.abs(f) <= band.half_width
+    bins = spectrum.bins_within(band.half_width)
+    assert np.array_equal(np.arange(bins.start, bins.stop), np.flatnonzero(inside))
+    v = spectrum.values
+    weights = (v.real ** 2 + v.imag ** 2) * spectrum.freq_interval
+    fb, wb = f[inside], weights[inside]
+    in_band = float(np.sum(wb))
+    mean = float(np.dot(fb, wb) / in_band) if in_band > 0.0 else 0.0
+    var = float(np.dot((fb - mean) ** 2, wb) / in_band) if in_band > 0.0 else 0.0
+    if not var > 0.0:
+        with pytest.raises(DegenerateInputError):
+            measure_freq(spectrum, band)
+        return
+    mean_freq, disp, capture = measure_freq(spectrum, band)
+    assert (mean_freq, disp) == (mean, math.sqrt(var))
+    assert capture == pytest.approx(in_band / float(np.sum(weights)), rel=1e-12)
+
+
+class TestBandSlice:
+    """The contiguous band slice picks the same bins and moments as a mask."""
+
+    def test_edge_on_a_bin(self):
+        sp = Spectrum(start_freq=-5.0, freq_interval=0.5, values=np.arange(1.0, 22.0))
+        assert sp.bins_within(2.0) == slice(6, 15)
+        check_against_mask(sp, AnalysisBand(half_width=2.0))
+
+    def test_band_wider_than_spectrum(self):
+        sp = dft_spectrum(gaussian(n=512), zero_pad_factor=2)
+        band = AnalysisBand(half_width=1e9)
+        assert sp.bins_within(band.half_width) == slice(0, sp.values.shape[0])
+        check_against_mask(sp, band)
+        assert measure_freq(sp, band)[2] == pytest.approx(1.0, rel=1e-12)
+
+    def test_band_holding_no_bin(self):
+        sp = Spectrum(start_freq=0.25, freq_interval=1.0, values=np.ones(8))
+        with pytest.raises(DegenerateInputError, match="no spectral energy"):
+            measure_freq(sp, AnalysisBand(half_width=0.1))
+        check_against_mask(sp, AnalysisBand(half_width=0.1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       bins=st.integers(min_value=2, max_value=2000),
+       step=st.floats(min_value=1e-3, max_value=1e3),
+       offset=st.floats(min_value=-1.0, max_value=1.0),
+       half_width=st.floats(min_value=1e-4, max_value=1e6),
+       edge_bin=st.one_of(st.none(), st.integers(min_value=0, max_value=1999)))
+def test_band_slice_matches_mask(seed, bins, step, offset, half_width, edge_bin):
+    """Random grids, centred or not, and bands, some with an edge exactly on a bin."""
+    rng = np.random.default_rng(seed)
+    start = (-(bins // 2) + offset * bins) * step
+    if edge_bin is not None and edge_bin < bins and start + edge_bin * step != 0.0:
+        half_width = abs(start + edge_bin * step)
+    sp = Spectrum(start_freq=start, freq_interval=step,
+                  values=rng.normal(size=bins) + 1j * rng.normal(size=bins))
+    check_against_mask(sp, AnalysisBand(half_width=half_width))
 
 
 class TestGaussianFloor:

@@ -13,7 +13,9 @@ from ddopkit.signal_core import (
     TimeGrid,
     dft_spectrum,
     energy,
+    fast_length,
     inner_product,
+    positive_int,
     spectral_energy,
 )
 
@@ -70,6 +72,44 @@ class TestSpectrum:
     def test_frequencies(self):
         sp = Spectrum(start_freq=-1.0, freq_interval=0.5, values=np.ones(4))
         assert np.allclose(sp.frequencies(), [-1.0, -0.5, 0.0, 0.5])
+
+
+class TestPositiveInt:
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, False, "3", None, 2**63, float("inf")])
+    def test_rejects(self, value):
+        with pytest.raises(InvalidInputError, match="n must be a positive integer"):
+            positive_int(value, "n")
+
+    def test_accepts_whole_numbers(self):
+        assert positive_int(3.0, "n") == 3 and type(positive_int(np.int64(7), "n")) is int
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestFastLength:
+    def test_brute_force_oracle(self):
+        limit = 5000
+        smooth = [m for m in range(1, 2 * limit) if _is_5_smooth(m)]
+        for minimum in range(1, limit + 1):
+            got = fast_length(minimum)
+            assert _is_5_smooth(got) and got >= minimum
+            # no 5-smooth integer in [minimum, got)
+            assert not [m for m in smooth if minimum <= m < got]
+
+    def test_benchmark_lengths(self):
+        # the default train (4 * 258,464) and the btrrc sweep point (4 * 29,088)
+        assert fast_length(1_033_856) == 1_036_800 == 2**9 * 3**4 * 5**2
+        assert fast_length(116_352) == 116_640 == 2**5 * 3**6 * 5
+
+    @pytest.mark.parametrize("minimum", [0, -4, 2.5, True])
+    def test_rejects_non_positive(self, minimum):
+        with pytest.raises(InvalidInputError):
+            fast_length(minimum)
 
 
 class TestEnergy:
@@ -136,6 +176,23 @@ class TestDftSpectrum:
         k = int(np.argmin(np.abs(f - 0.25)))
         expected = a.values[k] * np.exp(-2j * np.pi * f[k] * 3.0)
         assert b.values[k] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n,zero_pad,bins", [(197, 4, 800), (8641, 4, 34_992)])
+    def test_non_smooth_minimum(self, n, zero_pad, bins):
+        """The length rounds up to 5-smooth; the tabled phase anchor matches a direct exp."""
+        rng = np.random.default_rng(n)
+        dt = 0.05
+        grid = TimeGrid(start_time=-0.7, sample_interval=dt, num_samples=n)
+        sig = SampledSignal(grid=grid, samples=rng.normal(size=n) + 1j * rng.normal(size=n))
+        sp = dft_spectrum(sig, zero_pad_factor=zero_pad)
+        assert sp.values.shape[0] == bins == fast_length(zero_pad * n)
+        assert sp.freq_interval == 1.0 / (bins * dt)
+        assert sp.start_freq == -(bins // 2) * sp.freq_interval
+        raw = np.fft.fftshift(np.fft.fft(sig.samples, bins))
+        t_first = grid.start_time + 0.5 * dt
+        direct = raw * dt * np.exp(-2j * np.pi * sp.frequencies() * t_first)
+        peak = np.max(np.abs(direct))
+        assert np.max(np.abs(sp.values - direct)) <= 1e-13 * peak
 
     def test_rejects_bad_pad(self):
         with pytest.raises(InvalidInputError):
