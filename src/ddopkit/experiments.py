@@ -33,7 +33,7 @@ import numpy as np
 from .analytic import analytic_for
 from .metrics import AnalysisBand, LocalizationMetrics, measure_all
 from .pulses import PulseFamily, PulseSpec, check_oversample, default_q, pulse_grid, synth_pulse
-from .signal_core import InvalidInputError, check_zero_pad, energy
+from .signal_core import InvalidInputError, check_zero_pad, non_negative_int
 
 __all__ = [
     "SweptParameter",
@@ -282,39 +282,52 @@ def orthogonality_scan(
     """|<u, u shifted by (m~ T/M, n~ /(NT))>| / ||u||^2 over the fine-shift grid.
 
     Returns a (2*max_delay_steps+1, 2*max_doppler_steps+1) matrix indexed by
-    (m~ + max_delay_steps, n~ + max_doppler_steps). Delay shifts are exact
-    integer sample shifts (T/M is oversample samples); each delay row then
-    needs a single FFT because the Doppler correlations are the transform of
-    u times the conjugated shifted signal, evaluated at multiples of 1/(NT).
+    (m~ + max_delay_steps, n~ + max_doppler_steps); both extents are
+    non-negative whole numbers. Delay shifts are exact integer sample shifts
+    (T/M is oversample samples), read as slices of one zero-padded copy of u.
+
+    The Doppler correlations use the block structure of the grid. With
+    P = M*oversample samples per T (dt = T/P), write sample i as k*P + j,
+    k the block and j the column. The Doppler phase at t0 + i*dt then splits
+    exactly:
+
+        exp(-2j pi n~ (t0 + i dt)/(NT))
+            = exp(-2j pi n~ t0/(NT)) * exp(-2j pi n~ k/N) * exp(-2j pi n~ j/(NP)),
+
+    because n~ i dt/(NT) = n~ (kP + j)/(NP). So each delay row is a small
+    contraction of the (blocks x columns) product u * conj(shifted u) with a
+    (Doppler x blocks) and a (Doppler x columns) phase table. The product is
+    zero in every column where u is zero in all blocks, so only u's nonzero
+    columns enter (all of them for the dense FDM and OTFS pulses). The
+    anchor exp(-2j pi n~ t0/(NT)) has unit modulus and the scan reports
+    magnitudes, so it is left out; dt cancels between the inner product and
+    the energy.
     """
-    if max_delay_steps < 0 or max_doppler_steps < 0:
-        raise InvalidInputError("scan extents must be >= 0")
-    grid = pulse_grid(spec, oversample=oversample, pad_steps=max_delay_steps)
-    u = synth_pulse(spec, grid=grid, oversample=oversample)
-    x = u.samples
-    n = grid.num_samples
-    dt = grid.sample_interval
-    e0 = energy(u)
+    max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
+    max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
+    oversample = check_oversample(oversample)
+    x = synth_pulse(spec, grid=pulse_grid(spec, oversample=oversample)).samples
+    per_t = spec.M * oversample
+    blocks = -(-x.shape[0] // per_t)
+    pad = max_delay_steps * oversample
+    padded = np.zeros(blocks * per_t + 2 * pad, dtype=np.complex128)
+    padded[pad:pad + x.shape[0]] = x
 
-    # 1/(NT) must land on an FFT bin: bin spacing 1/(L2*dt) with L2 a multiple
-    # of N*M*oversample puts n~/(NT) at bin n~*mult exactly.
-    base = spec.N * spec.M * oversample
-    mult = max(1, math.ceil(n / base))
-    length = base * mult
-    t_first = grid.start_time + 0.5 * dt
+    def block_view(shift: int) -> np.ndarray:
+        """Samples pad - shift onwards as (blocks, per_t): u delayed by shift samples."""
+        return padded[pad - shift:pad - shift + blocks * per_t].reshape(blocks, per_t)
 
-    out = np.empty((2 * max_delay_steps + 1, 2 * max_doppler_steps + 1))
+    columns = np.flatnonzero(np.any(block_view(0) != 0, axis=0))
+    u = block_view(0)[:, columns]
+    # Reduce n~*k and n~*j modulo the period before scaling so large |n~| keeps full precision.
+    doppler = np.arange(-max_doppler_steps, max_doppler_steps + 1)
+    block_phase = np.exp(-2j * np.pi * (np.outer(doppler, np.arange(blocks)) % spec.N) / spec.N)
+    column_phase = np.exp(-2j * np.pi * (np.outer(doppler, columns) % (spec.N * per_t))
+                          / (spec.N * per_t))
+    e0 = np.vdot(x, x).real
+
+    out = np.empty((2 * max_delay_steps + 1, doppler.shape[0]))
     for im, m_shift in enumerate(range(-max_delay_steps, max_delay_steps + 1)):
-        k = m_shift * oversample
-        shifted = np.zeros_like(x)
-        if k >= 0:
-            shifted[k:] = x[: n - k] if k else x
-        else:
-            shifted[: n + k] = x[-k:]
-        product = x * np.conj(shifted) * dt
-        transform = np.fft.fft(product, length)
-        for jn, n_shift in enumerate(range(-max_doppler_steps, max_doppler_steps + 1)):
-            f_dop = n_shift / (spec.N * spec.T)
-            val = transform[(n_shift * mult) % length] * np.exp(-2j * np.pi * f_dop * t_first)
-            out[im, jn] = abs(val) / e0
+        product = u * np.conj(block_view(m_shift * oversample)[:, columns])
+        out[im] = np.abs(((block_phase @ product) * column_phase).sum(axis=1)) / e0
     return out

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -42,6 +43,7 @@ from .signal_core import (
     InvalidInputError,
     SampledSignal,
     TimeGrid,
+    non_negative_int,
     positive_int,
 )
 
@@ -129,20 +131,16 @@ class PulseSpec:
     subpulse: str = "rrc"
 
     def __post_init__(self) -> None:
-        if int(self.M) != self.M or self.M < 1:
-            raise InvalidInputError(f"M must be a positive integer, got {self.M}")
-        if int(self.N) != self.N or self.N < 1:
-            raise InvalidInputError(f"N must be a positive integer, got {self.N}")
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "N", int(self.N))
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise InvalidInputError(f"T must be finite and > 0, got {self.T}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise InvalidInputError(f"beta must be in [0, 1], got {self.beta}")
+        object.__setattr__(self, "M", positive_int(self.M, "M"))
+        object.__setattr__(self, "N", positive_int(self.N, "N"))
+        if not (_is_real(self.T) and self.T > 0 and math.isfinite(self.T)):
+            raise InvalidInputError(f"T must be finite and > 0, got {self.T!r}")
+        if not (_is_real(self.beta) and 0.0 <= self.beta <= 1.0):
+            raise InvalidInputError(f"beta must be in [0, 1], got {self.beta!r}")
         q = default_q(self.M) if self.Q is None else self.Q
-        if int(q) != q or q < 1:
-            raise InvalidInputError(f"Q must be a positive integer, got {self.Q}")
-        object.__setattr__(self, "Q", int(q))
+        object.__setattr__(self, "Q", positive_int(q, "Q"))
+        object.__setattr__(self, "otfs_m", non_negative_int(self.otfs_m, "otfs_m"))
+        object.__setattr__(self, "otfs_n", non_negative_int(self.otfs_n, "otfs_n"))
         if not isinstance(self.family, PulseFamily):
             object.__setattr__(self, "family", parse_family(self.family))
         if self.subpulse not in SUBPULSE_SHAPES:
@@ -153,9 +151,9 @@ class PulseSpec:
                 f"the plain pulse train requires T_a <= 0.5*T (got Q={self.Q}, M={self.M})"
             )
         if self.family is PulseFamily.OTFS_BASIS:
-            if not 0 <= self.otfs_m <= self.M - 1:
+            if self.otfs_m > self.M - 1:
                 raise InvalidInputError(f"otfs_m must be in [0, {self.M - 1}], got {self.otfs_m}")
-            if not 0 <= self.otfs_n <= self.N - 1:
+            if self.otfs_n > self.N - 1:
                 raise InvalidInputError(f"otfs_n must be in [0, {self.N - 1}], got {self.otfs_n}")
 
     @property
@@ -191,6 +189,11 @@ class PulseSpec:
         if "family" in kwargs:
             kwargs["family"] = parse_family(kwargs["family"])
         return cls(**kwargs)
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool (JSON true would otherwise read as 1)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _rrc_profile(x: np.ndarray, beta: float) -> np.ndarray:

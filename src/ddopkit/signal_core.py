@@ -32,6 +32,7 @@ __all__ = [
     "spectral_energy",
     "inner_product",
     "positive_int",
+    "non_negative_int",
     "check_zero_pad",
     "fast_length",
     "dft_spectrum",
@@ -169,12 +170,22 @@ def inner_product(x: SampledSignal, y: SampledSignal) -> complex:
 def positive_int(value, name: str) -> int:
     """value as an int if it is a whole number in [1, 2**63 - 1], the range
     numpy sizes and counts take; InvalidInputError otherwise (also for bool)."""
+    return _whole_number(value, name, 1, "a positive integer")
+
+
+def non_negative_int(value, name: str) -> int:
+    """value as an int if it is a whole number in [0, 2**63 - 1];
+    InvalidInputError otherwise (also for bool)."""
+    return _whole_number(value, name, 0, "a non-negative integer")
+
+
+def _whole_number(value, name: str, minimum: int, what: str) -> int:
     try:
-        if not isinstance(value, bool) and int(value) == value and 1 <= value <= np.iinfo(np.int64).max:
+        if not isinstance(value, bool) and int(value) == value and minimum <= value <= np.iinfo(np.int64).max:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidInputError(f"{name} must be a positive integer below 2**63, got {value}")
+    raise InvalidInputError(f"{name} must be {what} below 2**63, got {value}")
 
 
 def check_zero_pad(zero_pad) -> int:

@@ -69,7 +69,14 @@ class TestConfigFile:
     @pytest.mark.parametrize("doc", [{"pulse": [1, 2]}, {"pulse": 3}, {"oversample": None},
                                      {"oversample": [8]}, {"subpulse": "square"},
                                      {"band_half_width": "wide"}, {"band_half_width": True},
-                                     {"oversample": True}, {"zero_pad": True}])
+                                     {"oversample": True}, {"zero_pad": True},
+                                     {"pulse": {"M": 32, "N": 8, "T": True}},
+                                     {"pulse": {"M": 32, "N": 8, "beta": True}},
+                                     {"pulse": {"M": 32, "N": 8, "Q": True}},
+                                     {"pulse": {"M": True, "N": 8}},
+                                     {"pulse": {"M": 32, "N": True}},
+                                     {"pulse": {"M": 32, "N": 8, "family": "otfs", "otfs_m": True}},
+                                     {"pulse": {"M": 32, "N": 8, "family": "otfs", "otfs_n": True}}])
     def test_malformed_values(self, doc, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))

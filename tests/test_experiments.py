@@ -23,8 +23,8 @@ from ddopkit.experiments import (
 )
 from ddopkit.analytic import AnalyticConfig, analytic_for, btrrc_ddop_metrics, fdm_metrics
 from ddopkit.metrics import AnalysisBand
-from ddopkit.pulses import PulseFamily, PulseSpec
-from ddopkit.signal_core import InvalidInputError
+from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
+from ddopkit.signal_core import InvalidInputError, energy
 
 SMALL = PulseSpec(M=32, N=8)
 
@@ -240,6 +240,56 @@ class TestOrthogonalityScan:
         assert b[2, 2] == pytest.approx(1.0, abs=1e-9)
         assert not np.allclose(a, b, rtol=0, atol=1e-9)
 
-    def test_rejects_negative_extent(self):
-        with pytest.raises(InvalidInputError):
-            orthogonality_scan(SMALL, -1, 0)
+    @pytest.mark.parametrize("delay,doppler", [(-1, 0), (0, -1), (2.5, 0), (0, 1.5),
+                                               (True, 1), (1, False), ("2", 0), (None, 0)])
+    def test_rejects_bad_extents(self, delay, doppler):
+        with pytest.raises(InvalidInputError, match="must be a non-negative integer"):
+            orthogonality_scan(SMALL, delay, doppler)
+
+    @pytest.mark.parametrize("spec,delay,doppler,oversample", [
+        (PulseSpec(M=32, N=8, beta=0.3), 3, 4, 8),
+        (PulseSpec(M=32, N=8, beta=0.6, subpulse="btrrc"), 3, 4, 8),
+        (PulseSpec(M=32, N=8, beta=0.3, family=PulseFamily.TDM), 3, 4, 8),
+        (PulseSpec(M=64, N=4, Q=40, beta=0.5, family=PulseFamily.GENERAL_DDOP), 5, 3, 4),
+        (PulseSpec(M=16, N=4, family=PulseFamily.FDM), 4, 3, 8),
+        (PulseSpec(M=16, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2), 4, 3, 8),
+        (PulseSpec(M=16, N=4, Q=4), 20, 5, 4),
+        (PulseSpec(M=32, N=8), 0, 0, 8),
+        (PulseSpec(M=16, N=4, Q=2), 2, 9, 4),
+    ], ids=["ddop", "ddop-btrrc", "tdm", "gddop-q40", "fdm", "otfs", "shifts-past-T",
+            "origin-only", "doppler-past-N"])
+    def test_matches_fft_reference(self, spec, delay, doppler, oversample):
+        expected = _fft_scan_reference(spec, delay, doppler, oversample)
+        got = orthogonality_scan(spec, delay, doppler, oversample=oversample)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def _fft_scan_reference(spec, max_delay_steps, max_doppler_steps, oversample):
+    """The scan as one zero-padded FFT per delay row: u times the conjugated
+    shifted copy on the padded grid, read at the bins n~/(NT)."""
+    grid = pulse_grid(spec, oversample=oversample, pad_steps=max_delay_steps)
+    u = synth_pulse(spec, grid=grid, oversample=oversample)
+    x = u.samples
+    n = grid.num_samples
+    dt = grid.sample_interval
+    e0 = energy(u)
+    # 1/(NT) lands on bin mult of a transform whose length is a multiple of N*M*oversample.
+    base = spec.N * spec.M * oversample
+    mult = max(1, math.ceil(n / base))
+    length = base * mult
+    t_first = grid.start_time + 0.5 * dt
+    out = np.empty((2 * max_delay_steps + 1, 2 * max_doppler_steps + 1))
+    for im, m_shift in enumerate(range(-max_delay_steps, max_delay_steps + 1)):
+        k = m_shift * oversample
+        shifted = np.zeros_like(x)
+        if k >= 0:
+            shifted[k:] = x[: n - k] if k else x
+        else:
+            shifted[: n + k] = x[-k:]
+        transform = np.fft.fft(x * np.conj(shifted) * dt, length)
+        for jn, n_shift in enumerate(range(-max_doppler_steps, max_doppler_steps + 1)):
+            f_dop = n_shift / (spec.N * spec.T)
+            val = transform[(n_shift * mult) % length] * np.exp(-2j * np.pi * f_dop * t_first)
+            out[im, jn] = abs(val) / e0
+    return out

@@ -58,7 +58,10 @@ class TestPulseSpec:
         dict(M=0, N=64), dict(M=256, N=-1), dict(M=256, N=64, T=0.0),
         dict(M=256, N=64, beta=-0.1), dict(M=256, N=64, beta=1.5),
         dict(M=256, N=64, Q=0), dict(M=256, N=64, T=math.inf),
-        dict(M=256, N=64, T=math.nan),
+        dict(M=256, N=64, T=math.nan), dict(M=True, N=64), dict(M=256, N=True),
+        dict(M=256, N=64, T=True), dict(M=256, N=64, beta=True), dict(M=256, N=64, Q=True),
+        dict(M=256, N=64, T="1"), dict(M=256, N=64, beta=None), dict(M=2.5, N=64),
+        dict(M=256, N=64, otfs_m=True), dict(M=256, N=64, otfs_n=-1),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(InvalidInputError):
@@ -75,7 +78,8 @@ class TestPulseSpec:
             PulseSpec(M=16, N=4, Q=8, family=PulseFamily.DDOP)
         PulseSpec(M=16, N=4, Q=8, family=PulseFamily.GENERAL_DDOP)  # extended variant is fine
 
-    @pytest.mark.parametrize("kwargs", [dict(otfs_m=-1), dict(otfs_m=32), dict(otfs_n=8)])
+    @pytest.mark.parametrize("kwargs", [dict(otfs_m=-1), dict(otfs_m=32), dict(otfs_n=8),
+                                        dict(otfs_m=1.5), dict(otfs_m=True), dict(otfs_n=True)])
     def test_rejects_bad_otfs_indices(self, kwargs):
         with pytest.raises(InvalidInputError):
             PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, **kwargs)

@@ -15,6 +15,7 @@ from ddopkit.signal_core import (
     energy,
     fast_length,
     inner_product,
+    non_negative_int,
     positive_int,
     spectral_energy,
 )
@@ -82,6 +83,17 @@ class TestPositiveInt:
 
     def test_accepts_whole_numbers(self):
         assert positive_int(3.0, "n") == 3 and type(positive_int(np.int64(7), "n")) is int
+
+
+class TestNonNegativeInt:
+    @pytest.mark.parametrize("value", [-1, 1.5, True, False, "3", None, 2**63, float("nan")])
+    def test_rejects(self, value):
+        with pytest.raises(InvalidInputError, match="n must be a non-negative integer"):
+            non_negative_int(value, "n")
+
+    def test_accepts_zero_and_whole_numbers(self):
+        assert non_negative_int(0, "n") == 0 and non_negative_int(2.0, "n") == 2
+        assert type(non_negative_int(np.int64(7), "n")) is int
 
 
 def _is_5_smooth(m):
