@@ -3,23 +3,14 @@
 Submodules:
 
 * ``signal_core``: sampled-signal containers, energies, Parseval-exact DFT.
-* ``pulses``: the pulse-family table, the synthesizers and their closed-form spectra.
+* ``pulses``: the pulse-family table and the synthesizers.
 * ``metrics``: numeric localization measurements and the moment-shift identity check.
-* ``analytic``: closed-form localization metrics per family.
+* ``analytic``: closed-form localization metrics, through ``analytic_for``.
 * ``experiments``: parameter sweeps, family comparisons, orthogonality scans.
 * ``cli``: command-line interface (``ddopkit synth|metrics|sweep|verify``).
 """
 
-from .analytic import (
-    AnalyticConfig,
-    btrrc_ddop_metrics,
-    ddop_metrics,
-    fdm_metrics,
-    gabor_limit,
-    general_ddop_metrics,
-    otfs_metrics,
-    tdm_metrics,
-)
+from .analytic import analytic_for, gabor_limit
 from .metrics import AnalysisBand, LocalizationMetrics, Provenance, lemma1_check, measure_all, measure_freq, measure_time
 from .pulses import PulseFamily, PulseSpec, default_q, pulse_grid, synth_pulse
 from .signal_core import (

@@ -1,5 +1,11 @@
 """Closed-form localization metrics for each pulse family.
 
+``analytic_for(spec, band, oversample)`` is the one entry point. It looks the
+family up in ``_CLOSED_FORMS``, which maps each family that has a closed form
+to one of four forms: the sub-pulse train, the single sub-pulse (whose Delta T
+is an upper bound), the FDM rectangle and the OTFS basis function. Only the
+FDM form reads the band and oversample.
+
 Only the mean values and the two dispersions are stored; the area and the
 direction parameter are recomputed properties of LocalizationMetrics, so the
 identities tf_area = Delta T * Delta F and direction = Delta T / Delta F hold
@@ -22,22 +28,14 @@ table in ``pulses``. Coefficient conventions (beta is the sub-pulse roll-off):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .metrics import AnalysisBand, LocalizationMetrics, Provenance
 from .pulses import PulseFamily, PulseSpec, train_layout
 from .signal_core import InvalidInputError
 
 __all__ = [
-    "AnalyticConfig",
     "RRC_ROLLOFF_COEFF",
     "EXP_ROLLOFF_COEFF",
-    "ddop_metrics",
-    "tdm_metrics",
-    "fdm_metrics",
-    "general_ddop_metrics",
-    "btrrc_ddop_metrics",
-    "otfs_metrics",
     "gabor_limit",
     "has_closed_form",
     "analytic_for",
@@ -46,22 +44,6 @@ __all__ = [
 RRC_ROLLOFF_COEFF = (math.pi**2 - 8.0) / (4.0 * math.pi**2)
 EXP_ROLLOFF_COEFF = (math.log(2.0) - 1.0) ** 2 / (2.0 * math.log(2.0) ** 2)
 _ROLLOFF_COEFF = {"rrc": RRC_ROLLOFF_COEFF, "btrrc": EXP_ROLLOFF_COEFF}
-
-
-@dataclass(frozen=True)
-class AnalyticConfig:
-    """K_cutoff counts the sinc half-lobes of the rectangle spectrum kept in band."""
-
-    K_cutoff: int
-
-    def __post_init__(self) -> None:
-        if int(self.K_cutoff) != self.K_cutoff or self.K_cutoff < 1:
-            raise InvalidInputError(f"K_cutoff must be a positive integer, got {self.K_cutoff}")
-
-
-def _require(spec: PulseSpec, op: str, *families: PulseFamily) -> None:
-    if spec.family not in families:
-        raise InvalidInputError(f"{op} requires family {families[0].value}, got {spec.family.value}")
 
 
 def _analytic(mean_time: float, mean_freq: float, dt: float, df: float, bound: bool = False) -> LocalizationMetrics:
@@ -79,8 +61,8 @@ def _train_freq_dispersion(spec: PulseSpec, shape: str) -> float:
     return (spec.M / spec.T) * math.sqrt(1.0 / 12.0 + _ROLLOFF_COEFF[shape] * spec.beta**2)
 
 
-def _train_metrics(spec: PulseSpec) -> LocalizationMetrics:
-    """Closed forms for the spec's train of `count` sub-pulses every T."""
+def _train(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMetrics:
+    """The train of N (DDOP) or N + 2D (GENERAL_DDOP) sub-pulses every T; Delta F is the sub-pulse's."""
     train = train_layout(spec)
     return _analytic(
         mean_time=(spec.T * (train.count - 1) + spec.ta) / 2.0,
@@ -90,26 +72,8 @@ def _train_metrics(spec: PulseSpec) -> LocalizationMetrics:
     )
 
 
-def ddop_metrics(spec: PulseSpec) -> LocalizationMetrics:
-    """Closed forms for the N-sub-pulse train of the spec's sub-pulse shape."""
-    _require(spec, "ddop_metrics", PulseFamily.DDOP)
-    return _train_metrics(spec)
-
-
-def btrrc_ddop_metrics(spec: PulseSpec) -> LocalizationMetrics:
-    """Closed forms for the train built on the exponential-rolloff sub-pulse."""
-    return ddop_metrics(replace(spec, subpulse="btrrc"))
-
-
-def general_ddop_metrics(spec: PulseSpec) -> LocalizationMetrics:
-    """Extended-train closed forms: N replaced by N + 2D; Delta F unchanged."""
-    _require(spec, "general_ddop_metrics", PulseFamily.GENERAL_DDOP)
-    return _train_metrics(spec)
-
-
-def tdm_metrics(spec: PulseSpec) -> LocalizationMetrics:
-    """Closed forms for the single sub-pulse; its Delta T is an upper bound."""
-    _require(spec, "tdm_metrics", PulseFamily.TDM, PulseFamily.RRC_SUBPULSE)
+def _single_subpulse(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMetrics:
+    """The single rrc sub-pulse (TDM, or RRC_SUBPULSE centred at 0); its Delta T is an upper bound."""
     train = train_layout(spec)
     return _analytic(
         mean_time=train.first_step * spec.T / spec.M,
@@ -120,28 +84,25 @@ def tdm_metrics(spec: PulseSpec) -> LocalizationMetrics:
     )
 
 
-def fdm_metrics(spec: PulseSpec, cfg: AnalyticConfig) -> LocalizationMetrics:
-    """Closed forms for the duration-N*T rectangle, K_cutoff sinc half-lobes in band."""
-    _require(spec, "fdm_metrics", PulseFamily.FDM)
+def _fdm(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMetrics:
+    """The duration-N*T rectangle, with K_cutoff sinc half-lobes in band.
+
+    K_cutoff counts the half-lobes the measurement can actually see: the band,
+    clipped to the sampled Nyquist range M*oversample/(2T).
+    """
+    visible = min(band.half_width, 0.5 * spec.M * oversample / spec.T)
+    k_cutoff = max(1, math.floor(visible * spec.N * spec.T))
     nt = spec.N * spec.T
     return _analytic(
         mean_time=nt / 2.0,
         mean_freq=0.0,
         dt=nt / math.sqrt(12.0),
-        df=math.sqrt(cfg.K_cutoff) / (nt * math.pi),
+        df=math.sqrt(k_cutoff) / (nt * math.pi),
     )
 
 
-def _fdm_config(spec: PulseSpec, band: AnalysisBand, oversample: int) -> AnalyticConfig:
-    # K counts sinc half-lobes the measurement can actually see: the band,
-    # clipped to the sampled Nyquist range.
-    nyquist = 0.5 * spec.M * oversample / spec.T
-    visible = min(band.half_width, nyquist)
-    return AnalyticConfig(K_cutoff=max(1, math.floor(visible * spec.N * spec.T)))
-
-
-def otfs_metrics(spec: PulseSpec) -> LocalizationMetrics:
-    """Closed forms for the multicarrier basis function.
+def _otfs(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMetrics:
+    """The multicarrier basis function.
 
     Valid for interior delay indices only (1 <= otfs_m <= M-2): the edge
     indices put the kernel peak on a window edge and the out-of-band leakage
@@ -152,7 +113,6 @@ def otfs_metrics(spec: PulseSpec) -> LocalizationMetrics:
     (N-1)T/2 + m*T/M in time, and the kernel's tone comb is centered at
     (M-1)/(2T) shifted by the Doppler index n/(N*T).
     """
-    _require(spec, "otfs_metrics", PulseFamily.OTFS_BASIS)
     return _analytic(
         mean_time=(spec.N - 1) * spec.T / 2.0 + spec.otfs_m * spec.T / spec.M,
         mean_freq=(spec.M - 1) / (2.0 * spec.T) + spec.otfs_n / (spec.N * spec.T),
@@ -166,15 +126,14 @@ def gabor_limit() -> float:
     return 1.0 / (4.0 * math.pi)
 
 
-# Closed form per family, called as form(spec, band, oversample); the band and
-# oversample matter only to FDM. BTRRC_SUBPULSE has none.
+# The closed form of each family that has one; BTRRC_SUBPULSE has none.
 _CLOSED_FORMS = {
-    PulseFamily.RRC_SUBPULSE: lambda spec, band, oversample: tdm_metrics(spec),
-    PulseFamily.TDM: lambda spec, band, oversample: tdm_metrics(spec),
-    PulseFamily.DDOP: lambda spec, band, oversample: _train_metrics(spec),
-    PulseFamily.GENERAL_DDOP: lambda spec, band, oversample: _train_metrics(spec),
-    PulseFamily.FDM: lambda spec, band, oversample: fdm_metrics(spec, _fdm_config(spec, band, oversample)),
-    PulseFamily.OTFS_BASIS: lambda spec, band, oversample: otfs_metrics(spec),
+    PulseFamily.RRC_SUBPULSE: _single_subpulse,
+    PulseFamily.TDM: _single_subpulse,
+    PulseFamily.DDOP: _train,
+    PulseFamily.GENERAL_DDOP: _train,
+    PulseFamily.FDM: _fdm,
+    PulseFamily.OTFS_BASIS: _otfs,
 }
 
 

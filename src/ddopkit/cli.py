@@ -2,9 +2,10 @@
 
 Configuration precedence is flags > JSON config file > built-in defaults.
 Exit codes are a stable contract: 0 success, 1 check failure (or output I/O
-failure), 2 usage/config error (including illegal pulse parameters). Output
-files are byte-deterministic for identical configuration; worker parallelism
-inside sweeps is capped by the DDOP_THREADS environment variable (0 = auto).
+failure), 2 usage/config error (including illegal pulse parameters and a run
+too large to allocate). Output files are byte-deterministic for identical
+configuration; worker parallelism inside sweeps is capped by the DDOP_THREADS
+environment variable (0 = auto).
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from .experiments import (
     run_sweep,
 )
 from .metrics import AnalysisBand, lemma1_check, measure_all
-from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, check_oversample, synth_pulse
+from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, synth_pulse
 from .signal_core import (
     InvalidInputError,
     SampledSignal,
     TimeGrid,
-    check_zero_pad,
     dft_spectrum,
     energy,
     positive_int,
@@ -65,8 +65,10 @@ class RunConfig:
     output_format: str = "csv"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "oversample", check_oversample(self.oversample))
-        object.__setattr__(self, "zero_pad", check_zero_pad(self.zero_pad))
+        object.__setattr__(self, "oversample", positive_int(self.oversample, "oversample"))
+        object.__setattr__(self, "zero_pad", positive_int(self.zero_pad, "zero_pad"))
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise InvalidInputError(f"output path must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise InvalidInputError(f"output format must be csv or json, got {self.output_format!r}")
 
@@ -395,8 +397,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args)
         return cmd_verify(cfg, args.tolerance, args.corrupt_signal)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

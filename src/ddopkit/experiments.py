@@ -32,8 +32,8 @@ import numpy as np
 
 from .analytic import analytic_for
 from .metrics import AnalysisBand, LocalizationMetrics, measure_all
-from .pulses import PulseFamily, PulseSpec, check_oversample, default_q, pulse_grid, synth_pulse
-from .signal_core import InvalidInputError, check_zero_pad, non_negative_int
+from .pulses import PulseFamily, PulseSpec, default_q, pulse_grid, synth_pulse
+from .signal_core import InvalidInputError, non_negative_int, positive_int
 
 __all__ = [
     "SweptParameter",
@@ -112,8 +112,8 @@ class SweepPlan:
             diffs = np.diff([float(v) for v in self.values])
             if len(diffs) and not np.all(diffs > 0):
                 raise InvalidInputError("numeric sweep values must be strictly increasing")
-        object.__setattr__(self, "zero_pad", check_zero_pad(self.zero_pad))
-        object.__setattr__(self, "oversample", check_oversample(self.oversample))
+        object.__setattr__(self, "zero_pad", positive_int(self.zero_pad, "zero_pad"))
+        object.__setattr__(self, "oversample", positive_int(self.oversample, "oversample"))
 
     def spec_at(self, value) -> PulseSpec:
         if self.swept_parameter is SweptParameter.BETA:
@@ -305,7 +305,7 @@ def orthogonality_scan(
     """
     max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
     max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
-    oversample = check_oversample(oversample)
+    oversample = positive_int(oversample, "oversample")
     x = synth_pulse(spec, grid=pulse_grid(spec, oversample=oversample)).samples
     per_t = spec.M * oversample
     blocks = -(-x.shape[0] // per_t)

@@ -1,4 +1,4 @@
-"""Pulse-family synthesizers and closed-form frequency responses.
+"""Pulse-family synthesizers and the exponential-rolloff sub-pulse spectrum.
 
 Families:
 
@@ -20,8 +20,10 @@ their row gives the first sub-pulse centre (in delay steps T/M), the
 sub-pulse count and the sub-pulse shape, and one primitive builds them all.
 DDOP and GENERAL_DDOP take the shape from ``PulseSpec.subpulse`` ("rrc" or
 the exponential-rolloff "btrrc"); the other trains fix it. FDM and OTFS_BASIS
-name their own synthesizers. ``pulse_grid``, ``synth_pulse`` and the closed
-forms in ``analytic`` all read this table.
+name their own synthesizers. ``pulse_grid`` and ``synth_pulse`` read this
+table; the train closed forms in ``analytic`` read their sub-pulse count and
+shape from it through ``train_layout``. Which families have a closed form is
+listed in ``analytic`` alone, so this module never imports it.
 
 Every synthesizer renormalizes its discrete Riemann energy to unit energy,
 is deterministic, and accepts an arbitrary TimeGrid covering the pulse
@@ -33,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -56,11 +59,8 @@ __all__ = [
     "FAMILIES",
     "train_layout",
     "default_q",
-    "check_oversample",
     "pulse_grid",
-    "eval_rrc_freq",
     "eval_btrrc_freq",
-    "eval_ddop_freq",
     "synth_fdm",
     "synth_otfs_basis",
     "synth_pulse",
@@ -133,7 +133,8 @@ class PulseSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", positive_int(self.M, "M"))
         object.__setattr__(self, "N", positive_int(self.N, "N"))
-        if not (_is_real(self.T) and self.T > 0 and math.isfinite(self.T)):
+        # a comparison, not math.isfinite, so an int beyond the float range is rejected too
+        if not (_is_real(self.T) and 0 < self.T <= sys.float_info.max):
             raise InvalidInputError(f"T must be finite and > 0, got {self.T!r}")
         if not (_is_real(self.beta) and 0.0 <= self.beta <= 1.0):
             raise InvalidInputError(f"beta must be in [0, 1], got {self.beta!r}")
@@ -228,44 +229,21 @@ def _renormalized(grid: TimeGrid, samples: np.ndarray, target: float, what: str)
     return SampledSignal(grid=grid, samples=samples * math.sqrt(target / raw))
 
 
-def eval_rrc_freq(spec: PulseSpec, f, energy: float = 1.0):
-    """Closed-form magnitude spectrum of the untruncated root-raised-cosine pulse.
+def eval_btrrc_freq(spec: PulseSpec, f):
+    """Closed-form magnitude spectrum of the unit-energy exponential-rolloff sub-pulse.
 
-    Flat at sqrt(T*E/M) up to M(1-beta)/(2T), raised-cosine rolloff to
-    M(1+beta)/(2T), zero beyond. Truncation side-lobes are ignored by
-    construction. Accepts scalar or array f; returns the same shape.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    af = np.abs(f)
-    flat = math.sqrt(spec.T * energy / spec.M)
-    f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
-    f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
-    out = np.zeros(f.shape, dtype=np.float64)
-    out[af <= f_lo] = flat
-    if spec.beta > 0.0:
-        roll = (af > f_lo) & (af <= f_hi)
-        phase = np.pi * spec.T / (spec.beta * spec.M) * (af[roll] - f_lo)
-        out[roll] = np.sqrt(spec.T * energy / (2.0 * spec.M) * (1.0 + np.cos(phase)))
-    return out if out.ndim else float(out)
-
-
-def eval_btrrc_freq(spec: PulseSpec, f, energy: float = 1.0):
-    """Closed-form magnitude spectrum of the exponential-rolloff sub-pulse.
-
-    Flat at sqrt(T*E/M) up to M(1-beta)/(2T), decaying exponential branch to
+    Flat at sqrt(T/M) up to M(1-beta)/(2T), decaying exponential branch to
     M/(2T) (half power exactly at M/(2T)), complementary branch to
-    M(1+beta)/(2T), zero beyond. Falls back to the root-raised-cosine
-    spectrum at beta = 0.
+    M(1+beta)/(2T), zero beyond. At beta = 0 both rolloff branches are empty:
+    flat up to M/(2T), zero beyond.
     """
-    if spec.beta == 0.0:
-        return eval_rrc_freq(spec, f, energy)
     f = np.asarray(f, dtype=np.float64)
     af = np.abs(f)
-    flat_sq = spec.T * energy / spec.M
+    flat_sq = spec.T / spec.M
     f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
     f_mid = spec.M / (2.0 * spec.T)
     f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
-    rate = 2.0 * math.log(2.0) * spec.T / (spec.beta * spec.M)
+    rate = 2.0 * math.log(2.0) * spec.T / (spec.beta * spec.M) if spec.beta > 0.0 else 0.0
     out = np.zeros(f.shape, dtype=np.float64)
     out[af <= f_lo] = math.sqrt(flat_sq)
     lower = (af > f_lo) & (af <= f_mid)
@@ -407,28 +385,6 @@ def synth_otfs_basis(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
     return _renormalized(grid, out, 1.0, "basis function")
 
 
-def eval_ddop_freq(spec: PulseSpec, f, num_tones: int = 40):
-    """Closed-form train spectrum: N * exp(-j pi ((N-1)T + T_a) f) * A(f) * sum_m (...).
-
-    The tone sum runs over m in [-num_tones, num_tones] with terms
-    exp(j pi (N-1) m) * sinc(N*T*f - m*N). Accepts scalar or array f.
-    """
-    if num_tones < 0:
-        raise InvalidInputError(f"num_tones must be >= 0, got {num_tones}")
-    f = np.asarray(f, dtype=np.float64)
-    scalar = f.ndim == 0
-    f = np.atleast_1d(f)
-    m = np.arange(-num_tones, num_tones + 1)
-    # (len(f), len(m)) sinc table; exp(j pi (N-1) m) is exactly +-1 by parity.
-    args = np.subtract.outer(spec.N * spec.T * f, m * spec.N)
-    signs = np.where(((spec.N - 1) * m) % 2 == 0, 1.0, -1.0)
-    tone_sum = np.sinc(args) @ signs
-    envelope = eval_rrc_freq(spec, f, energy=1.0 / spec.N)
-    phase = np.exp(-1j * np.pi * ((spec.N - 1) * spec.T + spec.ta) * f)
-    values = spec.N * phase * envelope * tone_sum
-    return complex(values[0]) if scalar else values
-
-
 class Train(NamedTuple):
     """`count` sub-pulses of one shape, the first centred first_step delay
     steps (T/M) after t = 0 and the rest every T after it."""
@@ -464,18 +420,13 @@ def train_layout(spec: PulseSpec) -> Train | None:
     return None if row.train is None else row.train(spec)
 
 
-def check_oversample(oversample) -> int:
-    """The grid's samples per delay step T/M: a positive integer."""
-    return positive_int(oversample, "oversample")
-
-
 def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> TimeGrid:
     """Default grid for a family: dt = T/(M*oversample), exactly covering the support.
 
     pad_steps adds that many delay-resolution steps (T/M) of zeros on both
     sides; shift scans use this so delayed copies stay on the grid.
     """
-    oversample = check_oversample(oversample)
+    oversample = positive_int(oversample, "oversample")
     # Support in units of T/M: a train spans its sub-pulse centres plus Q steps
     # on each side; the other families span [0, N*T].
     train = train_layout(spec)

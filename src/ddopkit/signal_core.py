@@ -33,7 +33,6 @@ __all__ = [
     "inner_product",
     "positive_int",
     "non_negative_int",
-    "check_zero_pad",
     "fast_length",
     "dft_spectrum",
 ]
@@ -188,11 +187,6 @@ def _whole_number(value, name: str, minimum: int, what: str) -> int:
     raise InvalidInputError(f"{name} must be {what} below 2**63, got {value}")
 
 
-def check_zero_pad(zero_pad) -> int:
-    """The spectrum's minimum zero-padding factor: a positive integer."""
-    return positive_int(zero_pad, "zero_pad")
-
-
 def fast_length(minimum: int) -> int:
     """The smallest 5-smooth integer 2**a * 3**b * 5**c that is >= minimum.
 
@@ -253,7 +247,7 @@ def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
         frequencies; Parseval holds to rounding for any zero_pad_factor.
     """
     dt = signal.grid.sample_interval
-    length = fast_length(check_zero_pad(zero_pad_factor) * signal.grid.num_samples)
+    length = fast_length(positive_int(zero_pad_factor, "zero_pad") * signal.grid.num_samples)
     values = np.fft.fftshift(np.fft.fft(signal.samples, length))
     freq_interval = 1.0 / (length * dt)
     # Anchor the phase at the first sample's true time; the aliased negative

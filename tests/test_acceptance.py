@@ -14,13 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddopkit.analytic import (
-    btrrc_ddop_metrics,
-    ddop_metrics,
-    gabor_limit,
-    general_ddop_metrics,
-    otfs_metrics,
-)
+from ddopkit.analytic import analytic_for, gabor_limit
 from ddopkit.experiments import (
     SweepPlan,
     SweptParameter,
@@ -155,7 +149,7 @@ def test_criterion_5_exponential_rolloff_comparison(capsys):
         band = AnalysisBand.default_for(spec)
         num = {s: measure_all(synth_pulse(replace(spec, subpulse=s)), band)
                for s in ("rrc", "btrrc")}
-        ana = {"rrc": ddop_metrics(spec), "btrrc": btrrc_ddop_metrics(spec)}
+        ana = {s: analytic_for(replace(spec, subpulse=s)) for s in ("rrc", "btrrc")}
         ordering &= num["btrrc"].freq_dispersion > num["rrc"].freq_dispersion
         for s in worst:
             dev = 100 * abs(num[s].freq_dispersion - ana[s].freq_dispersion) \
@@ -279,7 +273,7 @@ def test_criterion_8_multicarrier_basis_localization(capsys):
                          otfs_m=m, otfs_n=3)
         num = measure_all(synth_pulse(spec, oversample=64),
                           AnalysisBand.default_for(spec))
-        ana = otfs_metrics(spec)
+        ana = analytic_for(spec)
         dt_pct = 100 * abs(num.time_dispersion - ana.time_dispersion) / ana.time_dispersion
         df_pct = 100 * abs(num.freq_dispersion - ana.freq_dispersion) / ana.freq_dispersion
         worst_dt = max(worst_dt, dt_pct)

@@ -5,19 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from ddopkit.analytic import (
-    EXP_ROLLOFF_COEFF,
-    RRC_ROLLOFF_COEFF,
-    AnalyticConfig,
-    analytic_for,
-    btrrc_ddop_metrics,
-    ddop_metrics,
-    fdm_metrics,
-    gabor_limit,
-    general_ddop_metrics,
-    otfs_metrics,
-    tdm_metrics,
-)
+from ddopkit.analytic import EXP_ROLLOFF_COEFF, RRC_ROLLOFF_COEFF, analytic_for, gabor_limit, has_closed_form
 from ddopkit.metrics import AnalysisBand, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec
 from ddopkit.signal_core import InvalidInputError
@@ -41,7 +29,7 @@ class TestCoefficients:
 
 class TestTrainClosedForms:
     def test_default_values(self):
-        m = ddop_metrics(DEFAULT)
+        m = analytic_for(DEFAULT)
         assert m.time_dispersion == pytest.approx(18.47520861, rel=1e-9)
         assert m.freq_dispersion == pytest.approx(74.11052308, rel=1e-9)
         assert m.tf_area == pytest.approx(1369.207374, rel=1e-9)
@@ -52,79 +40,71 @@ class TestTrainClosedForms:
         assert not m.time_dispersion_is_bound
 
     def test_time_dispersion_is_beta_free(self):
-        values = {ddop_metrics(PulseSpec(M=256, N=64, beta=b)).time_dispersion
+        values = {analytic_for(PulseSpec(M=256, N=64, beta=b)).time_dispersion
                   for b in (0.0, 0.3, 0.7, 1.0)}
         assert len(values) == 1
 
     def test_freq_dispersion_grows_with_beta(self):
-        disp = [ddop_metrics(PulseSpec(M=256, N=64, beta=b)).freq_dispersion
+        disp = [analytic_for(PulseSpec(M=256, N=64, beta=b)).freq_dispersion
                 for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert disp == sorted(disp)
         assert disp[0] == pytest.approx(256 / math.sqrt(12), rel=1e-12)
 
     def test_scaling_in_m_n_t(self):
-        base = ddop_metrics(PulseSpec(M=128, N=16, T=2.0, Q=6))
+        base = analytic_for(PulseSpec(M=128, N=16, T=2.0, Q=6))
         assert base.time_dispersion == pytest.approx(16 * 2.0 / math.sqrt(12), rel=1e-12)
         assert base.freq_dispersion == pytest.approx(
             (128 / 2.0) * math.sqrt(1 / 12 + RRC_ROLLOFF_COEFF * 0.01), rel=1e-12)
-
-    def test_family_guard(self):
-        with pytest.raises(InvalidInputError, match="family"):
-            ddop_metrics(PulseSpec(M=64, N=8, family=PulseFamily.TDM))
 
 
 class TestExpRolloffTrain:
     @pytest.mark.parametrize("beta,expected_df", [
         (0.2, 75.6188256728), (0.5, 84.0642163813), (1.0, 109.0099532301)])
     def test_frozen_values(self, beta, expected_df):
-        m = btrrc_ddop_metrics(PulseSpec(M=256, N=64, beta=beta, Q=13))
+        m = analytic_for(PulseSpec(M=256, N=64, beta=beta, Q=13, subpulse="btrrc"))
         assert m.freq_dispersion == pytest.approx(expected_df, rel=1e-9)
         assert m.time_dispersion == pytest.approx(18.4752086141, rel=1e-9)
 
     def test_exceeds_rrc_train_for_positive_beta(self):
         for beta in (0.1, 0.5, 1.0):
             spec = PulseSpec(M=256, N=64, beta=beta)
-            assert (btrrc_ddop_metrics(spec).freq_dispersion
-                    > ddop_metrics(spec).freq_dispersion)
+            assert (analytic_for(replace(spec, subpulse="btrrc")).freq_dispersion
+                    > analytic_for(spec).freq_dispersion)
 
     def test_equal_at_beta_zero(self):
         spec = PulseSpec(M=256, N=64, beta=0.0)
-        assert (btrrc_ddop_metrics(spec).freq_dispersion
-                == ddop_metrics(spec).freq_dispersion)
+        assert (analytic_for(replace(spec, subpulse="btrrc")).freq_dispersion
+                == analytic_for(spec).freq_dispersion)
 
 
 class TestSinglePulseClosedForms:
     def test_tdm_bound(self):
         spec = PulseSpec(M=256, N=64, family=PulseFamily.TDM)
-        m = tdm_metrics(spec)
+        m = analytic_for(spec)
         assert m.time_dispersion_is_bound
         assert m.time_dispersion == pytest.approx(math.sqrt(13) / (256 * math.pi), rel=1e-12)
-        assert m.freq_dispersion == ddop_metrics(DEFAULT).freq_dispersion
+        assert m.freq_dispersion == analytic_for(DEFAULT).freq_dispersion
         assert m.mean_time == pytest.approx(spec.ta / 2)
 
     def test_centered_subpulse_mean(self):
         spec = PulseSpec(M=256, N=64, family=PulseFamily.RRC_SUBPULSE)
-        assert tdm_metrics(spec).mean_time == 0.0
+        assert analytic_for(spec).mean_time == 0.0
 
     def test_fdm(self):
         spec = PulseSpec(M=256, N=64, family=PulseFamily.FDM)
-        m = fdm_metrics(spec, AnalyticConfig(K_cutoff=81920))
+        m = analytic_for(spec)  # K_cutoff = 5M/T * NT = 81920 half-lobes in the default band
         assert m.time_dispersion == pytest.approx(64 / math.sqrt(12), rel=1e-12)
         assert m.freq_dispersion == pytest.approx(
             math.sqrt(81920) / (64 * math.pi), rel=1e-12)
         assert m.mean_time == pytest.approx(32.0)
 
-    def test_fdm_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            AnalyticConfig(K_cutoff=0)
-
 
 class TestExtendedTrain:
     def test_step_at_half_m(self):
         """Crossing Q = M/2 adds one prefix and one suffix sub-pulse."""
-        before = general_ddop_metrics(
+        before = analytic_for(
             PulseSpec(M=64, N=16, Q=32, family=PulseFamily.GENERAL_DDOP))
-        after = general_ddop_metrics(
+        after = analytic_for(
             PulseSpec(M=64, N=16, Q=33, family=PulseFamily.GENERAL_DDOP))
         assert before.time_dispersion == pytest.approx(18 / math.sqrt(12), rel=1e-12)
         assert after.time_dispersion == pytest.approx(20 / math.sqrt(12), rel=1e-12)
@@ -132,7 +112,7 @@ class TestExtendedTrain:
 
     def test_mean_time_counts_prefix(self):
         spec = PulseSpec(M=64, N=16, Q=40, family=PulseFamily.GENERAL_DDOP)
-        m = general_ddop_metrics(spec)
+        m = analytic_for(spec)
         n_eff = spec.N + 2 * spec.D
         assert m.mean_time == pytest.approx((spec.T * (n_eff - 1) + spec.ta) / 2)
 
@@ -140,14 +120,14 @@ class TestExtendedTrain:
 class TestMulticarrierBasis:
     def test_dispersions(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=3)
-        m = otfs_metrics(spec)
+        m = analytic_for(spec)
         assert m.time_dispersion == pytest.approx(8 / math.sqrt(12), rel=1e-12)
         assert m.freq_dispersion == pytest.approx(32 / math.sqrt(12), rel=1e-12)
 
     def test_means_track_indices(self):
-        a = otfs_metrics(PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS,
+        a = analytic_for(PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS,
                                    otfs_m=4, otfs_n=0))
-        b = otfs_metrics(PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS,
+        b = analytic_for(PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS,
                                    otfs_m=8, otfs_n=2))
         assert b.mean_time - a.mean_time == pytest.approx(4 / 32)
         assert b.mean_freq - a.mean_freq == pytest.approx(2 / 8)
@@ -159,13 +139,16 @@ class TestDispatch:
         assert gabor_limit() == pytest.approx(1 / (4 * math.pi), rel=1e-15)
 
     def test_train_subpulse_choice(self):
-        assert analytic_for(DEFAULT) == ddop_metrics(DEFAULT)
-        assert analytic_for(replace(DEFAULT, subpulse="btrrc")) == btrrc_ddop_metrics(DEFAULT)
+        """The spec's sub-pulse shape picks the rolloff coefficient of Delta F."""
+        for shape, coeff in (("rrc", RRC_ROLLOFF_COEFF), ("btrrc", EXP_ROLLOFF_COEFF)):
+            m = analytic_for(replace(DEFAULT, subpulse=shape))
+            assert m.freq_dispersion == pytest.approx(
+                256 * math.sqrt(1 / 12 + coeff * 0.1**2), rel=1e-12)
+            assert m.time_dispersion == pytest.approx(64 / math.sqrt(12), rel=1e-12)
         # the extended train built from exponential-rolloff sub-pulses
         spec = PulseSpec(M=64, N=8, Q=40, beta=0.8, family=PulseFamily.GENERAL_DDOP,
                          subpulse="btrrc")
         m = analytic_for(spec)
-        assert m == general_ddop_metrics(spec)
         assert m.freq_dispersion == pytest.approx(
             64 * math.sqrt(1 / 12 + EXP_ROLLOFF_COEFF * 0.8**2), rel=1e-12)
         assert m.time_dispersion == pytest.approx(12 / math.sqrt(12), rel=1e-12)
@@ -173,15 +156,19 @@ class TestDispatch:
     def test_fdm_requires_config(self):
         """FDM's K_cutoff comes from the measurement's band and oversample."""
         spec = PulseSpec(M=64, N=8, family=PulseFamily.FDM)
-        # default band +-5M/T = 320 Hz, below the Nyquist 512 Hz at oversample 16
-        assert analytic_for(spec) == fdm_metrics(spec, AnalyticConfig(K_cutoff=320 * 8))
+        # default band +-5M/T = 320 Hz, below the Nyquist 512 Hz at oversample 16:
+        # K = 320 * NT = 2560; Delta F = sqrt(K) / (NT pi)
+        assert analytic_for(spec).freq_dispersion == pytest.approx(
+            math.sqrt(2560) / (8 * math.pi), rel=1e-15)
+        # 12.5 Hz at oversample 4 (Nyquist 128 Hz): K = 12.5 * 8 = 100
         band = AnalysisBand(half_width=12.5)
-        assert analytic_for(spec, band, oversample=4) == fdm_metrics(
-            spec, AnalyticConfig(K_cutoff=100))
+        assert analytic_for(spec, band, oversample=4).freq_dispersion == pytest.approx(
+            10 / (8 * math.pi), rel=1e-15)
 
     def test_every_family_but_btrrc_has_a_closed_form(self):
         for family in PulseFamily:
             spec = PulseSpec(M=64, N=8, Q=2, family=family, otfs_m=5)
+            assert has_closed_form(family) is (family is not PulseFamily.BTRRC_SUBPULSE)
             if family is PulseFamily.BTRRC_SUBPULSE:
                 with pytest.raises(InvalidInputError, match="no closed-form"):
                     analytic_for(spec)
@@ -190,4 +177,7 @@ class TestDispatch:
 
     def test_centered_subpulse_uses_single_pulse_forms(self):
         spec = PulseSpec(M=64, N=8, family=PulseFamily.RRC_SUBPULSE)
-        assert analytic_for(spec) == tdm_metrics(spec)
+        m = analytic_for(spec)
+        assert m.time_dispersion_is_bound and m.mean_time == 0.0
+        assert m.time_dispersion == pytest.approx(math.sqrt(3) / (64 * math.pi), rel=1e-12)
+        assert m.freq_dispersion == analytic_for(replace(spec, family=PulseFamily.TDM)).freq_dispersion

@@ -1,11 +1,20 @@
 """Command-line interface: exit codes, config precedence, output contracts."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ddopkit
 from ddopkit.cli import main
 from ddopkit.experiments import REPORT_HEADER
+from ddopkit.pulses import FAMILY_ALIASES
 
 
 def run(argv, capsys):
@@ -45,12 +54,14 @@ class TestUsageErrors:
         (["metrics", "--M", "32", "--N", "8", "--band", "0"], "band half-width"),
         (["metrics", "--M", "32", "--N", "8", "--band", "-1"], "band half-width"),
         (["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--band", "nan"], "band half-width"),
+        # a 45.5 PiB transform exceeds the address space, so it fails at once
+        (["metrics", "--M", "16", "--N", "4", "--zero-pad", "4000000000000"], "allocate"),
     ])
     def test_rejected_inputs(self, argv, message, capsys):
         rc, out, err = run(argv, capsys)
         assert rc == 2
         assert message in err and "Traceback" not in err
-        assert out == ""
+        assert out == "" and len(err.splitlines()) == 1
 
 
 class TestConfigFile:
@@ -76,13 +87,29 @@ class TestConfigFile:
                                      {"pulse": {"M": True, "N": 8}},
                                      {"pulse": {"M": 32, "N": True}},
                                      {"pulse": {"M": 32, "N": 8, "family": "otfs", "otfs_m": True}},
-                                     {"pulse": {"M": 32, "N": 8, "family": "otfs", "otfs_n": True}}])
+                                     {"pulse": {"M": 32, "N": 8, "family": "otfs", "otfs_n": True}},
+                                     # 987654 is no open file descriptor
+                                     {"pulse": {"M": 16, "N": 4}, "output_path": 987654},
+                                     {"pulse": {"M": 16, "N": 4}, "output_path": ["a"]},
+                                     {"pulse": {"M": 16, "N": 4}, "output_path": 1.5}])
     def test_malformed_values(self, doc, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
         rc, _, err = run(["metrics", "--config", str(cfg)], capsys)
         assert rc == 2 and err.startswith("error:") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("path", [True, 2])
+    def test_descriptor_like_output_path(self, path, tmp_path):
+        """true and 2 would name the live stdout and stderr descriptors, so the
+        check runs in a child process."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"pulse": {"M": 16, "N": 4}, "output_path": path}))
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "metrics", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: output path") and len(proc.stderr.splitlines()) == 1
 
     def test_subpulse_key_sets_the_pulse(self, tmp_path, capsys):
         outputs = []
@@ -253,3 +280,77 @@ class TestVerify:
                           "--tolerance", "2"], capsys)
         assert rc == 0
         assert "[PASS] ΔT closed form" in out
+
+
+# Legal values for every pulse field and config key. The fields that size the run
+# are capped here and in _SIZE_CAPS, so that no generated config allocates much.
+_LEGAL = {
+    "M": st.integers(1, 16), "N": st.integers(1, 4), "Q": st.integers(1, 4),
+    "T": st.floats(1e-3, 1e3), "beta": st.floats(0.0, 1.0),
+    "family": st.sampled_from(sorted(FAMILY_ALIASES)), "subpulse": st.sampled_from(["rrc", "btrrc"]),
+    "otfs_m": st.integers(0, 3), "otfs_n": st.integers(0, 3),
+    "oversample": st.integers(1, 4), "zero_pad": st.integers(1, 4),
+    "band_half_width": st.floats(1e-3, 1e3), "output_format": st.sampled_from(["csv", "json"]),
+}
+_SIZE_CAPS = {"M": 16, "N": 4, "Q": 16, "otfs_m": 16, "otfs_n": 4, "oversample": 4, "zero_pad": 4}
+_OPTIONAL_PULSE_FIELDS = ("T", "beta", "Q", "family", "otfs_m", "otfs_n", "subpulse")
+_OPTIONAL_KEYS = ("band_half_width", "output_format", "subpulse")
+
+
+def _json(numbers):
+    """Any JSON value (scalar, bool, list or object) whose numbers come from `numbers`."""
+    leaves = st.none() | st.booleans() | numbers | st.text(max_size=6)
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=4)
+
+
+def _random_value(key):
+    cap = _SIZE_CAPS.get(key)
+    if cap is None:
+        numbers = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 1e-300])
+    else:
+        numbers = st.integers(-2, cap) | st.floats(-2, cap) | st.sampled_from([math.nan, math.inf])
+    return _json(numbers)
+
+
+@st.composite
+def _configs(draw, out_dir):
+    """A config with legal values except under up to three keys, which get random JSON."""
+    broken = draw(st.sets(st.sampled_from(sorted(_LEGAL) + ["pulse", "output_path"]), max_size=3))
+
+    def value(key):
+        return draw(_random_value(key) if key in broken else _LEGAL[key])
+
+    pulse = {"M": value("M"), "N": value("N")}
+    pulse.update({k: value(k) for k in _OPTIONAL_PULSE_FIELDS if k in broken or draw(st.booleans())})
+    if "pulse" in broken:
+        # an object would fall back to the default 256 x 64 pulse for a missing M or N
+        pulse = draw(_random_value("pulse").filter(lambda v: not isinstance(v, dict)))
+    doc = {"pulse": pulse, "oversample": value("oversample"), "zero_pad": value("zero_pad")}
+    doc.update({k: value(k) for k in _OPTIONAL_KEYS if k in broken or draw(st.booleans())})
+    if "output_path" in broken:
+        # never an int or bool, which io.open takes as a file descriptor: a regression
+        # must not write to or close this process's stdout or stderr
+        doc["output_path"] = draw(st.floats() | st.lists(st.text(max_size=3), max_size=2)
+                                  | st.dictionaries(st.text(max_size=3), st.none(), max_size=2))
+    elif draw(st.booleans()):
+        doc["output_path"] = draw(st.sampled_from([None, str(out_dir / "r.txt"), str(out_dir / "no" / "r.txt")]))
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_ends_with_a_documented_exit(data, tmp_path, capsys):
+    """Random JSON under every config key and pulse field: exit 0, 1 or 2, never a
+    traceback; a usage error is one stderr line, a failed check one line per metric."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data.draw(_configs(tmp_path))))
+    rc, _, err = run(["metrics", "--config", str(cfg)], capsys)
+    assert rc in (0, 1, 2) and "Traceback" not in err
+    lines = err.splitlines()
+    if rc == 0:
+        assert err == ""
+    elif rc == 2 or lines[0].startswith("error:"):
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    else:
+        assert lines and all(line.startswith("tolerance exceeded - ") for line in lines)

@@ -21,7 +21,7 @@ from ddopkit.experiments import (
     run_sweep,
     worker_count,
 )
-from ddopkit.analytic import AnalyticConfig, analytic_for, btrrc_ddop_metrics, fdm_metrics
+from ddopkit.analytic import analytic_for
 from ddopkit.metrics import AnalysisBand
 from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
 from ddopkit.signal_core import InvalidInputError, energy
@@ -185,12 +185,12 @@ class TestFdmBenchmarkConfig:
     def test_counts_in_band_half_lobes(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.FDM)
         got = analytic_for(spec, AnalysisBand(half_width=5 * 32), oversample=16)
-        assert got == fdm_metrics(spec, AnalyticConfig(K_cutoff=math.floor(5 * 32 * 8)))
+        assert got.freq_dispersion == math.sqrt(5 * 32 * 8) / (8 * math.pi)
 
     def test_clips_at_nyquist(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.FDM)
         got = analytic_for(spec, AnalysisBand(half_width=1e9), oversample=4)
-        assert got == fdm_metrics(spec, AnalyticConfig(K_cutoff=math.floor(0.5 * 32 * 4 * 8)))
+        assert got.freq_dispersion == math.sqrt(0.5 * 32 * 4 * 8) / (8 * math.pi)
 
 
 class TestMeasurePoint:
@@ -202,7 +202,7 @@ class TestMeasurePoint:
         compared = compare_families([spec], oversample=8).rows[0]
         assert (swept.numeric, swept.analytic) == (compared.numeric, compared.analytic)
         assert (swept.numeric, swept.analytic) == measure_point(spec, None, 4, 8)
-        assert swept.analytic == btrrc_ddop_metrics(spec)
+        assert swept.analytic == analytic_for(spec)
 
 
 class TestOrthogonalityScan:
