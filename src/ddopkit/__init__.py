@@ -15,7 +15,6 @@ from .metrics import AnalysisBand, LocalizationMetrics, Provenance, lemma1_check
 from .pulses import PulseFamily, PulseSpec, default_q, pulse_grid, synth_pulse
 from .signal_core import (
     DegenerateInputError,
-    GridMismatchError,
     InvalidGridError,
     InvalidInputError,
     SampledSignal,
@@ -23,7 +22,6 @@ from .signal_core import (
     TimeGrid,
     dft_spectrum,
     energy,
-    inner_product,
     spectral_energy,
 )
 

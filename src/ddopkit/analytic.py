@@ -1,10 +1,13 @@
 """Closed-form localization metrics for each pulse family.
 
-``analytic_for(spec, band, oversample)`` is the one entry point. It looks the
-family up in ``_CLOSED_FORMS``, which maps each family that has a closed form
-to one of four forms: the sub-pulse train, the single sub-pulse (whose Delta T
-is an upper bound), the FDM rectangle and the OTFS basis function. Only the
-FDM form reads the band and oversample.
+``analytic_for(spec, band, oversample)`` is the one entry point, and the one
+place that decides where a closed form applies. It looks the family up in
+``_CLOSED_FORMS``, which maps each family that has a closed form to one of
+four forms: the sub-pulse train, the single sub-pulse (whose Delta T is an
+upper bound), the FDM rectangle and the OTFS basis function. Only the FDM form
+reads the band and oversample. Where no closed form applies it returns None:
+for BTRRC_SUBPULSE, and for the OTFS basis at the wrap-around delay indices
+otfs_m in {0, M-1}.
 
 Only the mean values and the two dispersions are stored; the area and the
 direction parameter are recomputed properties of LocalizationMetrics, so the
@@ -31,13 +34,11 @@ import math
 
 from .metrics import AnalysisBand, LocalizationMetrics, Provenance
 from .pulses import PulseFamily, PulseSpec, train_layout
-from .signal_core import InvalidInputError
 
 __all__ = [
     "RRC_ROLLOFF_COEFF",
     "EXP_ROLLOFF_COEFF",
     "gabor_limit",
-    "has_closed_form",
     "analytic_for",
 ]
 
@@ -101,18 +102,19 @@ def _fdm(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMe
     )
 
 
-def _otfs(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMetrics:
-    """The multicarrier basis function.
+def _otfs(spec: PulseSpec, band: AnalysisBand, oversample: int) -> LocalizationMetrics | None:
+    """The multicarrier basis function; None at the wrap-around delay indices.
 
     Valid for interior delay indices only (1 <= otfs_m <= M-2): the edge
     indices put the kernel peak on a window edge and the out-of-band leakage
-    invalidates the closed forms. Callers comparing numeric metrics must
-    exclude otfs_m in {0, M-1}.
+    invalidates the closed forms.
 
     Means are support/comb centers: the kernel peaks average to
     (N-1)T/2 + m*T/M in time, and the kernel's tone comb is centered at
     (M-1)/(2T) shifted by the Doppler index n/(N*T).
     """
+    if spec.otfs_m in (0, spec.M - 1):
+        return None
     return _analytic(
         mean_time=(spec.N - 1) * spec.T / 2.0 + spec.otfs_m * spec.T / spec.M,
         mean_freq=(spec.M - 1) / (2.0 * spec.T) + spec.otfs_n / (spec.N * spec.T),
@@ -137,18 +139,16 @@ _CLOSED_FORMS = {
 }
 
 
-def has_closed_form(family: PulseFamily) -> bool:
-    """Whether analytic_for has a closed-form benchmark for this family."""
-    return family in _CLOSED_FORMS
-
-
-def analytic_for(spec: PulseSpec, band: AnalysisBand | None = None, oversample: int = 16) -> LocalizationMetrics:
-    """Closed-form benchmark matching what synth_pulse builds for this spec.
+def analytic_for(
+    spec: PulseSpec, band: AnalysisBand | None = None, oversample: int = 16
+) -> LocalizationMetrics | None:
+    """Closed-form benchmark matching what synth_pulse builds for this spec,
+    or None where no closed form applies.
 
     band (default +-5M/T) and oversample are those of the measurement: FDM's
     Delta F counts the sinc half-lobes it can see.
     """
     form = _CLOSED_FORMS.get(spec.family)
     if form is None:
-        raise InvalidInputError(f"no closed-form benchmark for family {spec.family.value}")
+        return None
     return form(spec, band if band is not None else AnalysisBand.default_for(spec), oversample)

@@ -2,7 +2,11 @@
 
 A sweep varies one axis (roll-off, half-length, or the (M, N) pair) around a
 fixed template spec, measures each point numerically, pairs it with the
-matching closed form, and reports percent differences. Rows are computed
+matching closed form, and reports percent differences. Where ``analytic_for``
+finds no closed form the row keeps its numeric cells and leaves the others
+empty. ``SweepRow`` judges a measurement against its closed form
+(``percent_diff``, ``tolerance_failures``), also for the CLI's metrics and
+verify commands. Rows are computed
 independently (worker threads, capped by the DDOP_THREADS environment
 variable) but always emitted in plan order, and a point whose spec is illegal
 becomes a "failed: ..." row instead of aborting the sweep.
@@ -74,12 +78,12 @@ def worker_count() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
-def default_q_values(M: int, count: int = 13) -> list[int]:
-    """Log-spaced integer half-lengths from ceil(0.01*M) up to M."""
-    lo = max(1, math.ceil(0.01 * M))
-    vals = np.geomspace(lo, M, num=count)
-    out = sorted({int(round(v)) for v in vals})
-    return out
+def default_q_values(M: int, lo: int | None = None, hi: int | None = None, steps: int = 13) -> list[int]:
+    """The distinct integers nearest steps log-spaced half-lengths from lo
+    (default ceil(0.01*M)) up to hi (default M)."""
+    lo = max(1, math.ceil(0.01 * M)) if lo is None else lo
+    hi = M if hi is None else hi
+    return sorted({int(round(v)) for v in np.geomspace(lo, hi, num=steps)})
 
 
 def default_mn_values() -> list[tuple[int, int]]:
@@ -158,6 +162,22 @@ class SweepRow:
                 out[key] = 100.0 * abs(num - ana) / ana if ana != 0 else None
         return out
 
+    def tolerance_failures(self, tolerance: float) -> dict:
+        """The metrics whose comparison fails, each with a one-line reason.
+
+        A bounded ΔT fails when the numeric value exceeds the bound; a percent
+        difference fails unless it is <= tolerance, so a NaN deviation fails.
+        Metrics without a closed form are not judged.
+        """
+        out = {}
+        for key, val in self.percent_diff.items():
+            if isinstance(val, bool):
+                if not val:
+                    out[key] = f"{key}: numeric exceeds the closed-form bound"
+            elif val is not None and not val <= tolerance:
+                out[key] = f"{key}: {val:.4g}% > {tolerance:g}%"
+        return out
+
     @property
     def energy_capture(self) -> float | None:
         return None if self.numeric is None else self.numeric.energy_capture
@@ -229,8 +249,9 @@ def measure_point(
     band: AnalysisBand | None,
     zero_pad: int,
     oversample: int,
-) -> tuple[LocalizationMetrics, LocalizationMetrics]:
-    """Numeric metrics of the synthesized pulse and its closed form.
+) -> tuple[LocalizationMetrics, LocalizationMetrics | None]:
+    """Numeric metrics of the synthesized pulse and its closed form (None
+    where no closed form applies).
 
     band=None means the spec's default band +-5M/T.
     """

@@ -10,7 +10,9 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 from __future__ import annotations
 
 import enum
+import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,18 +73,6 @@ class LocalizationMetrics:
     def direction(self) -> float:
         return self.time_dispersion / self.freq_dispersion
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_time": self.mean_time,
-            "mean_freq": self.mean_freq,
-            "time_dispersion": self.time_dispersion,
-            "freq_dispersion": self.freq_dispersion,
-            "tf_area": self.tf_area,
-            "direction": self.direction,
-            "provenance": self.provenance.value,
-            "energy_capture": self.energy_capture,
-        }
-
 
 @dataclass(frozen=True)
 class AnalysisBand:
@@ -93,7 +83,7 @@ class AnalysisBand:
     def __post_init__(self) -> None:
         width = self.half_width
         if isinstance(width, bool) or not (isinstance(width, numbers.Real) and width > 0):
-            raise InvalidInputError(f"band half-width must be a number > 0, got {width}")
+            raise InvalidInputError(f"band half-width must be a number > 0, got {width!r}")
 
     @classmethod
     def default_for(cls, spec: PulseSpec) -> "AnalysisBand":
@@ -101,16 +91,28 @@ class AnalysisBand:
         return cls(half_width=5.0 * spec.M / spec.T)
 
 
+def _spread(x: np.ndarray, weights: np.ndarray, total: float, what: str) -> tuple[float, float]:
+    """Mean and standard deviation of x under weights summing to total; an
+    over- or underflow shows as a variance that is not positive and finite."""
+    with np.errstate(all="ignore"):
+        mean = float(np.dot(x, weights) / total)
+        var = float(np.dot((x - mean) ** 2, weights) / total)
+    if not 0.0 < var < math.inf:
+        raise DegenerateInputError(
+            f"the {what} variance ({var:g}) is not a positive number in the float range "
+            f"(0, {sys.float_info.max:g}]; rescale T towards 1"
+        )
+    return mean, math.sqrt(var)
+
+
 def measure_time(signal: SampledSignal) -> tuple[float, float]:
     """Mean time and time dispersion of |g(t)|^2, midpoint Riemann sums."""
-    weights = np.abs(signal.samples) ** 2 * signal.grid.sample_interval
-    total = float(np.sum(weights))
+    with np.errstate(all="ignore"):
+        weights = np.abs(signal.samples) ** 2 * signal.grid.sample_interval
+        total = float(np.sum(weights))
     if total <= 0.0:
         raise DegenerateInputError("zero-energy signal")
-    t = signal.grid.times()
-    mean = float(np.dot(t, weights) / total)
-    var = float(np.dot((t - mean) ** 2, weights) / total)
-    return mean, float(np.sqrt(max(var, 0.0)))
+    return _spread(signal.grid.times(), weights, total, "time")
 
 
 def measure_freq(spectrum: Spectrum, band: AnalysisBand) -> tuple[float, float, float]:
@@ -122,23 +124,23 @@ def measure_freq(spectrum: Spectrum, band: AnalysisBand) -> tuple[float, float, 
     single bin has no measurable spread and is rejected.
     """
     values = spectrum.values
-    total = float(np.vdot(values, values).real) * spectrum.freq_interval
     bins = spectrum.bins_within(band.half_width)
     inside = values[bins]
-    wb = (inside.real ** 2 + inside.imag ** 2) * spectrum.freq_interval
-    in_band = float(np.sum(wb))
+    with np.errstate(all="ignore"):
+        total = float(np.vdot(values, values).real) * spectrum.freq_interval
+        wb = (inside.real ** 2 + inside.imag ** 2) * spectrum.freq_interval
+        in_band = float(np.sum(wb))
     if in_band <= 0.0:
         raise DegenerateInputError("no spectral energy inside the analysis band")
-    fb = spectrum.start_freq + np.arange(bins.start, bins.stop) * spectrum.freq_interval
-    mean = float(np.dot(fb, wb) / in_band)
-    var = float(np.dot((fb - mean) ** 2, wb) / in_band)
-    if not var > 0.0:
+    if np.count_nonzero(wb) < 2:
         raise DegenerateInputError(
             f"the analysis band |f| <= {band.half_width:g} holds a single spectral bin "
             f"(bin spacing {spectrum.freq_interval:g}); widen the band"
         )
+    fb = spectrum.start_freq + np.arange(bins.start, bins.stop) * spectrum.freq_interval
+    mean, disp = _spread(fb, wb, in_band, "frequency")
     capture = in_band / total if total > 0 else 0.0
-    return mean, float(np.sqrt(max(var, 0.0))), capture
+    return mean, disp, capture
 
 
 def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:

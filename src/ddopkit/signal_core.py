@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "InvalidInputError",
-    "GridMismatchError",
     "DegenerateInputError",
     "InvalidGridError",
     "TimeGrid",
@@ -30,7 +29,6 @@ __all__ = [
     "Spectrum",
     "energy",
     "spectral_energy",
-    "inner_product",
     "positive_int",
     "non_negative_int",
     "fast_length",
@@ -40,10 +38,6 @@ __all__ = [
 
 class InvalidInputError(ValueError):
     """An argument violates an operation's precondition."""
-
-
-class GridMismatchError(ValueError):
-    """Two signals that must share a grid do not."""
 
 
 class DegenerateInputError(ValueError):
@@ -67,10 +61,6 @@ class TimeGrid:
             raise InvalidInputError(f"sample_interval must be > 0, got {self.sample_interval}")
         if self.num_samples < 2:
             raise InvalidInputError(f"num_samples must be >= 2, got {self.num_samples}")
-
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.sample_interval
 
     @property
     def duration(self) -> float:
@@ -159,13 +149,6 @@ def spectral_energy(spectrum: Spectrum) -> float:
     return float(np.dot(mags, mags) * spectrum.freq_interval)
 
 
-def inner_product(x: SampledSignal, y: SampledSignal) -> complex:
-    """Riemann sum of x(t) * conj(y(t)) * dt. Grids must be identical."""
-    if x.grid != y.grid:
-        raise GridMismatchError(f"grids differ: {x.grid} vs {y.grid}")
-    return complex(np.vdot(y.samples, x.samples) * x.grid.sample_interval)
-
-
 def positive_int(value, name: str) -> int:
     """value as an int if it is a whole number in [1, 2**63 - 1], the range
     numpy sizes and counts take; InvalidInputError otherwise (also for bool)."""
@@ -184,7 +167,7 @@ def _whole_number(value, name: str, minimum: int, what: str) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidInputError(f"{name} must be {what} below 2**63, got {value}")
+    raise InvalidInputError(f"{name} must be {what} below 2**63, got {value!r}")
 
 
 def fast_length(minimum: int) -> int:
@@ -237,12 +220,12 @@ def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     zero_pad_factor : int
         The minimum padding: the transform length L is the smallest 5-smooth
         integer >= zero_pad_factor * num_samples (``fast_length``), so the
-        bin spacing is sample_rate / L.
+        bin spacing is 1 / (L * sample_interval).
 
     Returns
     -------
     Spectrum
-        L bins, fftshifted (bin 0 at -(L//2) * sample_rate / L), whose values
+        L bins, fftshifted (bin 0 at -(L//2) times the bin spacing), whose values
         approximate G(f) = integral g(t) exp(-2j*pi*f*t) dt at the bin
         frequencies; Parseval holds to rounding for any zero_pad_factor.
     """

@@ -5,10 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from ddopkit.analytic import EXP_ROLLOFF_COEFF, RRC_ROLLOFF_COEFF, analytic_for, gabor_limit, has_closed_form
+from ddopkit.analytic import EXP_ROLLOFF_COEFF, RRC_ROLLOFF_COEFF, analytic_for, gabor_limit
 from ddopkit.metrics import AnalysisBand, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec
-from ddopkit.signal_core import InvalidInputError
 
 DEFAULT = PulseSpec(M=256, N=64, T=1.0, beta=0.1, Q=13)
 
@@ -167,13 +166,16 @@ class TestDispatch:
 
     def test_every_family_but_btrrc_has_a_closed_form(self):
         for family in PulseFamily:
-            spec = PulseSpec(M=64, N=8, Q=2, family=family, otfs_m=5)
-            assert has_closed_form(family) is (family is not PulseFamily.BTRRC_SUBPULSE)
+            got = analytic_for(PulseSpec(M=64, N=8, Q=2, family=family, otfs_m=5))
             if family is PulseFamily.BTRRC_SUBPULSE:
-                with pytest.raises(InvalidInputError, match="no closed-form"):
-                    analytic_for(spec)
+                assert got is None
             else:
-                assert analytic_for(spec).provenance is Provenance.ANALYTIC
+                assert got.provenance is Provenance.ANALYTIC
+
+    @pytest.mark.parametrize("otfs_m,applies", [(0, False), (1, True), (30, True), (31, False)])
+    def test_otfs_closed_form_only_at_interior_delay_indices(self, otfs_m, applies):
+        spec = PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=otfs_m, otfs_n=2)
+        assert (analytic_for(spec) is not None) is applies
 
     def test_centered_subpulse_uses_single_pulse_forms(self):
         spec = PulseSpec(M=64, N=8, family=PulseFamily.RRC_SUBPULSE)

@@ -91,7 +91,11 @@ class TestConfigFile:
                                      # 987654 is no open file descriptor
                                      {"pulse": {"M": 16, "N": 4}, "output_path": 987654},
                                      {"pulse": {"M": 16, "N": 4}, "output_path": ["a"]},
-                                     {"pulse": {"M": 16, "N": 4}, "output_path": 1.5}])
+                                     {"pulse": {"M": 16, "N": 4}, "output_path": 1.5},
+                                     # line breaks in a value stay escaped in the one error line
+                                     {"pulse": {"M": 1, "N": "\x1e"}},
+                                     {"pulse": {"M": 32, "N": 8, "Q": "a\nb"}},
+                                     {"band_half_width": "a\rb"}])
     def test_malformed_values(self, doc, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -204,6 +208,35 @@ class TestMetrics:
                           "--tolerance", "10"], capsys)
         assert rc == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "btrrc", "--M", "32", "--N", "4"],
+        ["--family", "otfs", "--M", "32", "--N", "8"],
+        ["--family", "otfs", "--M", "32", "--N", "8", "--otfs-m", "31", "--format", "json"],
+    ], ids=["btrrc", "otfs-m0", "otfs-m31"])
+    def test_no_closed_form_reports_numeric_cells_only(self, argv, capsys):
+        """Without a closed form the metrics are measured and nothing is judged."""
+        rc, out, err = run(["metrics", *argv, "--oversample", "8", "--tolerance", "0"], capsys)
+        assert rc == 0 and err == ""
+        if "json" in argv:
+            row = json.loads(out)[0]
+        else:
+            row = dict(zip(REPORT_HEADER.split(","), out.splitlines()[1].split(",")))
+        for metric in ("ΔT", "ΔF", "ΔA", "κ"):
+            assert row[f"{metric}_num"] not in ("", None)
+            assert row[f"{metric}_ana"] in ("", None) and row[f"{metric}_pct"] in ("", None)
+        assert row["status"] == "ok"
+
+    @pytest.mark.parametrize("T", ["1e-200", "1e300", "1e-300"])
+    def test_moments_outside_the_float_range(self, T):
+        """One error line and exit 2, not numpy warnings, a 0/inf/nan row or a
+        misleading band error; run in a child process, where warnings reach stderr."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "metrics", "--M", "16", "--N", "4",
+                               "--oversample", "4", "--T", T],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
+
 
 class TestSweep:
     def test_beta_axis(self, tmp_path, capsys):
@@ -221,6 +254,20 @@ class TestSweep:
                           "--oversample", "8"], capsys)
         assert rc == 0
         assert "failed: sub-pulse duration" in out  # Q > M/4 rows stay visible
+
+    def test_btrrc_rows_are_measured(self, capsys):
+        rc, out, _ = run(["sweep", "--family", "btrrc", "--vary", "beta", "--steps", "3",
+                          "--M", "32", "--N", "4", "--oversample", "8"], capsys)
+        assert rc == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith(",ok") for row in rows)
+
+    def test_default_q_axis_is_the_explicit_one(self, capsys):
+        """No bounds means --from ceil(0.01 M) --to M --steps 13."""
+        base = ["sweep", "--vary", "q", "--M", "128", "--N", "4", "--oversample", "4"]
+        default = run(base, capsys)
+        explicit = run(base + ["--from", "2", "--to", "128", "--steps", "13"], capsys)
+        assert default == explicit and default[0] == 0
 
     def test_mn_axis(self, capsys):
         rc, out, _ = run(["sweep", "--vary", "mn", "--oversample", "4"], capsys)

@@ -22,7 +22,7 @@ from ddopkit.experiments import (
     worker_count,
 )
 from ddopkit.analytic import analytic_for
-from ddopkit.metrics import AnalysisBand
+from ddopkit.metrics import AnalysisBand, LocalizationMetrics, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
 from ddopkit.signal_core import InvalidInputError, energy
 
@@ -55,6 +55,11 @@ class TestDefaultGrids:
         vals = default_q_values(64)
         assert vals[0] == 1 and vals[-1] == 64
         assert vals == sorted(set(vals))
+
+    def test_q_values_between_bounds(self):
+        assert default_q_values(64, lo=2, hi=32, steps=5) == [2, 4, 8, 16, 32]
+        assert default_q_values(64, hi=8, steps=4) == [1, 2, 4, 8]
+        assert default_q_values(256, lo=3, hi=256, steps=13) == default_q_values(256)
 
     def test_mn_values(self):
         pairs = default_mn_values()
@@ -203,6 +208,53 @@ class TestMeasurePoint:
         assert (swept.numeric, swept.analytic) == (compared.numeric, compared.analytic)
         assert (swept.numeric, swept.analytic) == measure_point(spec, None, 4, 8)
         assert swept.analytic == analytic_for(spec)
+
+    @pytest.mark.parametrize("spec", [
+        PulseSpec(M=32, N=4, beta=0.5, family=PulseFamily.BTRRC_SUBPULSE),
+        PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=0),
+        PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=31, otfs_n=2),
+    ], ids=["btrrc", "otfs-m0", "otfs-m31"])
+    def test_no_closed_form_measures_numerically(self, spec):
+        numeric, analytic = measure_point(spec, None, 4, 8)
+        assert analytic is None and numeric.tf_area > 0
+        row = SweepRow(parameter=spec.family.value, numeric=numeric, analytic=analytic)
+        assert row.tolerance_failures(0.0) == {}
+        cells = SweepReport(rows=(row,)).to_csv().splitlines()[1].split(",")
+        assert cells[1] != "" and cells[2:4] == ["", ""] and cells[-1] == "ok"
+
+
+def _row(numeric, analytic, bound=False):
+    """A SweepRow comparing (ΔT, ΔF) pairs."""
+    def metrics(dt, df, provenance, is_bound=False):
+        return LocalizationMetrics(mean_time=0.0, mean_freq=0.0, time_dispersion=dt,
+                                   freq_dispersion=df, provenance=provenance,
+                                   time_dispersion_is_bound=is_bound)
+    return SweepRow(parameter="p", numeric=metrics(*numeric, Provenance.NUMERIC),
+                    analytic=metrics(*analytic, Provenance.ANALYTIC, bound))
+
+
+class TestToleranceFailures:
+    def test_percent_deviations(self):
+        row = _row((1.01, 2.0), (1.0, 1.0))
+        assert row.tolerance_failures(2.0) == {
+            "dF": "dF: 100% > 2%", "dA": "dA: 102% > 2%", "k": "k: 49.5% > 2%"}
+        assert list(row.tolerance_failures(0.5)) == ["dT", "dF", "dA", "k"]
+
+    def test_within_tolerance_passes(self):
+        assert _row((1.0, 1.0), (1.0, 1.0)).tolerance_failures(0.0) == {}
+
+    def test_bound(self):
+        assert "dT" not in _row((0.5, 1.0), (1.0, 1.0), bound=True).tolerance_failures(2.0)
+        assert (_row((1.5, 1.0), (1.0, 1.0), bound=True).tolerance_failures(100.0)
+                == {"dT": "dT: numeric exceeds the closed-form bound"})
+
+    def test_nan_deviation_fails(self):
+        row = _row((1.0, math.nan), (1.0, 1.0))
+        assert set(row.tolerance_failures(2.0)) == {"dF", "dA", "k"}
+
+    def test_no_closed_form_is_not_judged(self):
+        row = SweepRow(parameter="p", numeric=_row((1.0, 1.0), (1.0, 1.0)).numeric, analytic=None)
+        assert row.tolerance_failures(0.0) == {}
 
 
 class TestOrthogonalityScan:

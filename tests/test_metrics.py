@@ -49,15 +49,6 @@ class TestLocalizationMetrics:
             LocalizationMetrics(mean_time=0.0, mean_freq=0.0, time_dispersion=-1.0,
                                 freq_dispersion=1.0, provenance=Provenance.NUMERIC)
 
-    def test_json_keys(self):
-        m = LocalizationMetrics(mean_time=0.0, mean_freq=0.0, time_dispersion=1.0,
-                                freq_dispersion=2.0, provenance=Provenance.NUMERIC,
-                                energy_capture=0.99)
-        doc = m.to_json_dict()
-        assert set(doc) == {"mean_time", "mean_freq", "time_dispersion", "freq_dispersion",
-                            "tf_area", "direction", "provenance", "energy_capture"}
-        assert doc["provenance"] == "NUMERIC"
-
 
 class TestAnalysisBand:
     def test_rejects_nonpositive(self):
@@ -127,9 +118,45 @@ class TestMeasureFreq:
             measure_freq(sp, AnalysisBand(half_width=sp.freq_interval / 4))
 
 
+def scaled_gaussian(scale):
+    """exp(-pi t^2) on the time axis stretched by scale, at unit energy."""
+    n, half_span = 256, 8.0 * scale
+    grid = TimeGrid(start_time=-half_span, sample_interval=2 * half_span / n, num_samples=n)
+    t = grid.times() / scale
+    return SampledSignal(grid=grid, samples=(2.0 ** 0.25) * np.exp(-np.pi * t * t) / math.sqrt(scale))
+
+
+class TestFloatRange:
+    """A variance that under- or overflows is one DegenerateInputError, never a
+    RuntimeWarning, a zero or infinite dispersion, or a NaN."""
+
+    @pytest.mark.parametrize("scale,estimator", [
+        (1e-200, "time"),   # (t - mean)^2 underflows to 0
+        (1e300, "time"),    # (t - mean)^2 overflows, and inf * 0 is NaN
+        (1e200, "freq"),    # (f - mean)^2 underflows to 0 in every one of many bins
+        (1e-300, "freq"),   # (f - mean)^2 overflows
+    ])
+    def test_variance_outside_the_float_range(self, scale, estimator):
+        sig = scaled_gaussian(scale)
+        with pytest.raises(DegenerateInputError, match="float range"):
+            if estimator == "time":
+                measure_time(sig)
+            else:
+                measure_freq(dft_spectrum(sig, zero_pad_factor=2), AnalysisBand(half_width=20.0 / scale))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_moderate_scales_measure(self, scale):
+        """The same pulse rescaled within the float range keeps ΔT*ΔF = 1/(4 pi)."""
+        sig = scaled_gaussian(scale)
+        m = measure_all(sig, AnalysisBand(half_width=20.0 / scale), zero_pad=2)
+        assert m.time_dispersion == pytest.approx(scale / (2 * math.sqrt(math.pi)), rel=1e-6)
+        assert m.tf_area == pytest.approx(1 / (4 * math.pi), rel=1e-6)
+
+
 def check_against_mask(spectrum, band):
     """measure_freq picks the bins of a |f| <= half_width mask over the whole
-    grid and returns the moments that mask gives, bit for bit."""
+    grid and returns the moments that mask gives, bit for bit. Fewer than two
+    bins with energy have no spread: their variance is rounding noise, rejected."""
     f = spectrum.frequencies()
     inside = np.abs(f) <= band.half_width
     bins = spectrum.bins_within(band.half_width)
@@ -140,7 +167,7 @@ def check_against_mask(spectrum, band):
     in_band = float(np.sum(wb))
     mean = float(np.dot(fb, wb) / in_band) if in_band > 0.0 else 0.0
     var = float(np.dot((fb - mean) ** 2, wb) / in_band) if in_band > 0.0 else 0.0
-    if not var > 0.0:
+    if np.count_nonzero(wb) < 2 or not var > 0.0:
         with pytest.raises(DegenerateInputError):
             measure_freq(spectrum, band)
         return

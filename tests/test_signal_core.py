@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddopkit.signal_core import (
-    GridMismatchError,
     InvalidInputError,
     SampledSignal,
     Spectrum,
@@ -14,7 +13,6 @@ from ddopkit.signal_core import (
     dft_spectrum,
     energy,
     fast_length,
-    inner_product,
     non_negative_int,
     positive_int,
     spectral_energy,
@@ -36,7 +34,6 @@ class TestTimeGrid:
         grid = TimeGrid(start_time=-1.0, sample_interval=0.25, num_samples=8)
         assert grid.duration == 2.0
         assert grid.end_time == 1.0
-        assert grid.sample_rate == 4.0
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_rejects_bad_interval(self, dt):
@@ -135,25 +132,6 @@ class TestEnergy:
         assert energy(gaussian_signal()) == pytest.approx(2 ** -0.5, rel=1e-12)
 
 
-class TestInnerProduct:
-    def test_conjugate_symmetry_and_linearity(self):
-        grid = TimeGrid(start_time=0.0, sample_interval=0.1, num_samples=64)
-        rng = np.random.default_rng(7)
-        x = SampledSignal(grid=grid, samples=rng.normal(size=64) + 1j * rng.normal(size=64))
-        y = SampledSignal(grid=grid, samples=rng.normal(size=64) + 1j * rng.normal(size=64))
-        assert inner_product(x, y) == pytest.approx(np.conj(inner_product(y, x)))
-        two_x = SampledSignal(grid=grid, samples=2.0 * x.samples)
-        assert inner_product(two_x, y) == pytest.approx(2.0 * inner_product(x, y))
-        assert inner_product(x, x).real == pytest.approx(energy(x))
-
-    def test_grid_mismatch(self):
-        g1 = TimeGrid(start_time=0.0, sample_interval=0.1, num_samples=4)
-        g2 = TimeGrid(start_time=0.5, sample_interval=0.1, num_samples=4)
-        with pytest.raises(GridMismatchError):
-            inner_product(SampledSignal(grid=g1, samples=np.ones(4)),
-                          SampledSignal(grid=g2, samples=np.ones(4)))
-
-
 class TestDftSpectrum:
     def test_gaussian_transform_pairs(self):
         """exp(-pi t^2) transforms to exp(-pi f^2); check on a few bins."""
@@ -171,7 +149,7 @@ class TestDftSpectrum:
         assert sp.freq_interval == pytest.approx(1.0 / (length * sig.grid.sample_interval))
         # fftshifted grid is symmetric about 0 up to one bin
         f = sp.frequencies()
-        assert f[0] == pytest.approx(-0.5 * sig.grid.sample_rate)
+        assert f[0] == pytest.approx(-0.5 / sig.grid.sample_interval)
 
     def test_time_shift_changes_only_phase(self):
         sig = gaussian_signal(n=1024)
