@@ -229,6 +229,9 @@ def cmd_metrics(cfg: RunConfig, tolerance: float) -> int:
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     axis = {"beta": SweptParameter.BETA, "q": SweptParameter.Q,
             "mn": SweptParameter.M_N_PAIR}[args.vary]
+    bounds = (args.sweep_from, args.sweep_to, args.steps)
+    if axis is SweptParameter.M_N_PAIR and bounds != (None, None, None):
+        raise InvalidInputError("--vary mn sweeps a fixed (M, N) grid; it takes no --from, --to or --steps")
     if args.steps is not None:
         positive_int(args.steps, "--steps")
     if axis is SweptParameter.BETA:
@@ -248,12 +251,14 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
                      fixed=cfg.pulse, band=cfg.band, zero_pad=cfg.zero_pad,
                      oversample=cfg.oversample)
     report = run_sweep(plan)
+    # judged before any output, so a metric with no comparable rows writes nothing
+    worst = report.max_percent_diff(args.metric) if args.metric else None
     text = report.to_csv() if cfg.output_format == "csv" else report.to_json()
     rc = _emit(text, cfg.output_path)
     if rc:
         return rc
     if args.metric:
-        print(f"max {args.metric} percent diff: {report.max_percent_diff(args.metric):.6g}")
+        print(f"max {args.metric} percent diff: {worst:.6g}")
     return 0
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import analytic_for
 from .metrics import AnalysisBand, LocalizationMetrics, measure_all
-from .pulses import PulseFamily, PulseSpec, default_q, pulse_grid, synth_pulse
+from .pulses import PulseFamily, PulseSpec, default_q, synth_pulse
 from .signal_core import InvalidInputError, non_negative_int, positive_int
 
 __all__ = [
@@ -327,7 +327,7 @@ def orthogonality_scan(
     max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
     max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
     oversample = positive_int(oversample, "oversample")
-    x = synth_pulse(spec, grid=pulse_grid(spec, oversample=oversample)).samples
+    x = synth_pulse(spec, oversample=oversample).samples
     per_t = spec.M * oversample
     blocks = -(-x.shape[0] // per_t)
     pad = max_delay_steps * oversample

@@ -25,9 +25,10 @@ table; the train closed forms in ``analytic`` read their sub-pulse count and
 shape from it through ``train_layout``. Which families have a closed form is
 listed in ``analytic`` alone, so this module never imports it.
 
-Every synthesizer renormalizes its discrete Riemann energy to unit energy,
-is deterministic, and accepts an arbitrary TimeGrid covering the pulse
-support.
+Every pulse is synthesized on its own grid, ``pulse_grid(spec, oversample)``,
+renormalized to unit discrete Riemann energy, and deterministic. A train
+evaluates its sub-pulse once and adds that copy every T (M*oversample
+samples).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -106,8 +107,6 @@ def default_q(M: int) -> int:
 
 SUBPULSE_SHAPES = ("rrc", "btrrc")
 
-_SPEC_FIELDS = ("M", "N", "T", "beta", "Q", "family", "otfs_m", "otfs_n", "subpulse")
-
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -168,22 +167,14 @@ class PulseSpec:
         return -(-2 * self.Q // self.M)
 
     def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "N": self.N,
-            "T": self.T,
-            "beta": self.beta,
-            "Q": self.Q,
-            "family": self.family.value,
-            "otfs_m": self.otfs_m,
-            "otfs_n": self.otfs_n,
-            "subpulse": self.subpulse,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["family"] = self.family.value
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseSpec":
         """Build from a JSON object; unknown fields are rejected."""
-        unknown = set(data) - set(_SPEC_FIELDS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown PulseSpec fields: {sorted(unknown)}")
         kwargs = dict(data)
@@ -287,52 +278,26 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     return total
 
 
-class _SubpulseEvaluator:
-    """Evaluates one sub-pulse shape at offsets, reusing work across
-    identical offset patterns (the common aligned-grid case)."""
+def _assemble_train(spec: PulseSpec, grid: TimeGrid, oversample: int, train: Train) -> SampledSignal:
+    """Place the train's sub-pulses every T on its own grid and renormalize to unit energy.
 
-    def __init__(self, spec: PulseSpec, shape: str, sub_energy: float):
-        self.spec = spec
-        self.shape = shape
-        self.sub_energy = sub_energy
-        self._cached_tau: np.ndarray | None = None
-        self._cached_val: np.ndarray | None = None
-
-    def __call__(self, tau: np.ndarray) -> np.ndarray:
-        if self._cached_tau is not None and np.array_equal(tau, self._cached_tau):
-            return self._cached_val
-        if self.shape == "rrc" or self.spec.beta == 0.0:
-            amp = math.sqrt(self.spec.M * self.sub_energy / self.spec.T)
-            val = amp * _rrc_profile(self.spec.M * tau / self.spec.T, self.spec.beta)
-        else:
-            # the spectral quadrature already carries unit energy
-            val = math.sqrt(self.sub_energy) * _btrrc_profile_at(self.spec, tau)
-        self._cached_tau, self._cached_val = tau, val
-        return val
-
-
-def _assemble_train(spec: PulseSpec, grid: TimeGrid, train: Train) -> SampledSignal:
-    """Sum the train's sub-pulses, centred at first_center + k*T, and renormalize to unit energy."""
-    first_center = train.first_step * spec.T / spec.M
-    support_end = first_center + (train.count - 1) * spec.T + spec.ta / 2.0
-    support_start = first_center - spec.ta / 2.0
-    slack = 1e-9 * max(1.0, abs(support_end))
-    if grid.start_time > support_start + slack or grid.end_time < support_end - slack:
-        raise InvalidGridError(
-            f"grid [{grid.start_time:g}, {grid.end_time:g}] too short for pulse support "
-            f"[{support_start:g}, {support_end:g}]"
-        )
-    t = grid.times()
-    out = np.zeros(t.shape, dtype=np.complex128)
-    evaluate = _SubpulseEvaluator(spec, train.shape, 1.0 / train.count)
-    half = spec.ta / 2.0
+    On ``pulse_grid``'s grid sub-pulse k fills samples k*P to k*P + 2*Q*oversample,
+    P = M*oversample samples per T. The sub-pulse is evaluated once, at the
+    offsets of the first one from its centre first_step*T/M, and added at every k*P.
+    """
+    width = 2 * spec.Q * oversample
+    per_t = spec.M * oversample
+    tau = grid.times()[:width] - train.first_step * spec.T / spec.M
+    sub_energy = 1.0 / train.count
+    if train.shape == "rrc" or spec.beta == 0.0:
+        amp = math.sqrt(spec.M * sub_energy / spec.T)
+        sub = amp * _rrc_profile(spec.M * tau / spec.T, spec.beta)
+    else:
+        # the spectral quadrature already carries unit energy
+        sub = math.sqrt(sub_energy) * _btrrc_profile_at(spec, tau)
+    out = np.zeros(grid.num_samples, dtype=np.complex128)
     for k in range(train.count):
-        center = first_center + k * spec.T
-        lo, hi = np.searchsorted(t, [center - half, center + half], side="left")
-        hi = min(hi + 1, t.shape[0])  # side guard: include a possible boundary hit
-        tau = t[lo:hi] - center
-        keep = np.abs(tau) <= half
-        out[lo:hi][keep] += evaluate(tau[keep])
+        out[k * per_t:k * per_t + width] += sub
     return _renormalized(grid, out, 1.0, "pulse train")
 
 
@@ -442,11 +407,10 @@ def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> Tim
     )
 
 
-def synth_pulse(spec: PulseSpec, grid: TimeGrid | None = None, oversample: int = 16) -> SampledSignal:
-    """Synthesize any family on its default grid (or a caller-provided one)."""
-    if grid is None:
-        grid = pulse_grid(spec, oversample=oversample)
+def synth_pulse(spec: PulseSpec, oversample: int = 16) -> SampledSignal:
+    """Synthesize any family on its own grid, ``pulse_grid(spec, oversample)``."""
+    grid = pulse_grid(spec, oversample=oversample)
     row = FAMILIES[spec.family]
     if row.synth is not None:
         return row.synth(spec, grid)
-    return _assemble_train(spec, grid, row.train(spec))
+    return _assemble_train(spec, grid, oversample, row.train(spec))

@@ -62,14 +62,6 @@ class TimeGrid:
         if self.num_samples < 2:
             raise InvalidInputError(f"num_samples must be >= 2, got {self.num_samples}")
 
-    @property
-    def duration(self) -> float:
-        return self.num_samples * self.sample_interval
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
     def times(self) -> np.ndarray:
         """Midpoint sample times."""
         k = np.arange(self.num_samples)

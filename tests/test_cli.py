@@ -48,6 +48,7 @@ class TestUsageErrors:
         (["synth", "--M", "32", "--N", "8", "--zero-pad", "0"], "zero_pad"),
         (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--from", "1e30"], "--from"),
         (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--from", "0", "--to", "0"], "--from"),
+        (["sweep", "--vary", "mn", "--steps", "3", "--from", "5"], "--vary mn"),
         (["metrics", "--M", "32", "--N", "8", "--tolerance", "nan"], "--tolerance"),
         (["metrics", "--M", "32", "--N", "8", "--tolerance", "inf"], "--tolerance"),
         (["metrics", "--M", "32", "--N", "8", "--tolerance", "-1"], "--tolerance"),
@@ -248,6 +249,18 @@ class TestSweep:
         lines = out_file.read_text(encoding="utf-8").splitlines()
         assert lines[0] == REPORT_HEADER and len(lines) == 4
         assert "max dF percent diff:" in out
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_metric_without_comparable_rows_writes_nothing(self, to_file, tmp_path, capsys):
+        """No btrrc row has a closed form, so --metric is a usage error, judged
+        before the report is written."""
+        out_file = tmp_path / "sweep.csv"
+        argv = ["sweep", "--family", "btrrc", "--vary", "beta", "--steps", "2",
+                "--M", "16", "--N", "4", "--oversample", "4", "--metric", "dF"]
+        rc, out, err = run(argv + (["--out", str(out_file)] if to_file else []), capsys)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "no comparable rows" in err
+        assert not out_file.exists()
 
     def test_q_axis_keeps_failed_rows(self, capsys):
         rc, out, _ = run(["sweep", "--vary", "q", "--M", "64", "--N", "8",

@@ -320,9 +320,9 @@ class TestOrthogonalityScan:
 def _fft_scan_reference(spec, max_delay_steps, max_doppler_steps, oversample):
     """The scan as one zero-padded FFT per delay row: u times the conjugated
     shifted copy on the padded grid, read at the bins n~/(NT)."""
+    u = synth_pulse(spec, oversample=oversample)
+    x = np.pad(u.samples, max_delay_steps * oversample)
     grid = pulse_grid(spec, oversample=oversample, pad_steps=max_delay_steps)
-    u = synth_pulse(spec, grid=grid, oversample=oversample)
-    x = u.samples
     n = grid.num_samples
     dt = grid.sample_interval
     e0 = energy(u)

@@ -6,12 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from ddopkit import pulses
 from ddopkit.pulses import (
     FAMILIES,
     PulseFamily,
     PulseSpec,
     Train,
+    _btrrc_profile_at,
     _dirichlet,
+    _rrc_profile,
     default_q,
     eval_btrrc_freq,
     pulse_grid,
@@ -19,9 +22,7 @@ from ddopkit.pulses import (
     train_layout,
 )
 from ddopkit.signal_core import (
-    InvalidGridError,
     InvalidInputError,
-    TimeGrid,
     dft_spectrum,
     energy,
 )
@@ -68,6 +69,10 @@ def eval_ddop_freq(spec: PulseSpec, f, num_tones: int = 40):
     return complex(values[0]) if scalar else values
 
 DEFAULTS = dict(M=256, N=64, T=1.0, beta=0.1, Q=13)
+
+
+def end_time(grid):
+    return grid.start_time + grid.num_samples * grid.sample_interval
 
 
 class TestDefaultQ:
@@ -170,7 +175,7 @@ class TestPulseGrid:
         spec = PulseSpec(**DEFAULTS)
         grid = pulse_grid(spec, oversample=16)
         assert grid.start_time == 0.0
-        assert grid.end_time == pytest.approx((spec.N - 1) * spec.T + spec.ta)
+        assert end_time(grid) == pytest.approx((spec.N - 1) * spec.T + spec.ta)
         assert grid.num_samples == 16 * ((spec.N - 1) * spec.M + 2 * spec.Q)
 
     def test_padding(self):
@@ -191,31 +196,21 @@ class TestRrcSubpulse:
     def test_peak_and_pole_values(self):
         """Peak and removable-singularity values against quadrature references.
 
-        The grid hits t = 0 and the profile pole |4*beta*M*t/T| = 1 exactly.
-        Dividing by the peak cancels the energy renormalization, so the ratio
-        is asserted tightly; the absolute peak additionally carries the
-        truncation + midpoint-rule renormalization and gets a looser bound.
+        The profile is evaluated at x = 0 and exactly on its pole
+        x = 1/(4*beta), where it takes the limit values; scaled by sqrt(M/T)
+        they are the unit-energy untruncated pulse at M = 256, beta = 0.1.
         """
-        spec = PulseSpec(**DEFAULTS, family=PulseFamily.RRC_SUBPULSE)
-        dt = spec.T / (spec.M * 16)
-        n = 2 * spec.Q * 16 + 1
-        grid = TimeGrid(start_time=-((n - 1) / 2 + 0.5) * dt, sample_interval=dt,
-                        num_samples=n)
-        sig = synth_pulse(spec, grid=grid)
-        peak = abs(sig.samples[(n - 1) // 2])
-        pole = abs(sig.samples[(n - 1) // 2 + 40])  # 2.5 steps = 1/(4*beta) steps away
-        assert peak == pytest.approx(16.43718327, rel=1e-3)
-        assert peak / pole == pytest.approx(16.43718327 / 1.851623903, rel=1e-6)
+        beta, scale = 0.1, math.sqrt(256)
+        peak, pole = scale * _rrc_profile(np.array([0.0, 1.0 / (4.0 * beta)]), beta)
+        assert peak == pytest.approx(16.43718327, rel=1e-9)
+        assert pole == pytest.approx(1.851623903, rel=1e-9)
 
     def test_zero_isi_at_beta_zero(self):
-        """Samples at nonzero multiples of T/M vanish when beta = 0."""
-        spec = PulseSpec(M=256, N=64, beta=0.0, Q=13, family=PulseFamily.RRC_SUBPULSE)
-        step = spec.T / spec.M
-        grid = TimeGrid(start_time=-(spec.Q + 0.5) * step, sample_interval=step,
-                        num_samples=2 * spec.Q + 1)
-        sig = synth_pulse(spec, grid=grid)
-        k = np.rint(grid.times() / step).astype(int)
-        assert np.max(np.abs(sig.samples[k != 0])) < 1e-12
+        """The profile vanishes at nonzero multiples of T/M when beta = 0."""
+        x = np.arange(-13, 14, dtype=float)
+        values = _rrc_profile(x, 0.0)
+        assert values[13] == 1.0
+        assert np.max(np.abs(values[x != 0])) < 1e-12
 
     def test_even_profile(self):
         spec = PulseSpec(**DEFAULTS, family=PulseFamily.RRC_SUBPULSE)
@@ -270,8 +265,6 @@ class TestClosedFormSpectra:
 
     def test_btrrc_time_profile_quadrature_values(self):
         """Spot values of the synthesized profile against adaptive quadrature."""
-        from ddopkit.pulses import _btrrc_profile_at
-
         spec = PulseSpec(M=256, N=64, beta=0.5, Q=13, family=PulseFamily.BTRRC_SUBPULSE)
         taus = np.array([0.0, 0.001, 0.01, 0.03, 0.0507])
         expected = [18.78351176, 15.62335358, -0.8409167163, -0.08997242472, -0.04098150563]
@@ -289,8 +282,6 @@ class TestClosedFormSpectra:
         QUADPACK's cosine-weighted rule, across [0, T_a/2]. The tolerance is
         relative to the peak a(0): the profile crosses zero inside the span."""
         from scipy.integrate import IntegrationWarning, quad
-
-        from ddopkit.pulses import _btrrc_profile_at
 
         spec = PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
         edges = [M * (1 - beta) / 2, M / 2, M * (1 + beta) / 2]
@@ -348,12 +339,34 @@ class TestTrains:
         outside = (t % spec.T) > spec.ta
         assert np.max(np.abs(sig.samples[outside])) < 1e-15
 
+    def test_subpulse_evaluated_once_at_any_spacing(self, monkeypatch):
+        """At T = 0.37 every sub-pulse slice is the first one, bit for bit, and
+        the btrrc quadrature runs once per synthesis."""
+        calls = []
+
+        def counting(spec, tau):
+            calls.append(tau.shape)
+            return _btrrc_profile_at(spec, tau)
+
+        monkeypatch.setattr(pulses, "_btrrc_profile_at", counting)
+        spec = PulseSpec(M=64, N=8, T=0.37, beta=0.3, subpulse="btrrc")
+        oversample = 8
+        sig = synth_pulse(spec, oversample=oversample)
+        assert len(calls) == 1
+        per_t, width = spec.M * oversample, 2 * spec.Q * oversample
+        first = sig.samples[:width]
+        gaps = np.ones(sig.samples.shape, dtype=bool)
+        for k in range(spec.N):
+            assert np.array_equal(sig.samples[k * per_t:k * per_t + width], first), k
+            gaps[k * per_t:k * per_t + width] = False
+        assert not np.any(sig.samples[gaps])
+
     def test_extended_train_has_prefix_and_suffix(self):
         # Q=20 keeps T_a below T so the N + 2D slots stay disjoint
         spec = PulseSpec(M=64, N=8, Q=20, family=PulseFamily.GENERAL_DDOP)
         assert spec.D == 1
         sig = synth_pulse(spec, oversample=8)
-        assert sig.grid.end_time == pytest.approx((spec.N + 2 * spec.D - 1) * spec.T + spec.ta)
+        assert end_time(sig.grid) == pytest.approx((spec.N + 2 * spec.D - 1) * spec.T + spec.ta)
         t = sig.grid.times()
         dt = sig.grid.sample_interval
         count = spec.N + 2 * spec.D
@@ -367,14 +380,8 @@ class TestTrains:
         spec = PulseSpec(M=64, N=8, Q=40, family=PulseFamily.GENERAL_DDOP)
         assert spec.D == 2
         sig = synth_pulse(spec, oversample=8)
-        assert sig.grid.end_time == pytest.approx((spec.N + 2 * spec.D - 1) * spec.T + spec.ta)
+        assert end_time(sig.grid) == pytest.approx((spec.N + 2 * spec.D - 1) * spec.T + spec.ta)
         assert energy(sig) == pytest.approx(1.0, abs=1e-12)
-
-    def test_short_grid_rejected(self):
-        spec = PulseSpec(M=64, N=8)
-        grid = TimeGrid(start_time=0.0, sample_interval=0.01, num_samples=100)
-        with pytest.raises(InvalidGridError):
-            synth_pulse(spec, grid=grid)
 
     def test_fdm_rectangle(self):
         spec = PulseSpec(M=64, N=8, family=PulseFamily.FDM)
@@ -385,7 +392,7 @@ class TestTrains:
     def test_tdm_single_subpulse(self):
         spec = PulseSpec(M=64, N=8, family=PulseFamily.TDM)
         sig = synth_pulse(spec, oversample=8)
-        assert sig.grid.end_time == pytest.approx(spec.ta)
+        assert end_time(sig.grid) == pytest.approx(spec.ta)
         assert energy(sig) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -30,11 +30,6 @@ class TestTimeGrid:
         grid = TimeGrid(start_time=0.0, sample_interval=0.5, num_samples=4)
         assert np.allclose(grid.times(), [0.25, 0.75, 1.25, 1.75])
 
-    def test_derived_quantities(self):
-        grid = TimeGrid(start_time=-1.0, sample_interval=0.25, num_samples=8)
-        assert grid.duration == 2.0
-        assert grid.end_time == 1.0
-
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_rejects_bad_interval(self, dt):
         with pytest.raises(InvalidInputError):
