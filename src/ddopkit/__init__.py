@@ -3,7 +3,7 @@
 Submodules:
 
 * ``signal_core``: sampled-signal containers, energies, Parseval-exact DFT.
-* ``pulses``: the pulse-family table and the synthesizers.
+* ``pulses``: the pulse-family table and the one sub-pulse-train synthesizer.
 * ``metrics``: numeric localization measurements and the moment-shift identity check.
 * ``analytic``: closed-form localization metrics, through ``analytic_for``.
 * ``experiments``: parameter sweeps, family comparisons, orthogonality scans.

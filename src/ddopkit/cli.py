@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,9 +46,6 @@ from .signal_core import (
 
 __all__ = ["RunConfig", "main"]
 
-_CONFIG_KEYS = {"pulse", "oversample", "zero_pad", "band_half_width",
-                "output_path", "output_format", "subpulse"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,6 +68,12 @@ class RunConfig:
             raise InvalidInputError(f"output path must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise InvalidInputError(f"output format must be csv or json, got {self.output_format!r}")
+
+
+# The run settings a config file may set: RunConfig's fields, with the band given
+# by its half-width. "subpulse" sets the pulse's sub-pulse shape.
+_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name not in ("pulse", "band")) + ("band_half_width",)
+_CONFIG_KEYS = {"pulse", "subpulse", *_SETTINGS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,23 +160,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     except TypeError as exc:
         raise InvalidInputError(f"incomplete pulse definition: {exc}")
 
-    settings = {
-        "oversample": 16,
-        "zero_pad": 4,
-        "band_half_width": None,
-        "output_path": None,
-        "output_format": "csv",
-    }
-    for key in settings:
-        if key in file_cfg:
-            settings[key] = file_cfg[key]
+    # only the settings the file or a flag set; RunConfig holds the defaults
+    settings = {key: file_cfg[key] for key in _SETTINGS if key in file_cfg}
     flag_settings = {"oversample": args.oversample, "zero_pad": args.zero_pad,
                      "band_half_width": args.band, "output_path": args.out,
                      "output_format": args.format}
-    for key, val in flag_settings.items():
-        if val is not None:
-            settings[key] = val
-    half_width = settings.pop("band_half_width")
+    settings.update({key: val for key, val in flag_settings.items() if val is not None})
+    half_width = settings.pop("band_half_width", None)
     band = None if half_width is None else AnalysisBand(half_width=half_width)
     return RunConfig(pulse=pulse, band=band, **settings)
 
@@ -351,12 +344,17 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
                 (PulseFamily.DDOP, PulseFamily.TDM, PulseFamily.FDM)]
         rep = compare_families(trio, band=None, zero_pad=cfg.zero_pad,
                                oversample=cfg.oversample)
-        ddop, tdm, fdm = (r.numeric for r in rep.rows)
-        ok = (ddop.tf_area > tdm.tf_area and ddop.tf_area > fdm.tf_area
-              and tdm.direction < ddop.direction < fdm.direction)
-        checks.report(ok, "family orderings",
-                      f"ΔA {ddop.tf_area:.4g} > {tdm.tf_area:.4g}, {fdm.tf_area:.4g}; "
-                      f"κ {tdm.direction:.3g} < {ddop.direction:.3g} < {fdm.direction:.3g}")
+        unmeasured = [r for r in rep.rows if r.numeric is None]
+        if unmeasured:
+            checks.report(False, "family orderings",
+                          f"{unmeasured[0].parameter} not measured: {unmeasured[0].status}")
+        else:
+            ddop, tdm, fdm = (r.numeric for r in rep.rows)
+            ok = (ddop.tf_area > tdm.tf_area and ddop.tf_area > fdm.tf_area
+                  and tdm.direction < ddop.direction < fdm.direction)
+            checks.report(ok, "family orderings",
+                          f"ΔA {ddop.tf_area:.4g} > {tdm.tf_area:.4g}, {fdm.tf_area:.4g}; "
+                          f"κ {tdm.direction:.3g} < {ddop.direction:.3g} < {fdm.direction:.3g}")
     else:
         checks.skip("family orderings", "runs when the configured family is ddop")
 

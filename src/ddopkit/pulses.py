@@ -1,4 +1,4 @@
-"""Pulse-family synthesizers and the exponential-rolloff sub-pulse spectrum.
+"""Pulse families as sub-pulse trains, and the exponential-rolloff sub-pulse spectrum.
 
 Families:
 
@@ -11,24 +11,27 @@ Families:
 * ``GENERAL_DDOP``: train extended by D = ceil(2Q/M) prefix and suffix
   sub-pulses, sub-pulse energy 1/(N+2D).
 * ``TDM``: a single unit-energy sub-pulse.
-* ``FDM``: the unit-energy rectangle of duration N*T.
+* ``FDM``: the unit-energy rectangle of duration N*T, as N constant windows
+  of length T.
 * ``OTFS_BASIS``: time-frequency multicarrier basis function for delay index
-  otfs_m and Doppler index otfs_n.
+  otfs_m and Doppler index otfs_n, as N windows of one Dirichlet kernel,
+  window l turned by exp(2j*pi*otfs_n*l/N).
 
-``FAMILIES`` holds one row per family. The first five are sub-pulse trains:
-their row gives the first sub-pulse centre (in delay steps T/M), the
-sub-pulse count and the sub-pulse shape, and one primitive builds them all.
-DDOP and GENERAL_DDOP take the shape from ``PulseSpec.subpulse`` ("rrc" or
-the exponential-rolloff "btrrc"); the other trains fix it. FDM and OTFS_BASIS
-name their own synthesizers. ``pulse_grid`` and ``synth_pulse`` read this
-table; the train closed forms in ``analytic`` read their sub-pulse count and
-shape from it through ``train_layout``. Which families have a closed form is
-listed in ``analytic`` alone, so this module never imports it.
+Every family is a sub-pulse train. ``FAMILIES`` holds one ``Train`` per
+family: the first sub-pulse's reference point (in delay steps T/M), the
+sub-pulse count, shape and width, the step a sub-pulse is evaluated from
+(its centre, or its start for the FDM and OTFS windows) and the tone that
+turns sub-pulse k. DDOP and GENERAL_DDOP take the shape from
+``PulseSpec.subpulse`` ("rrc" or the exponential-rolloff "btrrc"); the other
+families fix it. ``pulse_grid`` and ``synth_pulse`` read this table, and the
+closed forms in ``analytic`` read the sub-pulse count and shape from it
+through ``train_layout``. Which families have a closed form is listed in
+``analytic`` alone, so this module never imports it.
 
 Every pulse is synthesized on its own grid, ``pulse_grid(spec, oversample)``,
-renormalized to unit discrete Riemann energy, and deterministic. A train
-evaluates its sub-pulse once and adds that copy every T (M*oversample
-samples).
+renormalized to unit discrete Riemann energy, and deterministic. One
+primitive builds them all: it evaluates the sub-pulse once and adds that
+copy every T (M*oversample samples).
 """
 
 from __future__ import annotations
@@ -56,14 +59,11 @@ __all__ = [
     "PulseSpec",
     "SUBPULSE_SHAPES",
     "Train",
-    "FamilyRow",
     "FAMILIES",
     "train_layout",
     "default_q",
     "pulse_grid",
     "eval_btrrc_freq",
-    "synth_fdm",
-    "synth_otfs_basis",
     "synth_pulse",
 ]
 
@@ -206,18 +206,19 @@ def _rrc_profile(x: np.ndarray, beta: float) -> np.ndarray:
     den = np.pi * xr * (1.0 - (4.0 * beta * xr) ** 2)
     out[regular] = num / den
     out[at_zero] = 1.0 - beta + 4.0 * beta / np.pi
-    out[at_pole] = (beta / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-    )
+    if np.any(at_pole):  # a subnormal beta puts the pole beyond the float range
+        out[at_pole] = (beta / np.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
+            + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
+        )
     return out
 
 
-def _renormalized(grid: TimeGrid, samples: np.ndarray, target: float, what: str) -> SampledSignal:
+def _renormalized(grid: TimeGrid, samples: np.ndarray) -> SampledSignal:
     raw = float(np.real(np.vdot(samples, samples)) * grid.sample_interval)
     if raw <= 0.0:
-        raise InvalidGridError(f"grid does not cover the {what} support")
-    return SampledSignal(grid=grid, samples=samples * math.sqrt(target / raw))
+        raise InvalidGridError("grid does not cover the pulse support")
+    return SampledSignal(grid=grid, samples=samples * math.sqrt(1.0 / raw))
 
 
 def eval_btrrc_freq(spec: PulseSpec, f):
@@ -278,36 +279,22 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     return total
 
 
-def _assemble_train(spec: PulseSpec, grid: TimeGrid, oversample: int, train: Train) -> SampledSignal:
-    """Place the train's sub-pulses every T on its own grid and renormalize to unit energy.
-
-    On ``pulse_grid``'s grid sub-pulse k fills samples k*P to k*P + 2*Q*oversample,
-    P = M*oversample samples per T. The sub-pulse is evaluated once, at the
-    offsets of the first one from its centre first_step*T/M, and added at every k*P.
-    """
-    width = 2 * spec.Q * oversample
-    per_t = spec.M * oversample
-    tau = grid.times()[:width] - train.first_step * spec.T / spec.M
-    sub_energy = 1.0 / train.count
-    if train.shape == "rrc" or spec.beta == 0.0:
-        amp = math.sqrt(spec.M * sub_energy / spec.T)
-        sub = amp * _rrc_profile(spec.M * tau / spec.T, spec.beta)
-    else:
-        # the spectral quadrature already carries unit energy
-        sub = math.sqrt(sub_energy) * _btrrc_profile_at(spec, tau)
-    out = np.zeros(grid.num_samples, dtype=np.complex128)
-    for k in range(train.count):
-        out[k * per_t:k * per_t + width] += sub
-    return _renormalized(grid, out, 1.0, "pulse train")
+def _rrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+    """Root-raised-cosine sub-pulse of energy 1/count: its amplitude and profile at tau."""
+    return math.sqrt(spec.M * (1.0 / count) / spec.T), _rrc_profile(spec.M * tau / spec.T, spec.beta)
 
 
-def synth_fdm(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
-    """Unit-energy rectangle (1/sqrt(N*T)) on [0, N*T]."""
-    t = grid.times()
-    length = spec.N * spec.T
-    samples = np.zeros(t.shape, dtype=np.complex128)
-    samples[(t >= 0.0) & (t <= length)] = 1.0 / math.sqrt(length)
-    return _renormalized(grid, samples, 1.0, "rectangle")
+def _btrrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+    """Exponential-rolloff sub-pulse of energy 1/count; at beta = 0 it is the rrc sub-pulse."""
+    if spec.beta == 0.0:
+        return _rrc_subpulse(spec, tau, count)
+    # the spectral quadrature already carries unit energy
+    return math.sqrt(1.0 / count), _btrrc_profile_at(spec, tau)
+
+
+def _rect_window(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+    """One length-T window of the unit-energy rectangle on [0, count*T]."""
+    return 1.0 / math.sqrt(count * spec.T), np.ones(tau.shape)
 
 
 def _dirichlet(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
@@ -322,95 +309,97 @@ def _dirichlet(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def synth_otfs_basis(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
-    """Multicarrier basis function phi_{m,n} with a rectangular transmit window.
+def _otfs_window(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+    """One length-T window of the multicarrier basis function phi_{m,n}:
+    (1/sqrt(count*M)) * b(tau - m*T/M) * g(tau), with b the Dirichlet kernel of
+    order M and g the unit-energy rectangle of duration T."""
+    amp = (1.0 / math.sqrt(count * spec.M)) * (1.0 / math.sqrt(spec.T))
+    return amp, _dirichlet(spec, tau - spec.otfs_m * spec.T / spec.M)
 
-    phi(t) = (1/sqrt(N*M)) * sum_l exp(j*2*pi*n*l/N) * b(t - l*T - m*T/M) * g(t - l*T)
-    with g the unit-energy rectangle of duration T and b the Dirichlet kernel
-    of order M (limit value M at its singular points). Support is [0, N*T];
-    windows are half-open [l*T, (l+1)*T) so they never double-count a sample.
-    Renormalized to unit energy.
-    """
-    if spec.family is not PulseFamily.OTFS_BASIS:
-        raise InvalidInputError(
-            f"synth_otfs_basis requires family OTFS_BASIS, got {spec.family.value}"
-        )
-    t = grid.times()
-    out = np.zeros(t.shape, dtype=np.complex128)
-    g_amp = 1.0 / math.sqrt(spec.T)
-    scale = 1.0 / math.sqrt(spec.N * spec.M)
-    delay = spec.otfs_m * spec.T / spec.M
-    for l in range(spec.N):
-        lo, hi = np.searchsorted(t, [l * spec.T, (l + 1) * spec.T], side="left")
-        if hi <= lo:
-            continue
-        window = t[lo:hi]
-        phase = np.exp(2j * np.pi * spec.otfs_n * l / spec.N)
-        out[lo:hi] += scale * phase * g_amp * _dirichlet(spec, window - l * spec.T - delay)
-    return _renormalized(grid, out, 1.0, "basis function")
+
+# The sub-pulse of each Train shape: (spec, tau, count) -> (amplitude, profile at tau).
+_SUBPULSES: dict[str, Callable[[PulseSpec, np.ndarray, int], tuple[float, np.ndarray]]] = {
+    "rrc": _rrc_subpulse,
+    "btrrc": _btrrc_subpulse,
+    "rect": _rect_window,
+    "otfs": _otfs_window,
+}
 
 
 class Train(NamedTuple):
-    """`count` sub-pulses of one shape, the first centred first_step delay
-    steps (T/M) after t = 0 and the rest every T after it."""
+    """`count` sub-pulses of one shape, each `width` delay steps (T/M) long, every T.
+
+    Sub-pulse k is evaluated from its reference point, first_step + k*M delay
+    steps after t = 0, and starts ref_step steps before it: the rrc and btrrc
+    sub-pulses from their centre (ref_step = Q), the FDM and OTFS windows from
+    their start (ref_step = 0). A nonzero tone turns sub-pulse k by
+    exp(2j*pi*tone*k/count).
+    """
 
     first_step: int
     count: int
     shape: str
+    width: int
+    ref_step: int
+    tone: int = 0
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    """How a family builds its pulse: a sub-pulse train, or its own synthesizer
-    for a pulse spanning N*M delay steps from t = 0."""
-
-    train: Callable[[PulseSpec], Train] | None = None
-    synth: Callable[[PulseSpec, TimeGrid], SampledSignal] | None = None
-
-
-FAMILIES: dict[PulseFamily, FamilyRow] = {
-    PulseFamily.RRC_SUBPULSE: FamilyRow(train=lambda s: Train(0, 1, "rrc")),
-    PulseFamily.BTRRC_SUBPULSE: FamilyRow(train=lambda s: Train(0, 1, "btrrc")),
-    PulseFamily.TDM: FamilyRow(train=lambda s: Train(s.Q, 1, "rrc")),
-    PulseFamily.DDOP: FamilyRow(train=lambda s: Train(s.Q, s.N, s.subpulse)),
-    PulseFamily.GENERAL_DDOP: FamilyRow(train=lambda s: Train(s.Q, s.N + 2 * s.D, s.subpulse)),
-    PulseFamily.FDM: FamilyRow(synth=synth_fdm),
-    PulseFamily.OTFS_BASIS: FamilyRow(synth=synth_otfs_basis),
+# One row per family: the family's pulse as a sub-pulse train.
+FAMILIES: dict[PulseFamily, Callable[[PulseSpec], Train]] = {
+    PulseFamily.RRC_SUBPULSE: lambda s: Train(0, 1, "rrc", 2 * s.Q, s.Q),
+    PulseFamily.BTRRC_SUBPULSE: lambda s: Train(0, 1, "btrrc", 2 * s.Q, s.Q),
+    PulseFamily.TDM: lambda s: Train(s.Q, 1, "rrc", 2 * s.Q, s.Q),
+    PulseFamily.DDOP: lambda s: Train(s.Q, s.N, s.subpulse, 2 * s.Q, s.Q),
+    PulseFamily.GENERAL_DDOP: lambda s: Train(s.Q, s.N + 2 * s.D, s.subpulse, 2 * s.Q, s.Q),
+    PulseFamily.FDM: lambda s: Train(0, s.N, "rect", s.M, 0),
+    PulseFamily.OTFS_BASIS: lambda s: Train(0, s.N, "otfs", s.M, 0, s.otfs_n),
 }
 
 
-def train_layout(spec: PulseSpec) -> Train | None:
-    """The spec's sub-pulse train, or None for a family with its own synthesizer."""
-    row = FAMILIES[spec.family]
-    return None if row.train is None else row.train(spec)
+def train_layout(spec: PulseSpec) -> Train:
+    """The spec's sub-pulse train, from its row of ``FAMILIES``."""
+    return FAMILIES[spec.family](spec)
 
 
 def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> TimeGrid:
     """Default grid for a family: dt = T/(M*oversample), exactly covering the support.
 
+    The support runs from the first sub-pulse's start to the last one's end.
     pad_steps adds that many delay-resolution steps (T/M) of zeros on both
     sides; shift scans use this so delayed copies stay on the grid.
     """
     oversample = positive_int(oversample, "oversample")
-    # Support in units of T/M: a train spans its sub-pulse centres plus Q steps
-    # on each side; the other families span [0, N*T].
     train = train_layout(spec)
-    if train is None:
-        units, start_units = spec.N * spec.M, 0
-    else:
-        units, start_units = (train.count - 1) * spec.M + 2 * spec.Q, train.first_step - spec.Q
     step = spec.T / spec.M
     return TimeGrid(
-        start_time=(start_units - pad_steps) * step,
+        start_time=(train.first_step - train.ref_step - pad_steps) * step,
         sample_interval=step / oversample,
-        num_samples=oversample * (units + 2 * pad_steps),
+        num_samples=oversample * ((train.count - 1) * spec.M + train.width + 2 * pad_steps),
     )
+
+
+def _assemble_train(spec: PulseSpec, grid: TimeGrid, oversample: int, train: Train) -> SampledSignal:
+    """Place the train's sub-pulses every T on its own grid and renormalize to unit energy.
+
+    On ``pulse_grid``'s grid sub-pulse k fills samples k*P to k*P + width*oversample,
+    P = M*oversample samples per T. The sub-pulse is evaluated once, at the
+    offsets of the first one from its reference point first_step*T/M, and
+    added at every k*P.
+    """
+    width = train.width * oversample
+    per_t = spec.M * oversample
+    tau = grid.times()[:width] - train.first_step * spec.T / spec.M
+    amp, profile = _SUBPULSES[train.shape](spec, tau, train.count)
+    sub = amp * profile
+    out = np.zeros(grid.num_samples, dtype=np.complex128)
+    for k in range(train.count):
+        if train.tone:
+            sub = amp * np.exp(2j * np.pi * train.tone * k / train.count) * profile
+        out[k * per_t:k * per_t + width] += sub
+    return _renormalized(grid, out)
 
 
 def synth_pulse(spec: PulseSpec, oversample: int = 16) -> SampledSignal:
     """Synthesize any family on its own grid, ``pulse_grid(spec, oversample)``."""
-    grid = pulse_grid(spec, oversample=oversample)
-    row = FAMILIES[spec.family]
-    if row.synth is not None:
-        return row.synth(spec, grid)
-    return _assemble_train(spec, grid, oversample, row.train(spec))
+    oversample = positive_int(oversample, "oversample")
+    return _assemble_train(spec, pulse_grid(spec, oversample), oversample, train_layout(spec))

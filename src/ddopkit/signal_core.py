@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,11 @@ class TimeGrid:
             raise InvalidInputError(f"sample_interval must be > 0, got {self.sample_interval}")
         if self.num_samples < 2:
             raise InvalidInputError(f"num_samples must be >= 2, got {self.num_samples}")
+        if not math.isfinite(self.start_time + (self.num_samples - 0.5) * self.sample_interval):
+            raise InvalidInputError(
+                f"grid of {self.num_samples} samples every {self.sample_interval:g} from "
+                f"{self.start_time:g} ends beyond the float range"
+            )
 
     def times(self) -> np.ndarray:
         """Midpoint sample times."""

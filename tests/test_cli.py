@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ddopkit
@@ -115,6 +115,15 @@ class TestConfigFile:
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: output path") and len(proc.stderr.splitlines()) == 1
+
+    def test_every_key_accepted(self, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"pulse": {"M": 16, "N": 4}, "oversample": 4, "zero_pad": 2,
+                                   "band_half_width": 50.0, "output_path": str(out),
+                                   "output_format": "json", "subpulse": "btrrc"}))
+        rc, _, err = run(["synth", "--config", str(cfg)], capsys)
+        assert rc == 0 and err == ""
+        assert len(json.loads(out.read_text(encoding="utf-8"))["t"]) == 4 * (3 * 16 + 2)
 
     def test_subpulse_key_sets_the_pulse(self, tmp_path, capsys):
         outputs = []
@@ -239,6 +248,21 @@ class TestMetrics:
         assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "otfs", "--M", "16", "--N", "4", "--oversample", "2", "--T", "5e307"],
+        ["--family", "gddop", "--M", "16", "--N", "4", "--oversample", "4", "--Q", "8", "--T", "1e308"],
+        ["--family", "fdm", "--M", "16", "--N", "4", "--oversample", "4", "--Q", "8", "--T", "1e308"],
+    ], ids=["otfs", "gddop", "fdm"])
+    def test_grid_beyond_the_float_range(self, argv):
+        """A pulse whose last sample time overflows is one error line and exit 2,
+        not inf sample times; run in a child process, where warnings reach stderr."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "synth", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
+
+
 class TestSweep:
     def test_beta_axis(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"
@@ -334,6 +358,13 @@ class TestVerify:
         assert rc == 0 and "[FAIL]" not in out
         assert "[SKIP] closed-form agreement" in out
 
+    def test_unmeasured_family_fails_the_ordering_check(self, capsys):
+        """At zero_pad 1 the FDM rectangle's bins sit on its sinc zeros, so its
+        comparison row fails; the ordering check reports it instead of raising."""
+        rc, out, _ = run(["verify", "--M", "16", "--N", "2", "--oversample", "2", "--zero-pad", "1"], capsys)
+        assert rc == 1
+        assert "[FAIL] family orderings: FDM not measured: failed: " in out
+
     def test_interior_index_checked(self, capsys):
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",
                           "--otfs-m", "5", "--otfs-n", "2", "--oversample", "8",
@@ -414,3 +445,73 @@ def test_any_config_ends_with_a_documented_exit(data, tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("error:")
     else:
         assert lines and all(line.startswith("tolerance exceeded - ") for line in lines)
+
+
+# Flag values for the argv property test: legal ones, capped like _SIZE_CAPS, and
+# illegal strings. No illegal value is a legal but large size, which would allocate.
+_BAD_INT = ["", "x", "0", "-1", "2.5", "1e3", "99999999999999999999"]
+_BAD_FLOAT = ["", "x", "nan", "inf", "-inf", "-1", "0"]
+_ARGV_VALUES = {
+    "--M": (st.integers(1, 16), _BAD_INT),
+    "--N": (st.integers(1, 4), _BAD_INT),
+    "--Q": (st.integers(1, 16), _BAD_INT),
+    "--T": (st.floats(1e-3, 1e3), _BAD_FLOAT + ["5e307", "1e308", "1e-300", "1e300"]),
+    "--beta": (st.floats(0.0, 1.0), _BAD_FLOAT + ["1.5"]),
+    "--family": (st.sampled_from(sorted(FAMILY_ALIASES)), ["", "ofdm", "DDOP"]),
+    "--subpulse": (st.sampled_from(["rrc", "btrrc"]), ["", "square"]),
+    "--otfs-m": (st.integers(0, 3), ["-1", "x", "99999999999999999999"]),
+    "--otfs-n": (st.integers(0, 3), ["-1", "x", "99999999999999999999"]),
+    "--oversample": (st.integers(1, 4), _BAD_INT),
+    "--zero-pad": (st.integers(1, 4), _BAD_INT),
+    "--band": (st.floats(1e-3, 1e3), _BAD_FLOAT + ["1e-9"]),
+    "--format": (st.sampled_from(["csv", "json"]), ["", "xml"]),
+    "--tolerance": (st.floats(0.0, 10.0), _BAD_FLOAT),
+    "--steps": (st.integers(1, 3), _BAD_INT),
+}
+_SWEEP_BOUNDS = {"beta": (st.floats(0.0, 1.0), _BAD_FLOAT + ["1e30"]),
+                 "q": (st.integers(1, 16), _BAD_INT + ["nan", "1e30"])}
+_ALWAYS = ("--M", "--N", "--oversample")
+
+
+@st.composite
+def _argvs(draw):
+    """A synth, metrics, verify or ``sweep --vary beta|q`` argv with legal values
+    except under up to two flags. M, N, oversample and a sweep's steps are always
+    given, so the 256 x 64 defaults never run."""
+    command = draw(st.sampled_from(["synth", "metrics", "verify", "beta", "q"]))
+    values = dict(_ARGV_VALUES)
+    argv, always = [command], list(_ALWAYS)
+    if command in _SWEEP_BOUNDS:
+        argv = ["sweep", "--vary", command]
+        values.update({"--from": _SWEEP_BOUNDS[command], "--to": _SWEEP_BOUNDS[command]})
+        always.append("--steps")
+    else:
+        del values["--steps"]
+    optional = sorted(set(values) - set(always))
+    flags = always + draw(st.lists(st.sampled_from(optional), unique=True, max_size=5))
+    broken = draw(st.sets(st.sampled_from(flags), max_size=2))
+    for flag in flags:
+        legal, illegal = values[flag]
+        argv += [flag, str(draw(st.sampled_from(illegal) if flag in broken else legal))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+@example(argv=["verify", "--M", "16", "--N", "2", "--oversample", "2", "--zero-pad", "1"])
+@example(argv=["synth", "--family", "otfs", "--M", "16", "--N", "4", "--oversample", "2", "--T", "5e307"])
+@example(argv=["metrics", "--family", "rrc", "--M", "6", "--N", "3", "--oversample", "2", "--beta", "5e-324"])
+def test_any_argv_ends_with_a_documented_exit(argv, capsys):
+    """Random legal and illegal flags: exit 0, 1 or 2, never a traceback. A usage
+    error ends in one error line, after argparse's usage text if argparse raised it."""
+    rc, _, err = run(argv, capsys)
+    assert rc in (0, 1, 2) and "Traceback" not in err
+    lines = err.splitlines()
+    if rc == 0:
+        assert err == ""
+    elif rc == 1:
+        assert all(line.startswith("tolerance exceeded - ") for line in lines)
+    else:
+        assert lines and "error:" in lines[-1]
+        usage = lines[:-1]
+        assert not usage or (usage[0].startswith("usage:") and all(line.startswith(" ") for line in usage[1:]))

@@ -152,21 +152,19 @@ class TestPulseSpec:
 class TestFamilyTable:
     def test_every_family_has_a_row(self):
         assert set(FAMILIES) == set(PulseFamily)
-        for family, row in FAMILIES.items():
-            assert (row.train is None) != (row.synth is None), family
 
     @pytest.mark.parametrize("family,expected", [
-        (PulseFamily.RRC_SUBPULSE, Train(0, 1, "rrc")),
-        (PulseFamily.BTRRC_SUBPULSE, Train(0, 1, "btrrc")),
-        (PulseFamily.TDM, Train(3, 1, "rrc")),
-        (PulseFamily.DDOP, Train(3, 8, "btrrc")),
-        (PulseFamily.GENERAL_DDOP, Train(3, 10, "btrrc")),
-        (PulseFamily.FDM, None),
-        (PulseFamily.OTFS_BASIS, None),
+        (PulseFamily.RRC_SUBPULSE, Train(0, 1, "rrc", 6, 3)),
+        (PulseFamily.BTRRC_SUBPULSE, Train(0, 1, "btrrc", 6, 3)),
+        (PulseFamily.TDM, Train(3, 1, "rrc", 6, 3)),
+        (PulseFamily.DDOP, Train(3, 8, "btrrc", 6, 3)),
+        (PulseFamily.GENERAL_DDOP, Train(3, 10, "btrrc", 6, 3)),
+        (PulseFamily.FDM, Train(0, 8, "rect", 64, 0)),
+        (PulseFamily.OTFS_BASIS, Train(0, 8, "otfs", 64, 0, 2)),
     ])
     def test_layouts(self, family, expected):
-        # only the DDOP trains take the shape from the spec
-        spec = PulseSpec(M=64, N=8, Q=3, family=family, subpulse="btrrc")
+        # only the DDOP trains take the shape from the spec, only OTFS_BASIS the tone
+        spec = PulseSpec(M=64, N=8, Q=3, family=family, subpulse="btrrc", otfs_n=2)
         assert train_layout(spec) == expected
 
 
@@ -316,6 +314,12 @@ class TestTrains:
             sig = synth_pulse(spec, oversample=8)
             assert energy(sig) == pytest.approx(1.0, abs=1e-12), spec.family
 
+    @pytest.mark.parametrize("family", list(PulseFamily))
+    def test_whole_float_oversample(self, family):
+        spec = PulseSpec(M=32, N=4, family=family)
+        assert np.array_equal(synth_pulse(spec, oversample=4.0).samples,
+                              synth_pulse(spec, oversample=4).samples)
+
     def test_train_is_deterministic(self):
         spec = PulseSpec(M=64, N=8)
         a = synth_pulse(spec, oversample=8)
@@ -394,6 +398,112 @@ class TestTrains:
         sig = synth_pulse(spec, oversample=8)
         assert end_time(sig.grid) == pytest.approx(spec.ta)
         assert energy(sig) == pytest.approx(1.0, abs=1e-12)
+
+
+def _unit_energy(grid, samples):
+    raw = float(np.real(np.vdot(samples, samples)) * grid.sample_interval)
+    return samples * math.sqrt(1.0 / raw)
+
+
+def reference_train(spec: PulseSpec, oversample: int):
+    """Each sub-pulse evaluated at its own offsets t - c_k from its centre
+    c_k = (first + k*M)*T/M, over the samples within Q*T/M of it."""
+    first, count, shape = {
+        PulseFamily.RRC_SUBPULSE: (0, 1, "rrc"),
+        PulseFamily.BTRRC_SUBPULSE: (0, 1, "btrrc"),
+        PulseFamily.TDM: (spec.Q, 1, "rrc"),
+        PulseFamily.DDOP: (spec.Q, spec.N, spec.subpulse),
+        PulseFamily.GENERAL_DDOP: (spec.Q, spec.N + 2 * spec.D, spec.subpulse),
+    }[spec.family]
+    grid = pulse_grid(spec, oversample)
+    t = grid.times()
+    out = np.zeros(t.shape, dtype=np.complex128)
+    for k in range(count):
+        centre = (first + k * spec.M) * spec.T / spec.M
+        near = np.abs(t - centre) < spec.Q * spec.T / spec.M
+        tau = t[near] - centre
+        if shape == "rrc" or spec.beta == 0.0:
+            sub = math.sqrt(spec.M * (1.0 / count) / spec.T) * _rrc_profile(spec.M * tau / spec.T, spec.beta)
+        else:
+            sub = math.sqrt(1.0 / count) * _btrrc_profile_at(spec, tau)
+        out[near] += sub
+    return _unit_energy(grid, out)
+
+
+def reference_fdm(spec: PulseSpec, oversample: int):
+    """Unit-energy rectangle (1/sqrt(N*T)) on [0, N*T]."""
+    grid = pulse_grid(spec, oversample)
+    t = grid.times()
+    length = spec.N * spec.T
+    samples = np.zeros(t.shape, dtype=np.complex128)
+    samples[(t >= 0.0) & (t <= length)] = 1.0 / math.sqrt(length)
+    return _unit_energy(grid, samples)
+
+
+def reference_otfs(spec: PulseSpec, oversample: int):
+    """phi(t) = (1/sqrt(N*M)) * sum_l exp(j*2*pi*n*l/N) * b(t - l*T - m*T/M) * g(t - l*T),
+    g the unit-energy rectangle of duration T, each window [l*T, (l+1)*T) found
+    on the grid and evaluated at its own offsets t - l*T."""
+    grid = pulse_grid(spec, oversample)
+    t = grid.times()
+    out = np.zeros(t.shape, dtype=np.complex128)
+    g_amp = 1.0 / math.sqrt(spec.T)
+    scale = 1.0 / math.sqrt(spec.N * spec.M)
+    delay = spec.otfs_m * spec.T / spec.M
+    for l in range(spec.N):
+        lo, hi = np.searchsorted(t, [l * spec.T, (l + 1) * spec.T], side="left")
+        phase = np.exp(2j * np.pi * spec.otfs_n * l / spec.N)
+        out[lo:hi] += scale * phase * g_amp * _dirichlet(spec, t[lo:hi] - l * spec.T - delay)
+    return _unit_energy(grid, out)
+
+
+def reference_pulse(spec: PulseSpec, oversample: int):
+    if spec.family is PulseFamily.FDM:
+        return reference_fdm(spec, oversample)
+    if spec.family is PulseFamily.OTFS_BASIS:
+        return reference_otfs(spec, oversample)
+    return reference_train(spec, oversample)
+
+
+_EXACT_CASES = [
+    dict(family=PulseFamily.RRC_SUBPULSE, beta=0.3),
+    dict(family=PulseFamily.BTRRC_SUBPULSE, beta=0.3),
+    dict(family=PulseFamily.BTRRC_SUBPULSE, beta=0.0),
+    dict(family=PulseFamily.TDM),
+    dict(family=PulseFamily.DDOP, beta=0.5),
+    dict(family=PulseFamily.DDOP, beta=0.5, subpulse="btrrc"),
+    dict(family=PulseFamily.GENERAL_DDOP, Q=40, beta=0.5),
+    dict(family=PulseFamily.GENERAL_DDOP, Q=40, beta=0.5, subpulse="btrrc"),
+    dict(family=PulseFamily.FDM),
+    dict(family=PulseFamily.OTFS_BASIS, otfs_m=5),
+    dict(family=PulseFamily.OTFS_BASIS, otfs_m=0, otfs_n=3),
+    dict(family=PulseFamily.OTFS_BASIS, otfs_m=63, otfs_n=7),
+]
+
+
+class TestAgainstReferenceSynthesizers:
+    """The one train primitive against a direct evaluation of each family."""
+
+    @pytest.mark.parametrize("kwargs", _EXACT_CASES,
+                             ids=lambda kw: "-".join(str(v.value if hasattr(v, "value") else v)
+                                                     for v in kw.values()))
+    def test_bit_identical_on_power_of_two_grids(self, kwargs):
+        # T = 1 and 64*8 samples per T: every sample time and offset is exact
+        spec = PulseSpec(M=64, N=8, **kwargs)
+        got = synth_pulse(spec, oversample=8).samples
+        assert np.array_equal(got, reference_pulse(spec, 8))
+
+    @pytest.mark.parametrize("M,N,T,oversample", [
+        (64, 8, 0.37, 8), (64, 8, 1e-3, 8), (33, 7, 1.0, 5), (33, 7, 0.37, 5),
+    ])
+    @pytest.mark.parametrize("otfs_n", [0, 2])
+    def test_otfs_off_exact_grids(self, M, N, T, oversample, otfs_n):
+        """Off exact grids the reference's t - l*T rounds differently from the
+        first window's offsets; the samples agree to rounding."""
+        spec = PulseSpec(M=M, N=N, T=T, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=otfs_n)
+        want = reference_otfs(spec, oversample)
+        got = synth_pulse(spec, oversample=oversample).samples
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 class TestDirichletKernel:

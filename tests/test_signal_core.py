@@ -1,5 +1,7 @@
 """Grid, signal, and transform layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,13 @@ class TestTimeGrid:
     def test_rejects_too_few_samples(self):
         with pytest.raises(InvalidInputError):
             TimeGrid(start_time=0.0, sample_interval=0.1, num_samples=1)
+
+    @pytest.mark.parametrize("start,dt", [(0.0, 1e307), (1.7e308, 1e306), (math.nan, 0.1)])
+    def test_rejects_a_last_sample_beyond_the_float_range(self, start, dt):
+        with pytest.raises(InvalidInputError, match="float range"):
+            TimeGrid(start_time=start, sample_interval=dt, num_samples=64)
+        # a grid that ends just inside the range is kept
+        TimeGrid(start_time=0.0, sample_interval=1e306, num_samples=64).times()
 
 
 class TestSampledSignal:

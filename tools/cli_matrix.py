@@ -9,13 +9,20 @@ source tree before and after the change and compare the two files.
 The first form imports ddopkit from SRC_DIR, runs ``cli.main`` in-process on
 each case and writes ``{argv: [exit code, stdout, stderr]}`` as JSON, argv
 joined by spaces. The second prints every case whose record differs, or is
-missing from one file, and exits 1 if there is any.
+missing from one file, and exits 1 if there is any. A changed case whose
+records differ only in numbers is printed with its largest move: per output
+column (CSV) or key (JSON), the largest difference over the column's largest
+magnitude in A.
 
 The cases: the 7 family aliases x ``--subpulse rrc|btrrc`` x beta in
 {0, 0.5, 1} x synth/metrics/verify/``sweep --vary beta --steps 3`` x csv/json
 at ``--M 64 --N 8 --oversample 8`` (``--Q 40`` for gddop; the sweep sets beta
 itself, so its argv has no ``--beta``), plus metrics and verify of the otfs
-family at M = 32, N = 8 for ``--otfs-m`` 0, 5 and 31: 286 distinct cases.
+family at M = 32, N = 8 for ``--otfs-m`` 0, 5 and 31: 286 cases, all at T = 1
+on power-of-two grids. Then json synth and metrics of each alias off those
+grids, at ``--M 64 --N 8 --oversample 8 --T 0.37`` and at
+``--M 33 --N 7 --oversample 5`` (``--Q 40`` for gddop, ``--otfs-m 5 --otfs-n 2``
+for otfs): 28 more, 314 distinct cases.
 """
 
 from __future__ import annotations
@@ -45,6 +52,13 @@ def cases() -> list[list[str]]:
         for m in ("0", "5", "31"):
             argv = [command, "--family", "otfs", "--M", "32", "--N", "8", "--oversample", "8", "--otfs-m", m]
             out.setdefault(" ".join(argv), argv)
+    for family in ALIASES:
+        extra = {"gddop": ["--Q", "40"], "otfs": ["--otfs-m", "5", "--otfs-n", "2"]}.get(family, [])
+        for size in (["--M", "64", "--N", "8", "--oversample", "8", "--T", "0.37"],
+                     ["--M", "33", "--N", "7", "--oversample", "5"]):
+            for command in ("synth", "metrics"):
+                argv = [command, "--family", family, *size, *extra, "--format", "json"]
+                out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
 
@@ -61,12 +75,54 @@ def run_matrix(src: str) -> dict[str, list]:
     return records
 
 
+def _columns(text: str) -> dict[str, list] | None:
+    """An output's values by CSV column or JSON key, or None if it has neither."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        lines = text.splitlines()
+        if not lines or "," not in lines[0]:
+            return None
+        doc = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    if isinstance(doc, dict):
+        return doc
+    columns: dict[str, list] = {}
+    for row in doc:
+        for key, value in row.items():
+            columns.setdefault(key, []).append(value)
+    return columns
+
+
+def largest_move(a: list, b: list) -> float | None:
+    """The largest numeric move between two records, or None if they differ otherwise."""
+    if a[0] != b[0] or a[2] != b[2]:
+        return None
+    ca, cb = _columns(a[1]), _columns(b[1])
+    if ca is None or cb is None or ca.keys() != cb.keys():
+        return None
+    worst = 0.0
+    for key in ca:
+        try:
+            x, y = [float(v) for v in ca[key]], [float(v) for v in cb[key]]
+        except (TypeError, ValueError):
+            if ca[key] != cb[key]:
+                return None
+            continue
+        if len(x) != len(y):
+            return None
+        diff = max((abs(p - q) for p, q in zip(x, y)), default=0.0)
+        if diff:
+            worst = max(worst, diff / max(abs(p) for p in x))
+    return worst
+
+
 def compare(a_path: str, b_path: str) -> int:
     with open(a_path, encoding="utf-8") as fa, open(b_path, encoding="utf-8") as fb:
         a, b = json.load(fa), json.load(fb)
     changed = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     for key in changed:
-        print(key)
+        move = largest_move(a[key], b[key]) if key in a and key in b else None
+        print(key if move is None else f"{key}  (largest move {move:.2g})")
     print(f"{len(changed)} of {len(a.keys() | b.keys())} cases differ")
     return 1 if changed else 0
 
