@@ -2,7 +2,8 @@
 
 Submodules:
 
-* ``signal_core``: sampled-signal containers, energies, Parseval-exact DFT.
+* ``signal_core``: sampled-signal containers, energies, the Parseval-exact DFT and
+  the phase-free power spectrum the band moments read.
 * ``pulses``: the pulse-family table and the one sub-pulse-train synthesizer.
 * ``metrics``: numeric localization measurements and the moment-shift identity check.
 * ``analytic``: closed-form localization metrics, through ``analytic_for``.
@@ -17,11 +18,13 @@ from .signal_core import (
     DegenerateInputError,
     InvalidGridError,
     InvalidInputError,
+    PowerSpectrum,
     SampledSignal,
     Spectrum,
     TimeGrid,
     dft_spectrum,
     energy,
+    power_spectrum,
     spectral_energy,
 )
 

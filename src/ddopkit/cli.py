@@ -230,6 +230,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     if axis is SweptParameter.BETA:
         lo = 0.0 if args.sweep_from is None else args.sweep_from
         hi = 1.0 if args.sweep_to is None else args.sweep_to
+        if not math.isfinite(hi - lo):
+            raise InvalidInputError(f"--from {lo:g} and --to {hi:g} must be finite numbers a finite distance apart")
         steps = 11 if args.steps is None else args.steps
         values = tuple(np.linspace(lo, hi, steps)) if steps > 1 else (lo,)
     elif axis is SweptParameter.Q:

@@ -22,9 +22,9 @@ from .pulses import PulseSpec
 from .signal_core import (
     DegenerateInputError,
     InvalidInputError,
+    PowerSpectrum,
     SampledSignal,
-    Spectrum,
-    dft_spectrum,
+    power_spectrum,
 )
 
 __all__ = [
@@ -115,39 +115,43 @@ def measure_time(signal: SampledSignal) -> tuple[float, float]:
     return _spread(signal.grid.times(), weights, total, "time")
 
 
-def measure_freq(spectrum: Spectrum, band: AnalysisBand) -> tuple[float, float, float]:
+def measure_freq(spectrum: PowerSpectrum, band: AnalysisBand) -> tuple[float, float, float]:
     """Mean frequency, frequency dispersion, and captured energy fraction.
 
-    Moments are computed over |f| <= band.half_width only, one contiguous run
-    of bins (``Spectrum.bins_within``); the returned capture is the in-band
-    fraction of the spectrum's total energy. A band whose energy sits in a
-    single bin has no measurable spread and is rejected.
+    Moments are computed from |G(f)|^2 over |f| <= band.half_width only, one
+    contiguous run of bins (``PowerSpectrum.bins_within``). The capture is the
+    in-band energy over the in-band plus the out-of-band energy, so it never
+    exceeds 1. A band whose energy sits in a single bin has no measurable
+    spread and is rejected: the message says to widen a band that spans fewer
+    than two bins, and to raise the zero-pad factor where the band's other
+    bins are exact zeros of the spectrum.
     """
-    values = spectrum.values
+    power = spectrum.values
     bins = spectrum.bins_within(band.half_width)
-    inside = values[bins]
     with np.errstate(all="ignore"):
-        total = float(np.vdot(values, values).real) * spectrum.freq_interval
-        wb = (inside.real ** 2 + inside.imag ** 2) * spectrum.freq_interval
+        wb = power[bins] * spectrum.freq_interval
         in_band = float(np.sum(wb))
+        out_band = float(np.sum(power[:bins.start]) + np.sum(power[bins.stop:])) * spectrum.freq_interval
     if in_band <= 0.0:
         raise DegenerateInputError("no spectral energy inside the analysis band")
     if np.count_nonzero(wb) < 2:
-        raise DegenerateInputError(
-            f"the analysis band |f| <= {band.half_width:g} holds a single spectral bin "
-            f"(bin spacing {spectrum.freq_interval:g}); widen the band"
-        )
-    fb = spectrum.start_freq + np.arange(bins.start, bins.stop) * spectrum.freq_interval
+        where = f"the analysis band |f| <= {band.half_width:g}"
+        if wb.shape[0] < 2:
+            advice = f"{where} holds a single spectral bin (bin spacing {spectrum.freq_interval:g}); widen the band"
+        else:
+            advice = (f"only one of the {wb.shape[0]} bins in {where} carries energy; the rest are exact "
+                      f"zeros of the spectrum at bin spacing {spectrum.freq_interval:g}, so raise the "
+                      f"zero-pad factor")
+        raise DegenerateInputError(advice)
+    fb = spectrum.frequency(np.arange(bins.start, bins.stop))
     mean, disp = _spread(fb, wb, in_band, "frequency")
-    capture = in_band / total if total > 0 else 0.0
-    return mean, disp, capture
+    return mean, disp, in_band / (in_band + out_band)
 
 
 def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
     """Numeric localization metrics of a sampled signal."""
     mean_time, time_disp = measure_time(signal)
-    spectrum = dft_spectrum(signal, zero_pad_factor=zero_pad)
-    mean_freq, freq_disp, capture = measure_freq(spectrum, band)
+    mean_freq, freq_disp, capture = measure_freq(power_spectrum(signal, zero_pad), band)
     return LocalizationMetrics(
         mean_time=mean_time,
         mean_freq=mean_freq,

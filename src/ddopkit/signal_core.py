@@ -6,18 +6,23 @@ Conventions used throughout the package:
   (midpoint rule). Energies and inner products are midpoint Riemann sums, so
   removable singularities and support edges stay off the sample points on the
   default grids.
-* ``dft_spectrum`` transforms at the smallest 5-smooth length (2**a * 3**b *
-  5**c, see ``fast_length``) of at least zero_pad * num_samples, scales the FFT
-  by the sample interval and anchors the phase at the true time of the first
-  sample. The discrete Parseval identity is then exact to rounding for any
-  transform length, and a signal starting at t0 carries the continuous-time
-  factor exp(-2j*pi*f*t0).
+* Both transforms run at the smallest 5-smooth length (2**a * 3**b * 5**c, see
+  ``fast_length``) of at least zero_pad * num_samples, scale the FFT by the
+  sample interval and put bin 0 at -(L//2) times the bin spacing (fftshifted).
+* ``dft_spectrum`` is the phase-correct transform: it anchors the phase at the
+  true time of the first sample, so the discrete Parseval identity is exact to
+  rounding for any transform length, and a signal starting at t0 carries the
+  continuous-time factor exp(-2j*pi*f*t0).
+* ``power_spectrum`` returns |G(f)|^2 alone, with no phase, on the same bins:
+  one ``rfft`` mirrored over the negative frequencies for a real signal, a
+  complex FFT otherwise. The band moments read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,12 +33,14 @@ __all__ = [
     "TimeGrid",
     "SampledSignal",
     "Spectrum",
+    "PowerSpectrum",
     "energy",
     "spectral_energy",
     "positive_int",
     "non_negative_int",
     "fast_length",
     "dft_spectrum",
+    "power_spectrum",
 ]
 
 
@@ -93,44 +100,66 @@ class SampledSignal:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Complex spectral values on a uniform frequency grid (bin k at start_freq + k * freq_interval)."""
+class _FrequencyBins:
+    """Values on a uniform frequency grid: bin k at ``frequency(k)``."""
 
     start_freq: float
     freq_interval: float
     values: np.ndarray = field(repr=False)
 
+    _dtype: ClassVar[type] = np.complex128
+
     def __post_init__(self) -> None:
         if not self.freq_interval > 0:
             raise InvalidInputError(f"freq_interval must be > 0, got {self.freq_interval}")
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values, dtype=self._dtype)
         if values.ndim != 1 or values.shape[0] < 2:
             raise InvalidInputError("values must be a 1-d array with at least 2 bins")
         object.__setattr__(self, "values", values)
 
-    def frequencies(self) -> np.ndarray:
-        return self.start_freq + np.arange(self.values.shape[0]) * self.freq_interval
+    def frequency(self, k):
+        """start_freq + k * freq_interval, for an int or an integer array k."""
+        return self.start_freq + k * self.freq_interval
 
     def bins_within(self, half_width: float) -> slice:
-        """The bins k with |start_freq + k * freq_interval| <= half_width, as one slice.
+        """The bins k with |frequency(k)| <= half_width, as one slice.
 
-        Bisects on the float expression of ``frequencies``, which is
-        nondecreasing in k, so the slice holds exactly the bins a mask over
-        ``frequencies()`` would pick, without building the grid.
+        Bisects on ``frequency``, whose float value is nondecreasing in k, so
+        the slice holds exactly the bins a mask over ``frequency`` of every
+        bin would pick, without building the grid.
         """
-        start, step = self.start_freq, self.freq_interval
 
         def first(pred) -> int:
             lo, hi = 0, self.values.shape[0]
             while lo < hi:
                 mid = (lo + hi) // 2
-                if pred(start + mid * step):
+                if pred(self.frequency(mid)):
                     hi = mid
                 else:
                     lo = mid + 1
             return lo
 
         return slice(first(lambda f: f >= -half_width), first(lambda f: f > half_width))
+
+    @classmethod
+    def _fftshifted(cls, values: np.ndarray, sample_interval: float):
+        """L fftshifted transform bins of a signal sampled every sample_interval:
+        spacing 1 / (L * sample_interval), bin 0 at -(L//2) spacings."""
+        length = values.shape[0]
+        freq_interval = 1.0 / (length * sample_interval)
+        return cls(start_freq=-(length // 2) * freq_interval, freq_interval=freq_interval, values=values)
+
+
+@dataclass(frozen=True)
+class Spectrum(_FrequencyBins):
+    """Complex spectral values G(f) on a uniform frequency grid."""
+
+
+@dataclass(frozen=True)
+class PowerSpectrum(_FrequencyBins):
+    """Real |G(f)|^2 on a uniform frequency grid; no phase."""
+
+    _dtype: ClassVar[type] = np.float64
 
 
 def energy(signal: SampledSignal) -> float:
@@ -209,6 +238,10 @@ def _anchor_phase(values: np.ndarray, freq_interval: float, t_first: float, scal
         chunk *= np.multiply.outer(coarse[a:a + _ANCHOR_ROWS], fine).ravel()[:chunk.shape[0]]
 
 
+def _transform_length(signal: SampledSignal, zero_pad_factor: int) -> int:
+    return fast_length(positive_int(zero_pad_factor, "zero_pad") * signal.grid.num_samples)
+
+
 def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
     """Discrete approximation of the continuous Fourier transform.
 
@@ -228,12 +261,34 @@ def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
         frequencies; Parseval holds to rounding for any zero_pad_factor.
     """
     dt = signal.grid.sample_interval
-    length = fast_length(positive_int(zero_pad_factor, "zero_pad") * signal.grid.num_samples)
-    values = np.fft.fftshift(np.fft.fft(signal.samples, length))
-    freq_interval = 1.0 / (length * dt)
+    length = _transform_length(signal, zero_pad_factor)
+    spectrum = Spectrum._fftshifted(np.fft.fftshift(np.fft.fft(signal.samples, length)), dt)
     # Anchor the phase at the first sample's true time; the aliased negative
     # frequencies pick up exp(2j*pi*fs*j*dt) = 1 at integer j, so this is
     # consistent with the unshifted transform.
-    _anchor_phase(values, freq_interval, signal.grid.start_time + 0.5 * dt, dt)
-    return Spectrum(start_freq=-(length // 2) * freq_interval, freq_interval=freq_interval,
-                    values=values)
+    _anchor_phase(spectrum.values, spectrum.freq_interval, signal.grid.start_time + 0.5 * dt, dt)
+    return spectrum
+
+
+def power_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> PowerSpectrum:
+    """|G(f)|^2 on exactly the bins of ``dft_spectrum(signal, zero_pad_factor)``.
+
+    The phase anchor does not change |G(f)|^2, so it is not applied. A real
+    signal takes one ``rfft``, and its bin -k mirrors bin k (the unpaired -L/2
+    bin of an even L is the rfft's last); a complex one takes the full FFT and
+    fftshifts its power. The FFT is scaled by the sample interval before
+    squaring, which keeps the float range of ``dft_spectrum``'s values.
+    """
+    dt = signal.grid.sample_interval
+    length = _transform_length(signal, zero_pad_factor)
+    samples = signal.samples
+    real = not samples.imag.any()
+    values = np.fft.rfft(samples.real, length) if real else np.fft.fft(samples, length)
+    values *= dt
+    power = values.real ** 2
+    power += values.imag ** 2
+    if real:
+        power = np.concatenate((power[length // 2:0:-1], power[:length - length // 2]))
+    else:
+        power = np.fft.fftshift(power)
+    return PowerSpectrum._fftshifted(power, dt)

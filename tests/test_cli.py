@@ -41,6 +41,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (["metrics", "--M", "32", "--N", "8", "--band", "1e-9"], "single spectral bin"),
+        # 256 bins in band, all but one on the FDM rectangle's sinc zeros at this length
+        (["metrics", "--family", "fdm", "--M", "16", "--N", "4", "--oversample", "4", "--zero-pad", "1",
+          "--band", "10000"], "only one of the 256 bins"),
         (["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--steps", "0"], "--steps"),
         (["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--steps", "-3"], "--steps"),
         (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--steps", "0"], "--steps"),
@@ -48,6 +51,8 @@ class TestUsageErrors:
         (["synth", "--M", "32", "--N", "8", "--zero-pad", "0"], "zero_pad"),
         (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--from", "1e30"], "--from"),
         (["sweep", "--vary", "q", "--M", "32", "--N", "8", "--from", "0", "--to", "0"], "--from"),
+        (["sweep", "--vary", "beta", "--M", "4", "--N", "1", "--steps", "2", "--to", "inf"], "--to inf"),
+        (["sweep", "--vary", "beta", "--M", "4", "--N", "1", "--from=-1e308", "--to", "1e308"], "finite distance"),
         (["sweep", "--vary", "mn", "--steps", "3", "--from", "5"], "--vary mn"),
         (["metrics", "--M", "32", "--N", "8", "--tolerance", "nan"], "--tolerance"),
         (["metrics", "--M", "32", "--N", "8", "--tolerance", "inf"], "--tolerance"),
@@ -364,6 +369,7 @@ class TestVerify:
         rc, out, _ = run(["verify", "--M", "16", "--N", "2", "--oversample", "2", "--zero-pad", "1"], capsys)
         assert rc == 1
         assert "[FAIL] family orderings: FDM not measured: failed: " in out
+        assert "raise the zero-pad factor" in out
 
     def test_interior_index_checked(self, capsys):
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",

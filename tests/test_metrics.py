@@ -20,10 +20,10 @@ from ddopkit.pulses import PulseSpec
 from ddopkit.signal_core import (
     DegenerateInputError,
     InvalidInputError,
+    PowerSpectrum,
     SampledSignal,
-    Spectrum,
     TimeGrid,
-    dft_spectrum,
+    power_spectrum,
 )
 
 WIDE = AnalysisBand(half_width=20.0)
@@ -85,20 +85,20 @@ class TestMeasureTime:
 class TestMeasureFreq:
     def test_gaussian_dispersion(self):
         # |G(f)|^2 = exp(-2 pi f^2) has standard deviation 1/(2 sqrt(pi))
-        sp = dft_spectrum(gaussian(), zero_pad_factor=2)
+        sp = power_spectrum(gaussian(), zero_pad_factor=2)
         mean, disp, capture = measure_freq(sp, WIDE)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert disp == pytest.approx(1 / (2 * math.sqrt(math.pi)), rel=1e-9)
         assert capture == pytest.approx(1.0, abs=1e-12)
 
     def test_band_restricts_moments(self):
-        sp = dft_spectrum(gaussian(), zero_pad_factor=2)
+        sp = power_spectrum(gaussian(), zero_pad_factor=2)
         narrow = measure_freq(sp, AnalysisBand(half_width=0.2))[1]
         wide = measure_freq(sp, WIDE)[1]
         assert narrow < wide
 
     def test_capture_below_one_for_narrow_band(self):
-        sp = dft_spectrum(gaussian(), zero_pad_factor=2)
+        sp = power_spectrum(gaussian(), zero_pad_factor=2)
         capture = measure_freq(sp, AnalysisBand(half_width=0.2))[2]
         assert 0.5 < capture < 0.95
 
@@ -106,16 +106,26 @@ class TestMeasureFreq:
         # alternating signs null the DC bin exactly; nothing else is in band
         grid = TimeGrid(start_time=0.0, sample_interval=0.25, num_samples=64)
         sig = SampledSignal(grid=grid, samples=np.tile([1.0, -1.0], 32))
-        sp = dft_spectrum(sig, zero_pad_factor=1)
-        with pytest.raises(DegenerateInputError):
+        sp = power_spectrum(sig, zero_pad_factor=1)
+        with pytest.raises(DegenerateInputError, match="no spectral energy"):
             measure_freq(sp, AnalysisBand(half_width=sp.freq_interval / 4))
-
 
     def test_single_bin_band_rejected(self):
         # only the DC bin is in band: no spread to measure, and no ΔT/ΔF either
-        sp = dft_spectrum(gaussian(), zero_pad_factor=2)
-        with pytest.raises(DegenerateInputError, match="single spectral bin"):
+        sp = power_spectrum(gaussian(), zero_pad_factor=2)
+        with pytest.raises(DegenerateInputError, match="single spectral bin .*; widen the band"):
             measure_freq(sp, AnalysisBand(half_width=sp.freq_interval / 4))
+
+    def test_band_on_exact_zeros_asks_for_padding(self):
+        """Unpadded, a rectangle's bins other than DC are its exact sinc zeros:
+        a wider band cannot help, a finer bin spacing can."""
+        grid = TimeGrid(start_time=0.0, sample_interval=0.1, num_samples=60)
+        sig = SampledSignal(grid=grid, samples=np.ones(60))
+        sp = power_spectrum(sig, zero_pad_factor=1)
+        assert np.count_nonzero(sp.values) == 1
+        with pytest.raises(DegenerateInputError, match="only one of the 60 bins .*raise the zero-pad factor"):
+            measure_freq(sp, AnalysisBand(half_width=1e3))
+        assert measure_freq(power_spectrum(sig, zero_pad_factor=2), AnalysisBand(half_width=1e3))[1] > 0
 
 
 def scaled_gaussian(scale):
@@ -142,7 +152,7 @@ class TestFloatRange:
             if estimator == "time":
                 measure_time(sig)
             else:
-                measure_freq(dft_spectrum(sig, zero_pad_factor=2), AnalysisBand(half_width=20.0 / scale))
+                measure_freq(power_spectrum(sig, zero_pad_factor=2), AnalysisBand(half_width=20.0 / scale))
 
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
     def test_moderate_scales_measure(self, scale):
@@ -153,16 +163,19 @@ class TestFloatRange:
         assert m.tf_area == pytest.approx(1 / (4 * math.pi), rel=1e-6)
 
 
+def bin_frequencies(spectrum):
+    return spectrum.start_freq + np.arange(spectrum.values.shape[0]) * spectrum.freq_interval
+
+
 def check_against_mask(spectrum, band):
     """measure_freq picks the bins of a |f| <= half_width mask over the whole
     grid and returns the moments that mask gives, bit for bit. Fewer than two
     bins with energy have no spread: their variance is rounding noise, rejected."""
-    f = spectrum.frequencies()
+    f = bin_frequencies(spectrum)
     inside = np.abs(f) <= band.half_width
     bins = spectrum.bins_within(band.half_width)
     assert np.array_equal(np.arange(bins.start, bins.stop), np.flatnonzero(inside))
-    v = spectrum.values
-    weights = (v.real ** 2 + v.imag ** 2) * spectrum.freq_interval
+    weights = spectrum.values * spectrum.freq_interval
     fb, wb = f[inside], weights[inside]
     in_band = float(np.sum(wb))
     mean = float(np.dot(fb, wb) / in_band) if in_band > 0.0 else 0.0
@@ -174,25 +187,26 @@ def check_against_mask(spectrum, band):
     mean_freq, disp, capture = measure_freq(spectrum, band)
     assert (mean_freq, disp) == (mean, math.sqrt(var))
     assert capture == pytest.approx(in_band / float(np.sum(weights)), rel=1e-12)
+    assert capture <= 1.0
 
 
 class TestBandSlice:
     """The contiguous band slice picks the same bins and moments as a mask."""
 
     def test_edge_on_a_bin(self):
-        sp = Spectrum(start_freq=-5.0, freq_interval=0.5, values=np.arange(1.0, 22.0))
+        sp = PowerSpectrum(start_freq=-5.0, freq_interval=0.5, values=np.arange(1.0, 22.0))
         assert sp.bins_within(2.0) == slice(6, 15)
         check_against_mask(sp, AnalysisBand(half_width=2.0))
 
     def test_band_wider_than_spectrum(self):
-        sp = dft_spectrum(gaussian(n=512), zero_pad_factor=2)
+        sp = power_spectrum(gaussian(n=512), zero_pad_factor=2)
         band = AnalysisBand(half_width=1e9)
         assert sp.bins_within(band.half_width) == slice(0, sp.values.shape[0])
         check_against_mask(sp, band)
         assert measure_freq(sp, band)[2] == pytest.approx(1.0, rel=1e-12)
 
     def test_band_holding_no_bin(self):
-        sp = Spectrum(start_freq=0.25, freq_interval=1.0, values=np.ones(8))
+        sp = PowerSpectrum(start_freq=0.25, freq_interval=1.0, values=np.ones(8))
         with pytest.raises(DegenerateInputError, match="no spectral energy"):
             measure_freq(sp, AnalysisBand(half_width=0.1))
         check_against_mask(sp, AnalysisBand(half_width=0.1))
@@ -211,9 +225,31 @@ def test_band_slice_matches_mask(seed, bins, step, offset, half_width, edge_bin)
     start = (-(bins // 2) + offset * bins) * step
     if edge_bin is not None and edge_bin < bins and start + edge_bin * step != 0.0:
         half_width = abs(start + edge_bin * step)
-    sp = Spectrum(start_freq=start, freq_interval=step,
-                  values=rng.normal(size=bins) + 1j * rng.normal(size=bins))
+    sp = PowerSpectrum(start_freq=start, freq_interval=step,
+                       values=rng.normal(size=bins) ** 2 + rng.normal(size=bins) ** 2)
     check_against_mask(sp, AnalysisBand(half_width=half_width))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       n=st.integers(min_value=2, max_value=600),
+       zero_pad=st.integers(min_value=1, max_value=5),
+       real=st.booleans(),
+       scale=st.floats(min_value=1e-6, max_value=1e6),
+       half_width=st.floats(min_value=1e-3, max_value=1e3))
+def test_capture_is_a_fraction(seed, n, zero_pad, real, scale, half_width):
+    """Random real and complex signals and bands: the capture lies in (0, 1],
+    also where a band holding every bin makes the in-band and total sums equal."""
+    rng = np.random.default_rng(seed)
+    samples = scale * rng.normal(size=n) + (0.0 if real else 1j * scale * rng.normal(size=n))
+    grid = TimeGrid(start_time=float(rng.normal()), sample_interval=float(rng.uniform(0.01, 1.0)),
+                    num_samples=n)
+    try:
+        capture = measure_freq(power_spectrum(SampledSignal(grid=grid, samples=samples), zero_pad),
+                               AnalysisBand(half_width=half_width))[2]
+    except DegenerateInputError:
+        return
+    assert 0.0 < capture <= 1.0
 
 
 class TestGaussianFloor:
@@ -236,8 +272,8 @@ class TestInvariances:
         base = measure_all(gaussian(), WIDE, zero_pad=2)
         sig = gaussian(mod=3.0)
         # modulation frequency is an exact multiple of the bin spacing
-        assert (3.0 / dft_spectrum(sig, 2).freq_interval) == pytest.approx(
-            round(3.0 / dft_spectrum(sig, 2).freq_interval))
+        assert (3.0 / power_spectrum(sig, 2).freq_interval) == pytest.approx(
+            round(3.0 / power_spectrum(sig, 2).freq_interval))
         shifted = measure_all(sig, WIDE, zero_pad=2)
         assert shifted.mean_freq == pytest.approx(base.mean_freq + 3.0, abs=1e-9)
         assert shifted.freq_dispersion == pytest.approx(base.freq_dispersion, rel=1e-9)

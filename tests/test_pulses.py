@@ -526,11 +526,10 @@ class TestTrainSpectrum:
         spec = PulseSpec(**DEFAULTS)
         sig = synth_pulse(spec, oversample=16)
         sp = dft_spectrum(sig, zero_pad_factor=4)
-        freqs = sp.frequencies()
         worst = 0.0
         for m0 in range(-120, 121, 8):
             idx = int(round((m0 / spec.T - sp.start_freq) / sp.freq_interval))
-            ev = eval_ddop_freq(spec, freqs[idx], num_tones=160)
+            ev = eval_ddop_freq(spec, sp.start_freq + idx * sp.freq_interval, num_tones=160)
             if abs(ev) > 1e-12:
                 worst = max(worst, abs(abs(ev) - abs(sp.values[idx])) / abs(ev))
         assert worst < 1e-2

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddopkit.metrics import AnalysisBand, measure_freq
+from ddopkit.pulses import FAMILY_ALIASES, PulseSpec, synth_pulse
 from ddopkit.signal_core import (
     InvalidInputError,
+    PowerSpectrum,
     SampledSignal,
     Spectrum,
     TimeGrid,
@@ -17,6 +20,7 @@ from ddopkit.signal_core import (
     fast_length,
     non_negative_int,
     positive_int,
+    power_spectrum,
     spectral_energy,
 )
 
@@ -25,6 +29,10 @@ def gaussian_signal(half_span=8.0, n=4096):
     grid = TimeGrid(start_time=-half_span, sample_interval=2 * half_span / n, num_samples=n)
     t = grid.times()
     return SampledSignal(grid=grid, samples=np.exp(-np.pi * t * t))
+
+
+def bin_frequencies(spectrum):
+    return spectrum.start_freq + np.arange(spectrum.values.shape[0]) * spectrum.freq_interval
 
 
 class TestTimeGrid:
@@ -67,13 +75,14 @@ class TestSampledSignal:
 
 
 class TestSpectrum:
-    def test_minimum_bins(self):
+    @pytest.mark.parametrize("container", [Spectrum, PowerSpectrum])
+    def test_minimum_bins(self, container):
         with pytest.raises(InvalidInputError):
-            Spectrum(start_freq=0.0, freq_interval=1.0, values=np.ones(1))
+            container(start_freq=0.0, freq_interval=1.0, values=np.ones(1))
 
-    def test_frequencies(self):
-        sp = Spectrum(start_freq=-1.0, freq_interval=0.5, values=np.ones(4))
-        assert np.allclose(sp.frequencies(), [-1.0, -0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("container,dtype", [(Spectrum, np.complex128), (PowerSpectrum, np.float64)])
+    def test_values_dtype(self, container, dtype):
+        assert container(start_freq=-1.0, freq_interval=0.5, values=[1, 2]).values.dtype == dtype
 
 
 class TestPositiveInt:
@@ -140,7 +149,7 @@ class TestDftSpectrum:
     def test_gaussian_transform_pairs(self):
         """exp(-pi t^2) transforms to exp(-pi f^2); check on a few bins."""
         sp = dft_spectrum(gaussian_signal(), zero_pad_factor=2)
-        f = sp.frequencies()
+        f = bin_frequencies(sp)
         for target in (0.0, 0.5, 1.0, 2.0):
             k = int(np.argmin(np.abs(f - target)))
             assert abs(sp.values[k]) == pytest.approx(np.exp(-np.pi * f[k] ** 2), abs=1e-9)
@@ -152,7 +161,7 @@ class TestDftSpectrum:
         assert sp.values.shape[0] == length
         assert sp.freq_interval == pytest.approx(1.0 / (length * sig.grid.sample_interval))
         # fftshifted grid is symmetric about 0 up to one bin
-        f = sp.frequencies()
+        f = bin_frequencies(sp)
         assert f[0] == pytest.approx(-0.5 / sig.grid.sample_interval)
 
     def test_time_shift_changes_only_phase(self):
@@ -166,7 +175,7 @@ class TestDftSpectrum:
         a = dft_spectrum(sig, zero_pad_factor=2)
         b = dft_spectrum(moved, zero_pad_factor=2)
         assert np.allclose(np.abs(a.values), np.abs(b.values), atol=1e-12)
-        f = a.frequencies()
+        f = bin_frequencies(a)
         k = int(np.argmin(np.abs(f - 0.25)))
         expected = a.values[k] * np.exp(-2j * np.pi * f[k] * 3.0)
         assert b.values[k] == pytest.approx(expected, rel=1e-9)
@@ -184,13 +193,56 @@ class TestDftSpectrum:
         assert sp.start_freq == -(bins // 2) * sp.freq_interval
         raw = np.fft.fftshift(np.fft.fft(sig.samples, bins))
         t_first = grid.start_time + 0.5 * dt
-        direct = raw * dt * np.exp(-2j * np.pi * sp.frequencies() * t_first)
+        direct = raw * dt * np.exp(-2j * np.pi * bin_frequencies(sp) * t_first)
         peak = np.max(np.abs(direct))
         assert np.max(np.abs(sp.values - direct)) <= 1e-13 * peak
 
-    def test_rejects_bad_pad(self):
+    @pytest.mark.parametrize("transform", [dft_spectrum, power_spectrum])
+    def test_rejects_bad_pad(self, transform):
         with pytest.raises(InvalidInputError):
-            dft_spectrum(gaussian_signal(n=64), zero_pad_factor=0)
+            transform(gaussian_signal(n=64), zero_pad_factor=0)
+
+
+def _oracle_zero_pad(signal, parity):
+    """The least zero_pad >= 2 whose transform length has the given parity."""
+    n = signal.grid.num_samples
+    return next(z for z in range(2, 65) if fast_length(z * n) % 2 == parity)
+
+
+class TestPowerSpectrum:
+    """power_spectrum is |dft_spectrum|^2 on the same bins, from one rfft for a
+    real signal and a complex FFT otherwise."""
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even-L", "odd-L"])
+    @pytest.mark.parametrize("alias", sorted(FAMILY_ALIASES))
+    def test_matches_the_phase_correct_transform(self, alias, parity):
+        extra = {"otfs": {"otfs_m": 3, "otfs_n": 1}}.get(alias, {})
+        sig = synth_pulse(PulseSpec(M=9, N=3, family=FAMILY_ALIASES[alias], **extra), oversample=5)
+        assert sig.samples.imag.any() == (alias == "otfs")
+        zero_pad = _oracle_zero_pad(sig, parity)
+        power = power_spectrum(sig, zero_pad)
+        spectrum = dft_spectrum(sig, zero_pad)
+        assert power.values.shape[0] % 2 == parity
+        assert (power.start_freq, power.freq_interval) == (spectrum.start_freq, spectrum.freq_interval)
+        oracle = np.abs(spectrum.values) ** 2
+        assert np.max(np.abs(power.values - oracle)) <= 1e-12 * np.max(oracle)
+        # a band wider than Nyquist holds every bin, the unpaired -L/2 bin of an even L too
+        band = AnalysisBand(half_width=1.01 / (2 * sig.grid.sample_interval))
+        assert power.bins_within(band.half_width) == slice(0, power.values.shape[0])
+        mean, disp, capture = measure_freq(power, band)
+        want = measure_freq(PowerSpectrum(spectrum.start_freq, spectrum.freq_interval, oracle), band)
+        assert abs(mean - want[0]) <= 1e-12 * want[1]
+        assert disp == pytest.approx(want[1], rel=1e-12)
+        assert capture == 1.0
+
+    def test_nyquist_bin_of_an_even_length(self):
+        """An alternating real signal puts all its energy on the -L/2 bin, which
+        only the rfft's last value can fill."""
+        grid = TimeGrid(start_time=0.3, sample_interval=0.25, num_samples=64)
+        sig = SampledSignal(grid=grid, samples=np.tile([1.0, -1.0], 32))
+        power = power_spectrum(sig, zero_pad_factor=1)
+        assert np.flatnonzero(power.values).tolist() == [0]
+        assert power.values[0] == pytest.approx(abs(dft_spectrum(sig, 1).values[0]) ** 2, rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
