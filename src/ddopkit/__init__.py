@@ -2,8 +2,8 @@
 
 Submodules:
 
-* ``signal_core``: sampled-signal containers, energies, the Parseval-exact DFT and
-  the phase-free power spectrum the band moments read.
+* ``signal_core``: sampled-signal containers, energies and the one transform,
+  the phase-free power spectrum that the band moments and Parseval check read.
 * ``pulses``: the pulse-family table and the one sub-pulse-train synthesizer.
 * ``metrics``: numeric localization measurements and the moment-shift identity check.
 * ``analytic``: closed-form localization metrics, through ``analytic_for``.
@@ -16,13 +16,10 @@ from .metrics import AnalysisBand, LocalizationMetrics, Provenance, lemma1_check
 from .pulses import PulseFamily, PulseSpec, default_q, pulse_grid, synth_pulse
 from .signal_core import (
     DegenerateInputError,
-    InvalidGridError,
     InvalidInputError,
     PowerSpectrum,
     SampledSignal,
-    Spectrum,
     TimeGrid,
-    dft_spectrum,
     energy,
     power_spectrum,
     spectral_energy,

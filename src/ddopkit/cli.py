@@ -11,9 +11,11 @@ environment variable (0 = auto).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -38,9 +40,9 @@ from .signal_core import (
     InvalidInputError,
     SampledSignal,
     TimeGrid,
-    dft_spectrum,
     energy,
     positive_int,
+    power_spectrum,
     spectral_energy,
 )
 
@@ -286,13 +288,13 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
     e = energy(signal)
     checks.report(abs(e - 1.0) <= 1e-9, "unit energy", f"energy = {e:.12f}")
 
-    spectrum = dft_spectrum(signal, zero_pad_factor=cfg.zero_pad)
+    power = power_spectrum(signal, cfg.zero_pad)
     if corrupt:
         # negative control: damage the spectrum so the identity cannot hold
-        bad = spectrum.values.copy()
+        bad = power.values.copy()
         bad[::2] *= 1.01
-        spectrum = replace(spectrum, values=bad)
-    se = spectral_energy(spectrum)
+        power = replace(power, values=bad)
+    se = spectral_energy(power)
     checks.report(abs(se - e) <= 1e-9 * max(e, 1.0), "Parseval",
                   f"time {e:.12f} vs frequency {se:.12f}")
 
@@ -379,15 +381,32 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "metrics":
-            return cmd_metrics(cfg, args.tolerance)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args)
-        return cmd_verify(cfg, args.tolerance, args.corrupt_signal)
+            rc = cmd_synth(cfg)
+        elif args.command == "metrics":
+            rc = cmd_metrics(cfg, args.tolerance)
+        elif args.command == "sweep":
+            rc = cmd_sweep(cfg, args)
+        else:
+            rc = cmd_verify(cfg, args.tolerance, args.corrupt_signal)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit-time flush
+        return rc
     except (ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 1
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at os.devnull, so that what a failed write left
+    in its buffer cannot fail again in the interpreter's exit-time flush."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor: no exit-time flush
+        fd = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 if __name__ == "__main__":

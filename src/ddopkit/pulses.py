@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .signal_core import (
-    InvalidGridError,
+    DegenerateInputError,
     InvalidInputError,
     SampledSignal,
     TimeGrid,
@@ -166,11 +166,6 @@ class PulseSpec:
         """Prefix/suffix sub-pulse count of the extended train, ceil(2Q/M)."""
         return -(-2 * self.Q // self.M)
 
-    def to_json_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["family"] = self.family.value
-        return data
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseSpec":
         """Build from a JSON object; unknown fields are rejected."""
@@ -217,7 +212,7 @@ def _rrc_profile(x: np.ndarray, beta: float) -> np.ndarray:
 def _renormalized(grid: TimeGrid, samples: np.ndarray) -> SampledSignal:
     raw = float(np.real(np.vdot(samples, samples)) * grid.sample_interval)
     if raw <= 0.0:
-        raise InvalidGridError("grid does not cover the pulse support")
+        raise DegenerateInputError("pulse has zero energy on its grid")
     return SampledSignal(grid=grid, samples=samples * math.sqrt(1.0 / raw))
 
 

@@ -6,40 +6,34 @@ Conventions used throughout the package:
   (midpoint rule). Energies and inner products are midpoint Riemann sums, so
   removable singularities and support edges stay off the sample points on the
   default grids.
-* Both transforms run at the smallest 5-smooth length (2**a * 3**b * 5**c, see
-  ``fast_length``) of at least zero_pad * num_samples, scale the FFT by the
-  sample interval and put bin 0 at -(L//2) times the bin spacing (fftshifted).
-* ``dft_spectrum`` is the phase-correct transform: it anchors the phase at the
-  true time of the first sample, so the discrete Parseval identity is exact to
-  rounding for any transform length, and a signal starting at t0 carries the
-  continuous-time factor exp(-2j*pi*f*t0).
-* ``power_spectrum`` returns |G(f)|^2 alone, with no phase, on the same bins:
-  one ``rfft`` mirrored over the negative frequencies for a real signal, a
-  complex FFT otherwise. The band moments read it.
+* ``power_spectrum`` is the one transform. It returns |G(f)|^2 alone, with no
+  phase: nothing the package measures or checks reads the phase. It runs at
+  the smallest 5-smooth length L (2**a * 3**b * 5**c, see ``fast_length``) of
+  at least zero_pad * num_samples, scales the FFT by the sample interval and
+  puts bin 0 at -(L//2) times the bin spacing (fftshifted). A real signal
+  takes one ``rfft`` mirrored over the negative frequencies, a complex one a
+  full FFT. The band moments and ``verify``'s Parseval check read it; the
+  discrete Parseval identity holds to rounding for any L.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
 __all__ = [
     "InvalidInputError",
     "DegenerateInputError",
-    "InvalidGridError",
     "TimeGrid",
     "SampledSignal",
-    "Spectrum",
     "PowerSpectrum",
     "energy",
     "spectral_energy",
     "positive_int",
     "non_negative_int",
     "fast_length",
-    "dft_spectrum",
     "power_spectrum",
 ]
 
@@ -50,10 +44,6 @@ class InvalidInputError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Zero-energy signal or empty analysis band."""
-
-
-class InvalidGridError(ValueError):
-    """A grid cannot hold the requested construction."""
 
 
 @dataclass(frozen=True)
@@ -100,19 +90,17 @@ class SampledSignal:
 
 
 @dataclass(frozen=True)
-class _FrequencyBins:
-    """Values on a uniform frequency grid: bin k at ``frequency(k)``."""
+class PowerSpectrum:
+    """Real |G(f)|^2 on a uniform frequency grid, bin k at ``frequency(k)``; no phase."""
 
     start_freq: float
     freq_interval: float
     values: np.ndarray = field(repr=False)
 
-    _dtype: ClassVar[type] = np.complex128
-
     def __post_init__(self) -> None:
         if not self.freq_interval > 0:
             raise InvalidInputError(f"freq_interval must be > 0, got {self.freq_interval}")
-        values = np.asarray(self.values, dtype=self._dtype)
+        values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.shape[0] < 2:
             raise InvalidInputError("values must be a 1-d array with at least 2 bins")
         object.__setattr__(self, "values", values)
@@ -141,26 +129,6 @@ class _FrequencyBins:
 
         return slice(first(lambda f: f >= -half_width), first(lambda f: f > half_width))
 
-    @classmethod
-    def _fftshifted(cls, values: np.ndarray, sample_interval: float):
-        """L fftshifted transform bins of a signal sampled every sample_interval:
-        spacing 1 / (L * sample_interval), bin 0 at -(L//2) spacings."""
-        length = values.shape[0]
-        freq_interval = 1.0 / (length * sample_interval)
-        return cls(start_freq=-(length // 2) * freq_interval, freq_interval=freq_interval, values=values)
-
-
-@dataclass(frozen=True)
-class Spectrum(_FrequencyBins):
-    """Complex spectral values G(f) on a uniform frequency grid."""
-
-
-@dataclass(frozen=True)
-class PowerSpectrum(_FrequencyBins):
-    """Real |G(f)|^2 on a uniform frequency grid; no phase."""
-
-    _dtype: ClassVar[type] = np.float64
-
 
 def energy(signal: SampledSignal) -> float:
     """Midpoint Riemann sum of |g(t)|^2."""
@@ -170,10 +138,9 @@ def energy(signal: SampledSignal) -> float:
     return float(np.dot(mags, mags) * signal.grid.sample_interval)
 
 
-def spectral_energy(spectrum: Spectrum) -> float:
+def spectral_energy(spectrum: PowerSpectrum) -> float:
     """Riemann sum of |G(f)|^2 over the spectrum's grid."""
-    mags = np.abs(spectrum.values)
-    return float(np.dot(mags, mags) * spectrum.freq_interval)
+    return float(np.sum(spectrum.values) * spectrum.freq_interval)
 
 
 def positive_int(value, name: str) -> int:
@@ -216,71 +183,20 @@ def fast_length(minimum: int) -> int:
     return best
 
 
-# Phase-anchor tables: bin k = a * _ANCHOR_BLOCK + b, applied _ANCHOR_ROWS rows of
-# the block at a time so the product table stays small.
-_ANCHOR_BLOCK = 1024
-_ANCHOR_ROWS = 32
-
-
-def _anchor_phase(values: np.ndarray, freq_interval: float, t_first: float, scale: float) -> None:
-    """values[k] *= scale * exp(-2j*pi*f_k*t_first) in place, f_k = (k - L//2) * freq_interval.
-
-    With k = a*B + b the phasor is exactly exp(-2j*pi*(a*B - L//2)*df*t) times
-    exp(-2j*pi*b*df*t), so two short exp tables replace one exp per bin.
-    """
-    length = values.shape[0]
-    rows = -(-length // _ANCHOR_BLOCK)
-    phase = -2j * np.pi * freq_interval * t_first
-    coarse = np.exp(phase * (np.arange(rows) * _ANCHOR_BLOCK - length // 2))
-    fine = scale * np.exp(phase * np.arange(_ANCHOR_BLOCK))
-    for a in range(0, rows, _ANCHOR_ROWS):
-        chunk = values[a * _ANCHOR_BLOCK:(a + _ANCHOR_ROWS) * _ANCHOR_BLOCK]
-        chunk *= np.multiply.outer(coarse[a:a + _ANCHOR_ROWS], fine).ravel()[:chunk.shape[0]]
-
-
-def _transform_length(signal: SampledSignal, zero_pad_factor: int) -> int:
-    return fast_length(positive_int(zero_pad_factor, "zero_pad") * signal.grid.num_samples)
-
-
-def dft_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> Spectrum:
-    """Discrete approximation of the continuous Fourier transform.
-
-    Parameters
-    ----------
-    signal : SampledSignal
-    zero_pad_factor : int
-        The minimum padding: the transform length L is the smallest 5-smooth
-        integer >= zero_pad_factor * num_samples (``fast_length``), so the
-        bin spacing is 1 / (L * sample_interval).
-
-    Returns
-    -------
-    Spectrum
-        L bins, fftshifted (bin 0 at -(L//2) times the bin spacing), whose values
-        approximate G(f) = integral g(t) exp(-2j*pi*f*t) dt at the bin
-        frequencies; Parseval holds to rounding for any zero_pad_factor.
-    """
-    dt = signal.grid.sample_interval
-    length = _transform_length(signal, zero_pad_factor)
-    spectrum = Spectrum._fftshifted(np.fft.fftshift(np.fft.fft(signal.samples, length)), dt)
-    # Anchor the phase at the first sample's true time; the aliased negative
-    # frequencies pick up exp(2j*pi*fs*j*dt) = 1 at integer j, so this is
-    # consistent with the unshifted transform.
-    _anchor_phase(spectrum.values, spectrum.freq_interval, signal.grid.start_time + 0.5 * dt, dt)
-    return spectrum
-
-
 def power_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> PowerSpectrum:
-    """|G(f)|^2 on exactly the bins of ``dft_spectrum(signal, zero_pad_factor)``.
+    """|G(f)|^2, G(f) = integral g(t) exp(-2j*pi*f*t) dt, on L fftshifted bins.
 
-    The phase anchor does not change |G(f)|^2, so it is not applied. A real
-    signal takes one ``rfft``, and its bin -k mirrors bin k (the unpaired -L/2
-    bin of an even L is the rfft's last); a complex one takes the full FFT and
-    fftshifts its power. The FFT is scaled by the sample interval before
-    squaring, which keeps the float range of ``dft_spectrum``'s values.
+    L is the smallest 5-smooth integer >= zero_pad_factor * num_samples
+    (``fast_length``); bin k sits at (k - L//2) / (L * sample_interval) and
+    holds |sample_interval * X|^2, X the length-L DFT of the zero-padded
+    samples at that frequency, so Parseval holds to rounding for any
+    zero_pad_factor. A real signal takes one ``rfft``, and its bin -k mirrors
+    bin k (the unpaired -L/2 bin of an even L is the rfft's last); a complex
+    one takes the full FFT and fftshifts its power. Scaling by the sample
+    interval before squaring keeps the power in the float range.
     """
     dt = signal.grid.sample_interval
-    length = _transform_length(signal, zero_pad_factor)
+    length = fast_length(positive_int(zero_pad_factor, "zero_pad") * signal.grid.num_samples)
     samples = signal.samples
     real = not samples.imag.any()
     values = np.fft.rfft(samples.real, length) if real else np.fft.fft(samples, length)
@@ -291,4 +207,5 @@ def power_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> PowerSpec
         power = np.concatenate((power[length // 2:0:-1], power[:length - length // 2]))
     else:
         power = np.fft.fftshift(power)
-    return PowerSpectrum._fftshifted(power, dt)
+    freq_interval = 1.0 / (length * dt)
+    return PowerSpectrum(start_freq=-(length // 2) * freq_interval, freq_interval=freq_interval, values=power)

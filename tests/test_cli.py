@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config precedence, output contracts."""
 
+import io
 import json
 import math
 import os
@@ -377,6 +378,45 @@ class TestVerify:
                           "--tolerance", "2"], capsys)
         assert rc == 0
         assert "[PASS] ΔT closed form" in out
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that stops reading is one error line and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "metrics"])
+    def test_write_error_in_process(self, command, capsys, monkeypatch):
+        argv = [command, "--family", "btrrc", "--M", "16", "--N", "4", "--oversample", "4"]
+        assert run(argv, capsys)[0] == 0  # the same run succeeds on a working stdout
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _ClosedPipe())
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    def test_pipe_closed_before_the_child_writes(self):
+        """With stdout block-buffered (the default for a pipe), the write fails in
+        main's last flush; the descriptor then points at os.devnull, so the
+        interpreter's exit-time flush prints no "Exception ignored"."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "verify", "--family", "btrrc",
+                                   "--M", "16", "--N", "4", "--oversample", "4"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 # Legal values for every pulse field and config key. The fields that size the run

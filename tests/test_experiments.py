@@ -82,7 +82,7 @@ class TestSweepPlan:
         ("oversample", 0), ("oversample", 2.5), ("oversample", 1e30), ("zero_pad", 0),
         ("zero_pad", 1.5)])
     def test_rejects_bad_grid_settings(self, field, value):
-        # one rule each, shared with pulse_grid and dft_spectrum
+        # one rule each, shared with pulse_grid and power_spectrum
         with pytest.raises(InvalidInputError, match=f"{field} must be a positive integer"):
             SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
                       values=(0.1,), fixed=SMALL, **{field: value})
