@@ -7,6 +7,8 @@ Families:
 * ``BTRRC_SUBPULSE``: sub-pulse with exponential spectral rolloff, defined by
   its closed-form spectrum and synthesized from it by Gauss-Legendre
   quadrature of the inverse Fourier integral, one rule per spectral branch.
+  Each rule is built once per degree per process and shared by every beta
+  point, branch and sweep; the cosine sum runs in bounded blocks of offsets.
 * ``DDOP``: train of N sub-pulses at spacing T, sub-pulse energy 1/N.
 * ``GENERAL_DDOP``: train extended by D = ceil(2Q/M) prefix and suffix
   sub-pulses, sub-pulse energy 1/(N+2D).
@@ -37,6 +39,7 @@ copy every T (M*oversample samples).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -240,6 +243,25 @@ def eval_btrrc_freq(spec: PulseSpec, f):
     return out if out.ndim else float(out)
 
 
+# Cap on the elements of one cos(2 pi tau f) block of the btrrc quadrature
+# (8 MiB of doubles); longer offset vectors are summed in row blocks.
+_COS_BLOCK_ELEMENTS = 1 << 20
+
+
+@functools.lru_cache(maxsize=128)
+def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per degree.
+
+    The rule is a pure function of its degree, so every beta point, branch
+    and sweep in a process shares it. Two threads that miss the same degree
+    at once may both build it; the results are equal.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(degree)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     """Time samples of the exponential-rolloff sub-pulse by spectral quadrature.
 
@@ -251,7 +273,10 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     f = f_hi - (f_hi - f_mid) s^2, which turns A's square-root endpoint at
     f_hi into a smooth integrand. A branch's node count follows its phase span
     (hi - lo) * max|tau| in cycles: 32 nodes plus 4 per cycle, or 8 per cycle
-    on the substituted branch, where the phase is quadratic in s.
+    on the substituted branch, where the phase is quadratic in s. Each rule
+    is built once per degree per process (``_gauss_legendre``). The cosine
+    sum runs over blocks of tau of at most ``_COS_BLOCK_ELEMENTS`` cosines,
+    so a long sub-pulse never holds its whole len(tau) x nodes matrix.
     """
     f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
     f_mid = spec.M / (2.0 * spec.T)
@@ -262,7 +287,7 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
         if hi <= lo:
             continue
         per_cycle = 8 if substituted else 4
-        nodes, weights = np.polynomial.legendre.leggauss(32 + math.ceil(per_cycle * (hi - lo) * reach))
+        nodes, weights = _gauss_legendre(32 + math.ceil(per_cycle * (hi - lo) * reach))
         s = 0.5 * (nodes + 1.0)
         if substituted:
             fq = hi - (hi - lo) * s * s
@@ -270,7 +295,11 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
         else:
             fq = lo + (hi - lo) * s
             df = 0.5 * (hi - lo) * weights
-        total += 2.0 * np.cos(2.0 * np.pi * np.outer(tau, fq)) @ (eval_btrrc_freq(spec, fq) * df)
+        amp_df = eval_btrrc_freq(spec, fq) * df
+        rows = max(1, _COS_BLOCK_ELEMENTS // fq.size)
+        for start in range(0, tau.size, rows):
+            block = slice(start, start + rows)
+            total[block] += 2.0 * np.cos(2.0 * np.pi * np.outer(tau[block], fq)) @ amp_df
     return total
 
 

@@ -21,6 +21,7 @@ from ddopkit.experiments import (
     run_sweep,
     worker_count,
 )
+from ddopkit import pulses
 from ddopkit.analytic import analytic_for
 from ddopkit.metrics import AnalysisBand, LocalizationMetrics, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
@@ -132,12 +133,41 @@ class TestRunSweep:
                          values=(0.0, 0.5, 1.0), fixed=SMALL, oversample=8)
         assert run_sweep(plan).to_csv() == run_sweep(plan).to_csv()
 
-    def test_single_worker_same_result(self, monkeypatch):
+    @pytest.mark.parametrize("subpulse", ["rrc", "btrrc"])
+    def test_single_worker_same_result(self, subpulse, monkeypatch):
         plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
-                         values=(0.0, 0.5, 1.0), fixed=SMALL, oversample=8)
+                         values=(0.0, 0.5, 1.0), fixed=replace(SMALL, subpulse=subpulse),
+                         oversample=8)
+        monkeypatch.delenv("DDOP_THREADS", raising=False)
         parallel = run_sweep(plan).to_csv()
         monkeypatch.setenv("DDOP_THREADS", "1")
         assert run_sweep(plan).to_csv() == parallel
+
+    def test_btrrc_rules_built_once_per_degree(self, monkeypatch):
+        """An 11-point btrrc beta sweep builds each Gauss-Legendre degree once,
+        and a repeat builds none, with the same bytes. The cold sweep runs on one
+        worker: two threads that miss the same degree at once may both build it."""
+        degrees = []
+        real_leggauss = np.polynomial.legendre.leggauss
+
+        def counting_leggauss(degree):
+            degrees.append(degree)
+            return real_leggauss(degree)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
+                         values=tuple(round(0.05 * (i + 1), 2) for i in range(11)),
+                         fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
+        pulses._gauss_legendre.cache_clear()
+        monkeypatch.setenv("DDOP_THREADS", "1")
+        cold = run_sweep(plan).to_csv()
+        # 11 points x 3 branches ask for 33 rules; the memo builds each degree once
+        assert degrees and len(degrees) == len(set(degrees)) < 33
+        degrees.clear()
+        monkeypatch.delenv("DDOP_THREADS")
+        warm = run_sweep(plan).to_csv()
+        assert degrees == []
+        assert warm == cold
 
 
 class TestReportRendering:

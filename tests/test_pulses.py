@@ -73,6 +73,14 @@ def eval_ddop_freq(spec: PulseSpec, f, num_tones: int = 40):
 
 DEFAULTS = dict(M=256, N=64, T=1.0, beta=0.1, Q=13)
 
+# (M, Q, beta) grids on which the btrrc profile is checked against QUADPACK.
+ORACLE_GRIDS = [
+    (256, 13, 0.05), (256, 13, 0.5), (256, 13, 1.0),
+    (256, 64, 0.05), (256, 64, 0.5), (256, 64, 1.0),
+    (256, 256, 0.05), (256, 256, 0.5), (256, 256, 1.0),
+    (4, 4, 1.0),
+]
+
 
 def end_time(grid):
     return grid.start_time + grid.num_samples * grid.sample_interval
@@ -277,12 +285,7 @@ class TestClosedFormSpectra:
         got = _btrrc_profile_at(spec, taus)
         assert np.allclose(got, expected, rtol=2e-6)
 
-    @pytest.mark.parametrize("M,Q,beta", [
-        (256, 13, 0.05), (256, 13, 0.5), (256, 13, 1.0),
-        (256, 64, 0.05), (256, 64, 0.5), (256, 64, 1.0),
-        (256, 256, 0.05), (256, 256, 0.5), (256, 256, 1.0),
-        (4, 4, 1.0),
-    ])
+    @pytest.mark.parametrize("M,Q,beta", ORACLE_GRIDS)
     def test_btrrc_time_profile_against_oscillatory_quadrature(self, M, Q, beta):
         """a(t) = 2 * int A(f) cos(2 pi f t) df, each spectral branch integrated by
         QUADPACK's cosine-weighted rule, across [0, T_a/2]. The tolerance is
@@ -302,6 +305,41 @@ class TestClosedFormSpectra:
                 for tau in taus])
         got = _btrrc_profile_at(spec, taus)
         assert np.max(np.abs(got - expected)) <= 1e-12 * abs(expected[0])
+
+    @pytest.mark.parametrize("M,Q,beta", ORACLE_GRIDS)
+    def test_btrrc_cosine_sum_in_blocks(self, M, Q, beta, monkeypatch):
+        """With the block cap at 100 cosines, no block exceeds it (a rule
+        longer than the cap takes one offset at a time), every offset is
+        summed once per branch, and the profile agrees with the unblocked sum."""
+        spec = PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
+        taus = np.linspace(0.0, spec.ta / 2, 25)
+        whole = _btrrc_profile_at(spec, taus)
+        shapes = []
+        real_cos = np.cos
+
+        def recording_cos(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return real_cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(pulses, "_COS_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(np, "cos", recording_cos)
+        blocked = _btrrc_profile_at(spec, taus)
+        monkeypatch.undo()
+        branches = 2 if beta == 1.0 else 3
+        assert sum(rows for rows, _ in shapes) == branches * taus.size
+        assert all(rows * nodes <= 100 or rows == 1 for rows, nodes in shapes)
+        assert len(shapes) > branches
+        assert np.max(np.abs(blocked - whole)) <= 1e-15 * abs(whole[0])
+
+    def test_gauss_legendre_rule_read_only(self):
+        nodes, weights = pulses._gauss_legendre(40)
+        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(40)
+        assert np.array_equal(nodes, expected_nodes)
+        assert np.array_equal(weights, expected_weights)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestTrains:
