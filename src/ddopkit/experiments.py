@@ -36,8 +36,14 @@ import numpy as np
 
 from .analytic import analytic_for
 from .metrics import AnalysisBand, LocalizationMetrics, measure_all
-from .pulses import PulseFamily, PulseSpec, default_q, synth_pulse
-from .signal_core import InvalidInputError, non_negative_int, positive_int
+from .pulses import PulseFamily, PulseSpec, _train_parts, default_q, pulse_grid, synth_pulse
+from .signal_core import (
+    DegenerateInputError,
+    InvalidInputError,
+    fast_length,
+    non_negative_int,
+    positive_int,
+)
 
 __all__ = [
     "SweptParameter",
@@ -304,51 +310,71 @@ def orthogonality_scan(
 
     Returns a (2*max_delay_steps+1, 2*max_doppler_steps+1) matrix indexed by
     (m~ + max_delay_steps, n~ + max_doppler_steps); both extents are
-    non-negative whole numbers. Delay shifts are exact integer sample shifts
-    (T/M is oversample samples), read as slices of one zero-padded copy of u.
+    non-negative whole numbers. u is the pulse synthesized on its own grid
+    (``pulse_grid``), whose delay shifts by T/M are exact shifts by d =
+    m~ * oversample samples.
 
-    The Doppler correlations use the block structure of the grid. With
-    P = M*oversample samples per T (dt = T/P), write sample i as k*P + j,
-    k the block and j the column. The Doppler phase at t0 + i*dt then splits
-    exactly:
+    The scan is computed from the train's parts, never its samples. Every
+    family is a train u_i = sum_k c_k s_{i-kP} of one sub-pulse s (w samples)
+    with P = M*oversample samples per T and dt = T/P, so n~ t/(NT) =
+    n~ (kP + j)/(NP) for sample i = kP + j, and the correlation of row d splits
+    over the lags q between sub-pulses:
 
-        exp(-2j pi n~ (t0 + i dt)/(NT))
-            = exp(-2j pi n~ t0/(NT)) * exp(-2j pi n~ k/N) * exp(-2j pi n~ j/(NP)),
+        sum_i u_i conj(u_{i-d}) exp(-2j pi n~ i/(NP)) = sum_q A[q] B[qP - d],
+        A[q] = sum_k c_k conj(c_{k-q}) exp(-2j pi n~ k/N),
+        B[D] = sum_j s_j exp(-2j pi n~ j/(NP)) conj(s_{j+D}).
 
-    because n~ i dt/(NT) = n~ (kP + j)/(NP). So each delay row is a small
-    contraction of the (blocks x columns) product u * conj(shifted u) with a
-    (Doppler x blocks) and a (Doppler x columns) phase table. The product is
-    zero in every column where u is zero in all blocks, so only u's nonzero
-    columns enter (all of them for the dense FDM and OTFS pulses). The
-    anchor exp(-2j pi n~ t0/(NT)) has unit modulus and the scan reports
-    magnitudes, so it is left out; dt cancels between the inner product and
-    the energy.
+    A and B are Doppler-turned autocorrelations of the coefficients and of
+    the sub-pulse, each taken for every n~ by one batched FFT. B vanishes
+    for |D| >= w, so row d sums only the lags with |qP - d| < w. The anchor
+    exp(-2j pi n~ t0/(NT)) of the grid's start t0 has unit modulus and the
+    scan reports magnitudes, so it is left out; dt cancels. The energy
+    ||u||^2 = sum_q (sum_k c_k conj(c_{k-q})) (sum_j s_j conj(s_{j+qP})) is
+    summed in the time domain, not read from the transforms, so the origin
+    (1 for every pulse) compares two independent computations. A zero
+    energy raises ``DegenerateInputError``.
     """
     max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
     max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
     oversample = positive_int(oversample, "oversample")
-    x = synth_pulse(spec, oversample=oversample).samples
-    per_t = spec.M * oversample
-    blocks = -(-x.shape[0] // per_t)
-    pad = max_delay_steps * oversample
-    padded = np.zeros(blocks * per_t + 2 * pad, dtype=np.complex128)
-    padded[pad:pad + x.shape[0]] = x
+    amp, profile, coefficients, per_t = _train_parts(spec, pulse_grid(spec, oversample), oversample)
+    sub = amp * profile
+    count, width = coefficients.shape[0], sub.shape[0]
+    energy = sum((2.0 if q else 1.0) * (np.vdot(coefficients[:count - q], coefficients[q:])
+                                        * np.vdot(sub[q * per_t:], sub[:width - q * per_t])).real
+                 for q in range(min(count, -(-width // per_t))))
+    if energy <= 0.0:
+        raise DegenerateInputError("pulse has zero energy on its grid")
 
-    def block_view(shift: int) -> np.ndarray:
-        """Samples pad - shift onwards as (blocks, per_t): u delayed by shift samples."""
-        return padded[pad - shift:pad - shift + blocks * per_t].reshape(blocks, per_t)
+    a = _turned_autocorrelation(coefficients, max_doppler_steps, spec.N)
+    b = _turned_autocorrelation(sub, max_doppler_steps, spec.N * per_t)
 
-    columns = np.flatnonzero(np.any(block_view(0) != 0, axis=0))
-    u = block_view(0)[:, columns]
-    # Reduce n~*k and n~*j modulo the period before scaling so large |n~| keeps full precision.
-    doppler = np.arange(-max_doppler_steps, max_doppler_steps + 1)
-    block_phase = np.exp(-2j * np.pi * (np.outer(doppler, np.arange(blocks)) % spec.N) / spec.N)
-    column_phase = np.exp(-2j * np.pi * (np.outer(doppler, columns) % (spec.N * per_t))
-                          / (spec.N * per_t))
-    e0 = np.vdot(x, x).real
+    # Lag q reaches the rows m~ with |q*M - m~| < width/oversample, the sub-pulse's width in steps.
+    steps = width // oversample
+    delays = np.arange(-max_delay_steps, max_delay_steps + 1)
+    rows = np.zeros((delays.shape[0], 2 * max_doppler_steps + 1), dtype=np.complex128)
+    lags = min(count - 1, (max_delay_steps + steps - 1) // spec.M)
+    for q in range(-lags, lags + 1):
+        lo = max(-max_delay_steps, q * spec.M - steps + 1)
+        hi = min(max_delay_steps, q * spec.M + steps - 1)
+        near = slice(lo + max_delay_steps, hi + max_delay_steps + 1)
+        # B[qP - d] sits at b[width - 1 - (qP - d)]
+        rows[near] += a[count - 1 + q] * b[width - 1 + oversample * (delays[near] - q * spec.M)]
+    return np.abs(rows) / energy
 
-    out = np.empty((2 * max_delay_steps + 1, doppler.shape[0]))
-    for im, m_shift in enumerate(range(-max_delay_steps, max_delay_steps + 1)):
-        product = u * np.conj(block_view(m_shift * oversample)[:, columns])
-        out[im] = np.abs(((block_phase @ product) * column_phase).sum(axis=1)) / e0
-    return out
+
+def _turned_autocorrelation(x: np.ndarray, max_doppler_steps: int, period: int) -> np.ndarray:
+    """r[n - 1 + q, n~ + max_doppler_steps] = sum_k x_k exp(-2j pi n~ k/period) conj(x_{k-q})
+    for |q| < n = len(x) and |n~| <= max_doppler_steps.
+
+    One batched FFT correlation, zero-padded past 2n - 1 samples so no lag
+    wraps. n~*k is reduced modulo the period before scaling so large |n~|
+    keeps full precision; the turns of negative n~ conjugate the positive ones.
+    """
+    n = x.shape[0]
+    half = np.exp(-2j * np.pi * (np.outer(np.arange(max_doppler_steps + 1), np.arange(n)) % period)
+                  / period)
+    turns = np.concatenate((np.conj(half[:0:-1]), half))
+    length = fast_length(2 * n - 1)
+    spectra = np.fft.fft(turns * x, length) * np.conj(np.fft.fft(x, length))
+    return np.fft.ifft(spectra)[:, np.arange(1 - n, n)].T

@@ -8,7 +8,8 @@ Families:
   its closed-form spectrum and synthesized from it by Gauss-Legendre
   quadrature of the inverse Fourier integral, one rule per spectral branch.
   Each rule is built once per degree per process and shared by every beta
-  point, branch and sweep; the cosine sum runs in bounded blocks of offsets.
+  point, branch and sweep; a degree above a fixed cap is an input error. The
+  cosine sum runs in bounded blocks of offsets.
 * ``DDOP``: train of N sub-pulses at spacing T, sub-pulse energy 1/N.
 * ``GENERAL_DDOP``: train extended by D = ceil(2Q/M) prefix and suffix
   sub-pulses, sub-pulse energy 1/(N+2D).
@@ -32,17 +33,19 @@ through ``train_layout``. Which families have a closed form is listed in
 
 Every pulse is synthesized on its own grid, ``pulse_grid(spec, oversample)``,
 renormalized to unit discrete Riemann energy, and deterministic. One
-primitive builds them all: it evaluates the sub-pulse once and adds that
-copy every T (M*oversample samples).
+helper, ``_train_parts``, gives every train's parts: the sub-pulse evaluated
+once, the per-sub-pulse coefficients and the samples per T. ``synth_pulse``
+adds the sub-pulse every T (M*oversample samples) from them, and
+``experiments.orthogonality_scan`` correlates them without building the train.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -248,18 +251,42 @@ def eval_btrrc_freq(spec: PulseSpec, f):
 _COS_BLOCK_ELEMENTS = 1 << 20
 
 
-@functools.lru_cache(maxsize=128)
+# Largest Gauss-Legendre degree built: leggauss eigen-solves a dense
+# degree x degree matrix, 128 MiB of doubles at this cap.
+_MAX_QUADRATURE_DEGREE = 4096
+# Rules kept per process, by degree; the oldest built is dropped first.
+_MAX_RULES = 128
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_RULES_LOCK = threading.Lock()
+
+
 def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per degree.
 
     The rule is a pure function of its degree, so every beta point, branch
-    and sweep in a process shares it. Two threads that miss the same degree
-    at once may both build it; the results are equal.
+    and sweep in a process shares it. A lookup takes no lock; a miss builds
+    under ``_RULES_LOCK`` after looking again, so threads that miss the same
+    degree at once build it once. A degree above ``_MAX_QUADRATURE_DEGREE``
+    is an input error, raised before the lookup.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(degree)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    if degree > _MAX_QUADRATURE_DEGREE:
+        raise InvalidInputError(
+            f"btrrc quadrature needs a degree-{degree} Gauss-Legendre rule but the cap is "
+            f"{_MAX_QUADRATURE_DEGREE}; lower Q")
+    rule = _RULES.get(degree)
+    if rule is not None:
+        return rule
+    with _RULES_LOCK:
+        rule = _RULES.get(degree)
+        if rule is None:
+            nodes, weights = np.polynomial.legendre.leggauss(degree)
+            nodes.flags.writeable = False
+            weights.flags.writeable = False
+            rule = nodes, weights
+            if len(_RULES) >= _MAX_RULES:
+                del _RULES[next(iter(_RULES))]
+            _RULES[degree] = rule
+    return rule
 
 
 def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
@@ -402,28 +429,35 @@ def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> Tim
     )
 
 
-def _assemble_train(spec: PulseSpec, grid: TimeGrid, oversample: int, train: Train) -> SampledSignal:
-    """Place the train's sub-pulses every T on its own grid and renormalize to unit energy.
+def _train_parts(
+    spec: PulseSpec, grid: TimeGrid, oversample: int
+) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """The train's parts on ``pulse_grid``'s grid: (amplitude, profile, coefficients, P).
 
-    On ``pulse_grid``'s grid sub-pulse k fills samples k*P to k*P + width*oversample,
-    P = M*oversample samples per T. The sub-pulse is evaluated once, at the
-    offsets of the first one from its reference point first_step*T/M, and
-    added at every k*P.
+    Sub-pulse k is coefficients[k] * amplitude * profile, filling samples k*P
+    to k*P + width*oversample, P = M*oversample samples per T. The profile is
+    the first sub-pulse's, evaluated once at its width*oversample sample
+    offsets from its reference point first_step*T/M; a coefficient is 1, or
+    exp(2j*pi*tone*k/count) for a toned train.
     """
-    width = train.width * oversample
-    per_t = spec.M * oversample
-    tau = grid.times()[:width] - train.first_step * spec.T / spec.M
+    train = train_layout(spec)
+    k = np.arange(train.width * oversample)
+    tau = grid.start_time + (k + 0.5) * grid.sample_interval - train.first_step * spec.T / spec.M
     amp, profile = _SUBPULSES[train.shape](spec, tau, train.count)
-    sub = amp * profile
-    out = np.zeros(grid.num_samples, dtype=np.complex128)
-    for k in range(train.count):
-        if train.tone:
-            sub = amp * np.exp(2j * np.pi * train.tone * k / train.count) * profile
-        out[k * per_t:k * per_t + width] += sub
-    return _renormalized(grid, out)
+    if train.tone:
+        coefficients = np.exp(2j * np.pi * train.tone * np.arange(train.count) / train.count)
+    else:
+        coefficients = np.ones(train.count)
+    return amp, profile, coefficients, spec.M * oversample
 
 
 def synth_pulse(spec: PulseSpec, oversample: int = 16) -> SampledSignal:
-    """Synthesize any family on its own grid, ``pulse_grid(spec, oversample)``."""
+    """Synthesize any family on its own grid, ``pulse_grid(spec, oversample)``: the
+    train's sub-pulses added every T, renormalized to unit energy."""
     oversample = positive_int(oversample, "oversample")
-    return _assemble_train(spec, pulse_grid(spec, oversample), oversample, train_layout(spec))
+    grid = pulse_grid(spec, oversample)
+    amp, profile, coefficients, per_t = _train_parts(spec, grid, oversample)
+    out = np.zeros(grid.num_samples, dtype=np.complex128)
+    for k, coefficient in enumerate(coefficients):
+        out[k * per_t:k * per_t + profile.shape[0]] += amp * coefficient * profile
+    return _renormalized(grid, out)

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ddopkit
+from ddopkit import pulses
 from ddopkit.cli import main
 from ddopkit.experiments import REPORT_HEADER
 from ddopkit.pulses import FAMILY_ALIASES
@@ -304,6 +305,19 @@ class TestSweep:
         assert rc == 0
         rows = out.splitlines()[1:]
         assert len(rows) == 3 and all(row.endswith(",ok") for row in rows)
+
+    def test_quadrature_degree_cap(self, capsys, monkeypatch):
+        """At beta 1 the btrrc sub-pulse below needs a degree-96 rule: past the
+        cap, metrics is one exit-2 line and the sweep keeps a failed row."""
+        monkeypatch.setattr(pulses, "_MAX_QUADRATURE_DEGREE", 64)
+        message = "btrrc quadrature needs a degree-96 Gauss-Legendre rule but the cap is 64; lower Q"
+        pulse = ["--family", "btrrc", "--M", "32", "--N", "8", "--Q", "16", "--oversample", "4"]
+        assert run(["metrics", *pulse, "--beta", "1"], capsys) == (2, "", f"error: {message}\n")
+        rc, out, _ = run(["sweep", "--vary", "beta", "--steps", "3", *pulse], capsys)
+        rows = out.splitlines()[1:]
+        assert rc == 0 and [row.split(",")[0] for row in rows] == ["0", "0.5", "1"]
+        assert rows[0].endswith(",ok") and rows[1].endswith(",ok")
+        assert rows[2].endswith(f",failed: {message}")
 
     def test_default_q_axis_is_the_explicit_one(self, capsys):
         """No bounds means --from ceil(0.01 M) --to M --steps 13."""

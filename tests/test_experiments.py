@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from ddopkit import pulses
 from ddopkit.analytic import analytic_for
 from ddopkit.metrics import AnalysisBand, LocalizationMetrics, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
-from ddopkit.signal_core import InvalidInputError, energy
+from ddopkit.signal_core import DegenerateInputError, InvalidInputError, energy
 
 SMALL = PulseSpec(M=32, N=8)
 
@@ -144,9 +145,9 @@ class TestRunSweep:
         assert run_sweep(plan).to_csv() == parallel
 
     def test_btrrc_rules_built_once_per_degree(self, monkeypatch):
-        """An 11-point btrrc beta sweep builds each Gauss-Legendre degree once,
-        and a repeat builds none, with the same bytes. The cold sweep runs on one
-        worker: two threads that miss the same degree at once may both build it."""
+        """A cold 11-point btrrc beta sweep on more workers than cores builds each
+        Gauss-Legendre degree once, however its misses interleave, and a repeat
+        builds none, with the same bytes as a serial run."""
         degrees = []
         real_leggauss = np.polynomial.legendre.leggauss
 
@@ -158,16 +159,20 @@ class TestRunSweep:
         plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
                          values=tuple(round(0.05 * (i + 1), 2) for i in range(11)),
                          fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
-        pulses._gauss_legendre.cache_clear()
-        monkeypatch.setenv("DDOP_THREADS", "1")
-        cold = run_sweep(plan).to_csv()
-        # 11 points x 3 branches ask for 33 rules; the memo builds each degree once
+        monkeypatch.setattr(pulses, "_RULES", {})
+        monkeypatch.setenv("DDOP_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cold = run_sweep(plan).to_csv()
+        finally:
+            sys.setswitchinterval(interval)
+        # 11 points x 3 branches ask for 33 rules; each degree is built once
         assert degrees and len(degrees) == len(set(degrees)) < 33
         degrees.clear()
-        monkeypatch.delenv("DDOP_THREADS")
-        warm = run_sweep(plan).to_csv()
+        monkeypatch.setenv("DDOP_THREADS", "1")
+        assert run_sweep(plan).to_csv() == cold
         assert degrees == []
-        assert warm == cold
 
 
 class TestReportRendering:
@@ -338,13 +343,26 @@ class TestOrthogonalityScan:
         (PulseSpec(M=16, N=4, Q=4), 20, 5, 4),
         (PulseSpec(M=32, N=8), 0, 0, 8),
         (PulseSpec(M=16, N=4, Q=2), 2, 9, 4),
+        (PulseSpec(M=8, N=4, Q=32, beta=0.3, family=PulseFamily.GENERAL_DDOP), 12, 3, 4),
+        (PulseSpec(M=8, N=4, Q=32, beta=0.6, family=PulseFamily.GENERAL_DDOP, subpulse="btrrc"),
+         12, 3, 4),
+        (PulseSpec(M=8, N=4, family=PulseFamily.FDM), 20, 3, 4),
+        (PulseSpec(M=8, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=3, otfs_n=1), 20, 3, 4),
+        (PulseSpec(M=16, N=4, Q=12, beta=0.3, family=PulseFamily.GENERAL_DDOP), 3, 9, 4),
     ], ids=["ddop", "ddop-btrrc", "tdm", "gddop-q40", "fdm", "otfs", "shifts-past-T",
-            "origin-only", "doppler-past-N"])
+            "origin-only", "doppler-past-N", "gddop-overlap-8", "gddop-btrrc-overlap-8",
+            "fdm-shifts-past-2T", "otfs-shifts-past-2T", "gddop-doppler-past-N"])
     def test_matches_fft_reference(self, spec, delay, doppler, oversample):
         expected = _fft_scan_reference(spec, delay, doppler, oversample)
         got = orthogonality_scan(spec, delay, doppler, oversample=oversample)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) < 1e-13
+
+    def test_zero_subpulse_is_degenerate(self, monkeypatch):
+        monkeypatch.setitem(pulses._SUBPULSES, "rrc",
+                            lambda spec, tau, count: (1.0, np.zeros(tau.shape)))
+        with pytest.raises(DegenerateInputError, match="pulse has zero energy on its grid"):
+            orthogonality_scan(SMALL, 2, 2, oversample=8)
 
 
 def _fft_scan_reference(spec, max_delay_steps, max_doppler_steps, oversample):

@@ -331,6 +331,31 @@ class TestClosedFormSpectra:
         assert len(shapes) > branches
         assert np.max(np.abs(blocked - whole)) <= 1e-15 * abs(whole[0])
 
+    @pytest.mark.parametrize("cap", [63, 64])
+    def test_gauss_legendre_degree_cap(self, cap, monkeypatch):
+        """At M 32, Q 16, beta 0.5 and oversample 4 the sub-pulse's offsets reach
+        |tau| = 1/2 - 1/256. Its flat and lower branches (8 wide) need 48 nodes,
+        its substituted upper branch 64: above the cap the degree is an input
+        error, raised before any rule of that degree is built."""
+        reach = 0.5 - 1 / 256
+        flat, upper = 32 + math.ceil(4 * 8 * reach), 32 + math.ceil(8 * 8 * reach)
+        assert (flat, upper) == (48, 64)
+        built = []
+        real_leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda degree: built.append(degree) or real_leggauss(degree))
+        monkeypatch.setattr(pulses, "_RULES", {})
+        monkeypatch.setattr(pulses, "_MAX_QUADRATURE_DEGREE", cap)
+        spec = PulseSpec(M=32, N=8, Q=16, beta=0.5, family=PulseFamily.BTRRC_SUBPULSE)
+        if cap < upper:
+            with pytest.raises(InvalidInputError, match=rf"^btrrc quadrature needs a degree-{upper} "
+                               rf"Gauss-Legendre rule but the cap is {cap}; lower Q$"):
+                synth_pulse(spec, oversample=4)
+            assert built == [flat]
+        else:
+            synth_pulse(spec, oversample=4)
+            assert built == [flat, upper]
+
     def test_gauss_legendre_rule_read_only(self):
         nodes, weights = pulses._gauss_legendre(40)
         expected_nodes, expected_weights = np.polynomial.legendre.leggauss(40)

@@ -22,7 +22,10 @@ family at M = 32, N = 8 for ``--otfs-m`` 0, 5 and 31: 286 cases, all at T = 1
 on power-of-two grids. Then json synth and metrics of each alias off those
 grids, at ``--M 64 --N 8 --oversample 8 --T 0.37`` and at
 ``--M 33 --N 7 --oversample 5`` (``--Q 40`` for gddop, ``--otfs-m 5 --otfs-n 2``
-for otfs): 28 more, 314 distinct cases.
+for otfs): 28 more. Last, verify of gddop at ``--M 16 --N 4 --Q 40
+--oversample 8`` for ``--subpulse rrc`` and ``btrrc``, whose sub-pulses span
+2Q/M = 5 symbol periods, so the orthogonality scan sums many lags per delay
+row: 316 distinct cases.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ def cases() -> list[list[str]]:
             for command in ("synth", "metrics"):
                 argv = [command, "--family", family, *size, *extra, "--format", "json"]
                 out.setdefault(" ".join(argv), argv)
+    for subpulse in ("rrc", "btrrc"):
+        argv = ["verify", "--family", "gddop", "--subpulse", subpulse,
+                "--M", "16", "--N", "4", "--Q", "40", "--oversample", "8"]
+        out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
 
