@@ -34,8 +34,8 @@ from .experiments import (
     orthogonality_scan,
     run_sweep,
 )
-from .metrics import AnalysisBand, lemma1_check, measure_all
-from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, synth_pulse
+from .metrics import AnalysisBand, lemma1_check, measure_all, measure_train, spectrum_rows
+from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, synth_pulse, train_parts
 from .signal_core import (
     InvalidInputError,
     SampledSignal,
@@ -283,7 +283,8 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
     checks = _Checks()
     spec = cfg.pulse
     band = cfg.band if cfg.band is not None else AnalysisBand.default_for(spec)
-    signal = synth_pulse(spec, oversample=cfg.oversample)
+    parts = train_parts(spec, cfg.oversample)
+    signal = parts.signal()
 
     e = energy(signal)
     checks.report(abs(e - 1.0) <= 1e-9, "unit energy", f"energy = {e:.12f}")
@@ -299,6 +300,20 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
                   f"time {e:.12f} vs frequency {se:.12f}")
 
     numeric = measure_all(signal, band, zero_pad=cfg.zero_pad)
+    row, _ = spectrum_rows(parts, cfg.zero_pad)
+    width = parts.subpulse.shape[0]
+    if width <= row:
+        parted = measure_train(parts, band, cfg.zero_pad)
+        worst = max(abs(a - b) / b for a, b in (
+            (parted.time_dispersion, numeric.time_dispersion),
+            (parted.freq_dispersion, numeric.freq_dispersion),
+            (parted.energy_capture, numeric.energy_capture)))
+        checks.report(worst <= 1e-12, "spectrum from parts",
+                      f"ΔT, ΔF and capture within {worst:.2g} of the sampled spectrum's")
+    else:
+        checks.skip("spectrum from parts",
+                    f"the sub-pulse's {width} samples exceed one spectrum row of m = {row}; "
+                    f"measured from the samples")
     floor = gabor_limit() - 1e-6
     checks.report(numeric.tf_area >= floor, "uncertainty floor",
                   f"ΔA = {numeric.tf_area:.6g} >= {floor:.6g}")

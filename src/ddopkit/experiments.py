@@ -35,8 +35,8 @@ from functools import partial
 import numpy as np
 
 from .analytic import analytic_for
-from .metrics import AnalysisBand, LocalizationMetrics, measure_all
-from .pulses import PulseFamily, PulseSpec, _train_parts, default_q, pulse_grid, synth_pulse
+from .metrics import AnalysisBand, LocalizationMetrics, measure_train
+from .pulses import PulseFamily, PulseSpec, default_q, train_parts
 from .signal_core import (
     DegenerateInputError,
     InvalidInputError,
@@ -256,14 +256,13 @@ def measure_point(
     zero_pad: int,
     oversample: int,
 ) -> tuple[LocalizationMetrics, LocalizationMetrics | None]:
-    """Numeric metrics of the synthesized pulse and its closed form (None
-    where no closed form applies).
+    """Numeric metrics of the pulse, measured from its train's parts
+    (``measure_train``), and its closed form (None where no closed form applies).
 
     band=None means the spec's default band +-5M/T.
     """
     resolved = band if band is not None else AnalysisBand.default_for(spec)
-    signal = synth_pulse(spec, oversample=oversample)
-    numeric = measure_all(signal, resolved, zero_pad=zero_pad)
+    numeric = measure_train(train_parts(spec, oversample), resolved, zero_pad)
     return numeric, analytic_for(spec, resolved, oversample)
 
 
@@ -326,7 +325,11 @@ def orthogonality_scan(
 
     A and B are Doppler-turned autocorrelations of the coefficients and of
     the sub-pulse, each taken for every n~ by one batched FFT. B vanishes
-    for |D| >= w, so row d sums only the lags with |qP - d| < w. The anchor
+    for |D| >= w, so row d sums only the lags with |qP - d| < w: the scan
+    loops over the lags, each adding to the rows it reaches, or over the
+    rows, each summing the lags that reach it, whichever are fewer. s is
+    read scaled to a peak below 1 (``TrainParts``), so nothing squared
+    over- or underflows at any T; the scan is invariant to that scale. The anchor
     exp(-2j pi n~ t0/(NT)) of the grid's start t0 has unit modulus and the
     scan reports magnitudes, so it is left out; dt cancels. The energy
     ||u||^2 = sum_q (sum_k c_k conj(c_{k-q})) (sum_j s_j conj(s_{j+qP})) is
@@ -337,8 +340,8 @@ def orthogonality_scan(
     max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
     max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
     oversample = positive_int(oversample, "oversample")
-    amp, profile, coefficients, per_t = _train_parts(spec, pulse_grid(spec, oversample), oversample)
-    sub = amp * profile
+    parts = train_parts(spec, oversample)
+    sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
     count, width = coefficients.shape[0], sub.shape[0]
     energy = sum((2.0 if q else 1.0) * (np.vdot(coefficients[:count - q], coefficients[q:])
                                         * np.vdot(sub[q * per_t:], sub[:width - q * per_t])).real
@@ -354,12 +357,19 @@ def orthogonality_scan(
     delays = np.arange(-max_delay_steps, max_delay_steps + 1)
     rows = np.zeros((delays.shape[0], 2 * max_doppler_steps + 1), dtype=np.complex128)
     lags = min(count - 1, (max_delay_steps + steps - 1) // spec.M)
-    for q in range(-lags, lags + 1):
-        lo = max(-max_delay_steps, q * spec.M - steps + 1)
-        hi = min(max_delay_steps, q * spec.M + steps - 1)
-        near = slice(lo + max_delay_steps, hi + max_delay_steps + 1)
-        # B[qP - d] sits at b[width - 1 - (qP - d)]
-        rows[near] += a[count - 1 + q] * b[width - 1 + oversample * (delays[near] - q * spec.M)]
+    # B[qP - d] sits at b[width - 1 - (qP - d)]
+    if 2 * lags + 1 <= delays.shape[0]:
+        for q in range(-lags, lags + 1):
+            lo = max(-max_delay_steps, q * spec.M - steps + 1)
+            hi = min(max_delay_steps, q * spec.M + steps - 1)
+            near = slice(lo + max_delay_steps, hi + max_delay_steps + 1)
+            rows[near] += a[count - 1 + q] * b[width - 1 + oversample * (delays[near] - q * spec.M)]
+    else:
+        for row, delay in enumerate(delays):
+            near = np.arange(max(-lags, (delay - steps) // spec.M + 1),
+                             min(lags, (delay + steps - 1) // spec.M) + 1)
+            rows[row] = np.sum(a[count - 1 + near] * b[width - 1 + oversample * (delay - near * spec.M)],
+                               axis=0)
     return np.abs(rows) / energy
 
 

@@ -5,6 +5,15 @@ Delta T over the full time grid, Delta F over a symmetric analysis band
 (moments computed from the in-band spectrum only, with the captured energy
 fraction reported alongside). The area Delta T * Delta F is bounded below by
 1/(4*pi) and the Gaussian exp(-pi t^2) attains the bound.
+
+``measure_all`` measures a sampled signal through ``power_spectrum``.
+``measure_train`` measures a pulse train from its parts (``TrainParts``):
+the train's length-L DFT is the sub-pulse's DFT times the coefficients'
+comb, so where the sub-pulse fits one row of m = gcd(L, P) samples it sums
+the band moments from m-point sub-pulse transforms and ΔT from the
+sub-pulse's own moments, and never builds the train. Otherwise it
+synthesizes the train and calls ``measure_all``, which stays the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -18,12 +27,15 @@ from typing import Callable
 
 import numpy as np
 
-from .pulses import PulseSpec
+from .pulses import PulseSpec, TrainParts
 from .signal_core import (
     DegenerateInputError,
     InvalidInputError,
     PowerSpectrum,
     SampledSignal,
+    bins_within,
+    fast_length,
+    positive_int,
     power_spectrum,
 )
 
@@ -34,6 +46,8 @@ __all__ = [
     "measure_time",
     "measure_freq",
     "measure_all",
+    "spectrum_rows",
+    "measure_train",
     "lemma1_check",
 ]
 
@@ -91,18 +105,23 @@ class AnalysisBand:
         return cls(half_width=5.0 * spec.M / spec.T)
 
 
-def _spread(x: np.ndarray, weights: np.ndarray, total: float, what: str) -> tuple[float, float]:
-    """Mean and standard deviation of x under weights summing to total; an
-    over- or underflow shows as a variance that is not positive and finite."""
+def _moments(x: np.ndarray, weights: np.ndarray, total: float) -> tuple[float, float]:
+    """Mean and variance of x under weights summing to total; an over- or
+    underflow is left to ``_dispersion`` to judge."""
     with np.errstate(all="ignore"):
         mean = float(np.dot(x, weights) / total)
         var = float(np.dot((x - mean) ** 2, weights) / total)
+    return mean, var
+
+
+def _dispersion(var: float, what: str) -> float:
+    """The standard deviation; a variance that is not positive and finite is an error."""
     if not 0.0 < var < math.inf:
         raise DegenerateInputError(
             f"the {what} variance ({var:g}) is not a positive number in the float range "
             f"(0, {sys.float_info.max:g}]; rescale T towards 1"
         )
-    return mean, math.sqrt(var)
+    return math.sqrt(var)
 
 
 def measure_time(signal: SampledSignal) -> tuple[float, float]:
@@ -112,7 +131,23 @@ def measure_time(signal: SampledSignal) -> tuple[float, float]:
         total = float(np.sum(weights))
     if total <= 0.0:
         raise DegenerateInputError("zero-energy signal")
-    return _spread(signal.grid.times(), weights, total, "time")
+    mean, var = _moments(signal.grid.times(), weights, total)
+    return mean, _dispersion(var, "time")
+
+
+def _check_band(in_band: float, nonzero: int, bins: int, band: AnalysisBand, freq_interval: float) -> None:
+    """Reject a band with no energy, or with energy in a single bin."""
+    if in_band <= 0.0:
+        raise DegenerateInputError("no spectral energy inside the analysis band")
+    if nonzero < 2:
+        where = f"the analysis band |f| <= {band.half_width:g}"
+        if bins < 2:
+            advice = f"{where} holds a single spectral bin (bin spacing {freq_interval:g}); widen the band"
+        else:
+            advice = (f"only one of the {bins} bins in {where} carries energy; the rest are exact "
+                      f"zeros of the spectrum at bin spacing {freq_interval:g}, so raise the "
+                      f"zero-pad factor")
+        raise DegenerateInputError(advice)
 
 
 def measure_freq(spectrum: PowerSpectrum, band: AnalysisBand) -> tuple[float, float, float]:
@@ -132,20 +167,10 @@ def measure_freq(spectrum: PowerSpectrum, band: AnalysisBand) -> tuple[float, fl
         wb = power[bins] * spectrum.freq_interval
         in_band = float(np.sum(wb))
         out_band = float(np.sum(power[:bins.start]) + np.sum(power[bins.stop:])) * spectrum.freq_interval
-    if in_band <= 0.0:
-        raise DegenerateInputError("no spectral energy inside the analysis band")
-    if np.count_nonzero(wb) < 2:
-        where = f"the analysis band |f| <= {band.half_width:g}"
-        if wb.shape[0] < 2:
-            advice = f"{where} holds a single spectral bin (bin spacing {spectrum.freq_interval:g}); widen the band"
-        else:
-            advice = (f"only one of the {wb.shape[0]} bins in {where} carries energy; the rest are exact "
-                      f"zeros of the spectrum at bin spacing {spectrum.freq_interval:g}, so raise the "
-                      f"zero-pad factor")
-        raise DegenerateInputError(advice)
+    _check_band(in_band, np.count_nonzero(wb), wb.shape[0], band, spectrum.freq_interval)
     fb = spectrum.frequency(np.arange(bins.start, bins.stop))
-    mean, disp = _spread(fb, wb, in_band, "frequency")
-    return mean, disp, in_band / (in_band + out_band)
+    mean, var = _moments(fb, wb, in_band)
+    return mean, _dispersion(var, "frequency"), in_band / (in_band + out_band)
 
 
 def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
@@ -160,6 +185,163 @@ def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) ->
         provenance=Provenance.NUMERIC,
         energy_capture=capture,
     )
+
+
+def spectrum_rows(parts: TrainParts, zero_pad: int = 4) -> tuple[int, int]:
+    """(m, r): the train's L = m*r spectrum bins as r rows of m, m = gcd(L, P).
+
+    L is ``power_spectrum``'s transform length for the train's grid and P the
+    samples per T (``TrainParts.per_t``).
+    """
+    length = fast_length(positive_int(zero_pad, "zero_pad") * parts.grid.num_samples)
+    m = math.gcd(length, parts.per_t)
+    return m, length // m
+
+
+def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
+    """Numeric localization metrics of the train ``parts.signal()``: those of
+    ``measure_all(parts.signal(), band, zero_pad)``, to rounding.
+
+    With L bins and (m, r) = ``spectrum_rows``, bin k of the train
+    u_i = sum_n c_n s_{i - nP} is S(k) C(k): S the sub-pulse's length-L DFT and
+    C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb, which depends
+    on k mod r only, because m divides P. Where the sub-pulse's w samples fit
+    one row (w <= m), row j of S, the bins k = j + r*i, is one m-point FFT of
+    s turned by exp(-2j pi j t/L), and |C|^2 comes from one r-point FFT of the
+    coefficients; a real train takes rows 0..r/2 (or -r/2..0 for odd m), each
+    standing for itself and its mirror.
+    The band's bins are ``bins_within``'s, found row by row, and the moments
+    are summed there, so neither the train nor an L-long array is built. The
+    sub-pulses cannot overlap (w <= m <= P), so the energy, mean time and ΔT
+    come from the sub-pulse's moments and the |c_k|^2. Where w > m, the train
+    is synthesized from its parts and measured by ``measure_all``.
+    """
+    m, r = spectrum_rows(parts, zero_pad)
+    if parts.subpulse.shape[0] > m:
+        return measure_all(parts.signal(), band, zero_pad)
+    sub_power = np.abs(parts.subpulse) ** 2
+    coef_power = np.abs(parts.coefficients) ** 2
+    sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
+    if not sub_energy * coef_energy > 0.0:
+        raise DegenerateInputError("pulse has zero energy on its grid")
+
+    grid = parts.grid
+    dt = grid.sample_interval
+    tau = grid.start_time + (np.arange(sub_power.shape[0]) + 0.5) * dt
+    sub_mean, sub_var = _moments(tau, sub_power, sub_energy)
+    index_mean, index_var = _moments(np.arange(coef_power.shape[0]), coef_power, coef_energy)
+    period = parts.per_t * dt
+    time_disp = _dispersion(sub_var + period * period * index_var, "time")
+
+    mean_freq, freq_disp, capture = _train_freq(parts, band, m, r)
+    return LocalizationMetrics(
+        mean_time=sub_mean + period * index_mean,
+        mean_freq=mean_freq,
+        time_dispersion=time_disp,
+        freq_dispersion=freq_disp,
+        provenance=Provenance.NUMERIC,
+        energy_capture=capture,
+    )
+
+
+def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int) -> tuple[float, float, float]:
+    """``measure_freq`` of the train's spectrum, summed row by row.
+
+    Bin k is read at its signed index kappa = j + r*i, with row j and
+    centered column i = c - m//2; for even m the rows run from 0, for odd m
+    from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
+    """
+    length = m * r
+    freq_interval = 1.0 / (length * parts.grid.sample_interval)
+    bins = bins_within(-(length // 2) * freq_interval, freq_interval, length, band.half_width)
+    lo, hi = bins.start - length // 2, bins.stop - length // 2
+    real = not (parts.subpulse.imag.any() or parts.coefficients.imag.any())
+    if real:
+        rows = np.arange(r // 2 + 1) if m % 2 == 0 else np.arange(-(r // 2), 1)
+    else:
+        rows = np.arange(r) - (r // 2 if m % 2 else 0)
+    power = _row_power(parts.subpulse, rows, length, m)
+    weight = np.abs(np.fft.fft(parts.coefficients, r)[rows * (parts.per_t // m) % r]) ** 2
+    # (band, sign, row weight): a real train's rows 0 < |j| < r/2 also stand for their mirrors at -kappa
+    bands = [((lo, hi), 1.0, weight)]
+    if real:
+        bands.append(((1 - hi, 1 - lo), -1.0, weight * ((rows != 0) & (2 * np.abs(rows) < r))))
+    sums = _window_sums(power, rows, r, [kappas for kappas, _, _ in bands])
+    in_band = out_band = first_moment = 0.0
+    nonzero = 0
+    for (s, nonzero_in_row, outside), (_, sign, w) in zip(sums, bands):
+        in_band += float(np.dot(w, s[0]))
+        out_band += float(np.dot(w, outside))
+        nonzero += int(np.sum(nonzero_in_row[w > 0.0]))
+        first_moment += sign * float(np.dot(w, rows * s[0] + r * s[1]))
+    _check_band(in_band, nonzero, hi - lo, band, freq_interval)
+    mean = first_moment / in_band
+    var = 0.0
+    for (s, _, _), (_, sign, w) in zip(sums, bands):
+        d = rows - sign * mean
+        var += float(np.dot(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
+    with np.errstate(all="ignore"):
+        freq_var = float(var / in_band * freq_interval * freq_interval)
+    return mean * freq_interval, _dispersion(freq_var, "frequency"), in_band / (in_band + out_band)
+
+
+def _row_power(sub: np.ndarray, rows: np.ndarray, length: int, m: int) -> np.ndarray:
+    """|Y[j, c]|^2, Y[j, c] = sum_t s_t exp(-2j pi (j + r (c - m//2)) t/L), for the
+    consecutive rows j and columns c < m: one m-point FFT per row.
+
+    The turn exp(-2j pi j t/L) is the product of a coarse and a fine table,
+    j = coarse + fine, each about sqrt(rows) x w entries; row 0 is turned by
+    exp(0) twice, so it is s exactly.
+    """
+    width = sub.shape[0]
+    t = np.arange(width)
+    block = math.isqrt(rows.shape[0] - 1) + 1
+    first = int(rows[0]) // block
+    coarse = block * np.arange(first, int(rows[-1]) // block + 1)
+
+    def turn(k: np.ndarray) -> np.ndarray:
+        return np.exp(-2j * np.pi * (np.outer(k, t) % length) / length)
+
+    turned = np.zeros((coarse.shape[0], block, m), dtype=np.complex128)
+    np.multiply(turn(coarse)[:, None, :], sub * turn(np.arange(block)), out=turned[:, :, :width])
+    start = int(rows[0]) - first * block
+    spectra = np.fft.fft(turned.reshape(-1, m)[start:start + rows.shape[0]], axis=1)
+    del turned
+    power = spectra.real ** 2
+    power += spectra.imag ** 2
+    return np.roll(power, m // 2, axis=1)
+
+
+def _window_sums(power: np.ndarray, rows: np.ndarray, r: int, bands: list[tuple[int, int]]):
+    """For each band lo <= kappa < hi: per row, the sums of power * i**q (q = 0, 1, 2)
+    over the in-band columns, their nonzero count, and the out-of-band sum.
+
+    A row's in-band columns are one run; the runs of all rows and bands
+    differ by a column or so at each end, so the columns every run holds are
+    summed once for all, and only the few others are masked.
+    """
+    m = power.shape[1]
+    i = np.arange(m) - m // 2
+    moments = np.stack((np.ones(m), i, i * i))
+    runs = [(np.clip(m // 2 - (rows - lo) // r, 0, m), np.clip(m // 2 - (rows - hi) // r, 0, m))
+            for lo, hi in bands]
+    first = max(int(a.max()) for a, _ in runs)
+    last = max(first, min(int(b.min()) for _, b in runs))
+    start, stop = min(int(a.min()) for a, _ in runs), max(int(b.max()) for _, b in runs)
+    core = power[:, first:last]
+    core_sums = np.einsum("jc,qc->qj", core, moments[:, first:last])
+    core_nonzero = np.count_nonzero(core, axis=1)
+    beyond = np.sum(power[:, :start], axis=1) + np.sum(power[:, stop:], axis=1)
+    edge = np.r_[start:first, last:stop]
+    edge_power = power[:, edge]
+    out = []
+    for a, b in runs:
+        inside = (edge >= a[:, None]) & (edge < b[:, None])
+        held = np.where(inside, edge_power, 0.0)
+        out.append((core_sums + np.einsum("je,qe->qj", held, moments[:, edge]),
+                    core_nonzero + np.count_nonzero(held, axis=1),
+                    beyond + np.sum(edge_power - held, axis=1)))
+    return out
 
 
 def _midpoint(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> float:

@@ -33,10 +33,12 @@ through ``train_layout``. Which families have a closed form is listed in
 
 Every pulse is synthesized on its own grid, ``pulse_grid(spec, oversample)``,
 renormalized to unit discrete Riemann energy, and deterministic. One
-helper, ``_train_parts``, gives every train's parts: the sub-pulse evaluated
-once, the per-sub-pulse coefficients and the samples per T. ``synth_pulse``
-adds the sub-pulse every T (M*oversample samples) from them, and
-``experiments.orthogonality_scan`` correlates them without building the train.
+function, ``train_parts``, gives every train's parts as a ``TrainParts``: the
+grid, the first sub-pulse evaluated once and scaled by a power of two to a
+peak below 1, the per-sub-pulse coefficients and the samples per T.
+``synth_pulse`` adds the sub-pulse every T (M*oversample samples) from them;
+``metrics.measure_train`` and ``experiments.orthogonality_scan`` read them
+without building the train.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ __all__ = [
     "default_q",
     "pulse_grid",
     "eval_btrrc_freq",
+    "TrainParts",
+    "train_parts",
     "synth_pulse",
 ]
 
@@ -429,35 +433,62 @@ def pulse_grid(spec: PulseSpec, oversample: int = 16, pad_steps: int = 0) -> Tim
     )
 
 
-def _train_parts(
-    spec: PulseSpec, grid: TimeGrid, oversample: int
-) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """The train's parts on ``pulse_grid``'s grid: (amplitude, profile, coefficients, P).
+class TrainParts(NamedTuple):
+    """A train on its grid: u_i = scale * sum_k coefficients[k] * subpulse[i - k*per_t].
 
-    Sub-pulse k is coefficients[k] * amplitude * profile, filling samples k*P
-    to k*P + width*oversample, P = M*oversample samples per T. The profile is
-    the first sub-pulse's, evaluated once at its width*oversample sample
+    subpulse holds the first sub-pulse's samples divided by a power of two,
+    so its peak magnitude lies in [0.5, 1) and squaring it neither over- nor
+    underflows whatever T is; scale is the sub-pulse amplitude times that
+    power of two. Both scalings are exact, so ``signal`` adds the same
+    products as a train built from the unscaled samples. Sub-pulse k fills
+    samples offsets[k] to offsets[k] + len(subpulse), offsets[k] = k*per_t,
+    per_t = M*oversample samples per T.
+    """
+
+    grid: TimeGrid
+    subpulse: np.ndarray
+    scale: float
+    coefficients: np.ndarray
+    per_t: int
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Each sub-pulse's first sample, counted from the grid start."""
+        return self.per_t * np.arange(self.coefficients.shape[0])
+
+    def signal(self) -> SampledSignal:
+        """The train's samples, renormalized to unit energy."""
+        out = np.zeros(self.grid.num_samples, dtype=np.complex128)
+        width = self.subpulse.shape[0]
+        for offset, coefficient in zip(self.offsets, self.coefficients):
+            out[offset:offset + width] += self.scale * coefficient * self.subpulse
+        return _renormalized(self.grid, out)
+
+
+def train_parts(spec: PulseSpec, oversample: int = 16) -> TrainParts:
+    """The train's parts on ``pulse_grid(spec, oversample)``.
+
+    The first sub-pulse is evaluated once, at its width*oversample sample
     offsets from its reference point first_step*T/M; a coefficient is 1, or
     exp(2j*pi*tone*k/count) for a toned train.
     """
+    oversample = positive_int(oversample, "oversample")
+    grid = pulse_grid(spec, oversample)
     train = train_layout(spec)
     k = np.arange(train.width * oversample)
     tau = grid.start_time + (k + 0.5) * grid.sample_interval - train.first_step * spec.T / spec.M
     amp, profile = _SUBPULSES[train.shape](spec, tau, train.count)
+    peak = float(np.max(np.abs(profile), initial=0.0))
+    power = math.frexp(peak)[1] if 0.0 < peak < math.inf else 0
     if train.tone:
         coefficients = np.exp(2j * np.pi * train.tone * np.arange(train.count) / train.count)
     else:
         coefficients = np.ones(train.count)
-    return amp, profile, coefficients, spec.M * oversample
+    return TrainParts(grid, profile * math.ldexp(1.0, -power), amp * math.ldexp(1.0, power),
+                      coefficients, spec.M * oversample)
 
 
 def synth_pulse(spec: PulseSpec, oversample: int = 16) -> SampledSignal:
     """Synthesize any family on its own grid, ``pulse_grid(spec, oversample)``: the
     train's sub-pulses added every T, renormalized to unit energy."""
-    oversample = positive_int(oversample, "oversample")
-    grid = pulse_grid(spec, oversample)
-    amp, profile, coefficients, per_t = _train_parts(spec, grid, oversample)
-    out = np.zeros(grid.num_samples, dtype=np.complex128)
-    for k, coefficient in enumerate(coefficients):
-        out[k * per_t:k * per_t + profile.shape[0]] += amp * coefficient * profile
-    return _renormalized(grid, out)
+    return train_parts(spec, oversample).signal()

@@ -6,14 +6,19 @@ Conventions used throughout the package:
   (midpoint rule). Energies and inner products are midpoint Riemann sums, so
   removable singularities and support edges stay off the sample points on the
   default grids.
-* ``power_spectrum`` is the one transform. It returns |G(f)|^2 alone, with no
-  phase: nothing the package measures or checks reads the phase. It runs at
-  the smallest 5-smooth length L (2**a * 3**b * 5**c, see ``fast_length``) of
-  at least zero_pad * num_samples, scales the FFT by the sample interval and
-  puts bin 0 at -(L//2) times the bin spacing (fftshifted). A real signal
-  takes one ``rfft`` mirrored over the negative frequencies, a complex one a
-  full FFT. The band moments and ``verify``'s Parseval check read it; the
-  discrete Parseval identity holds to rounding for any L.
+* ``power_spectrum`` is the transform of a sampled signal. It returns
+  |G(f)|^2 alone, with no phase: nothing the package measures or checks reads
+  the phase. It runs at the smallest 5-smooth length L (2**a * 3**b * 5**c,
+  see ``fast_length``) of at least zero_pad * num_samples, scales the FFT by
+  the sample interval and puts bin 0 at -(L//2) times the bin spacing
+  (fftshifted). A real signal takes one ``rfft`` mirrored over the negative
+  frequencies, a complex one a full FFT. ``metrics.measure_all``'s band
+  moments and ``verify``'s Parseval check read it; the discrete Parseval
+  identity holds to rounding for any L.
+* ``metrics.measure_train`` reads the same L bins of a pulse train, picked
+  by the same ``bins_within`` rule, from m-point transforms of its sub-pulse
+  where the sub-pulse fits one row of m = gcd(L, samples per T) bins, and
+  from ``power_spectrum`` of the synthesized train elsewhere.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "TimeGrid",
     "SampledSignal",
     "PowerSpectrum",
+    "bins_within",
     "energy",
     "spectral_energy",
     "positive_int",
@@ -110,24 +116,29 @@ class PowerSpectrum:
         return self.start_freq + k * self.freq_interval
 
     def bins_within(self, half_width: float) -> slice:
-        """The bins k with |frequency(k)| <= half_width, as one slice.
+        """The bins k with |frequency(k)| <= half_width, as one slice (``bins_within``)."""
+        return bins_within(self.start_freq, self.freq_interval, self.values.shape[0], half_width)
 
-        Bisects on ``frequency``, whose float value is nondecreasing in k, so
-        the slice holds exactly the bins a mask over ``frequency`` of every
-        bin would pick, without building the grid.
-        """
 
-        def first(pred) -> int:
-            lo, hi = 0, self.values.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if pred(self.frequency(mid)):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
+def bins_within(start_freq: float, freq_interval: float, count: int, half_width: float) -> slice:
+    """The bins k < count with |start_freq + k * freq_interval| <= half_width, as one slice.
 
-        return slice(first(lambda f: f >= -half_width), first(lambda f: f > half_width))
+    Bisects on that float expression, which is nondecreasing in k, so the
+    slice holds exactly the bins a mask over every bin's frequency would
+    pick, without building the grid.
+    """
+
+    def first(pred) -> int:
+        lo, hi = 0, count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(start_freq + mid * freq_interval):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    return slice(first(lambda f: f >= -half_width), first(lambda f: f > half_width))
 
 
 def energy(signal: SampledSignal) -> float:

@@ -255,6 +255,16 @@ class TestMetrics:
         assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
 
 
+    @pytest.mark.parametrize("size", [[], ["--N", "8"]], ids=["parts", "samples"])
+    def test_subnormal_T(self, size):
+        """At T = 1e-310 both measurement paths end in one error line and exit 2:
+        the default train from its parts, the N = 8 train (m = 32) from its samples."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "metrics", *size, "--T", "1e-310"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["--family", "otfs", "--M", "16", "--N", "4", "--oversample", "2", "--T", "5e307"],
         ["--family", "gddop", "--M", "16", "--N", "4", "--oversample", "4", "--Q", "8", "--T", "1e308"],
@@ -355,6 +365,17 @@ class TestVerify:
             scan_lines[shape] = next(line for line in out.splitlines()
                                      if "fine-shift orthogonality" in line)
         assert scan_lines["rrc"] != scan_lines["btrrc"]
+
+    @pytest.mark.parametrize("argv,line", [
+        (["--M", "64", "--N", "16", "--oversample", "16"],
+         "[PASS] spectrum from parts: ΔT, ΔF and capture within "),
+        (["--M", "64", "--N", "8", "--oversample", "8"],
+         "[SKIP] spectrum from parts: the sub-pulse's 48 samples exceed one spectrum row of m = 4; "
+         "measured from the samples"),
+    ], ids=["parts", "samples"])
+    def test_spectrum_from_parts(self, argv, line, capsys):
+        lines = run(["verify", *argv], capsys)[1].splitlines()
+        assert lines[1].startswith("[PASS] Parseval") and lines[2].startswith(line)
 
     def test_negative_control(self, capsys):
         rc, out, _ = run(["verify", "--M", "64", "--N", "16", "--corrupt-signal"], capsys)

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -349,9 +350,11 @@ class TestOrthogonalityScan:
         (PulseSpec(M=8, N=4, family=PulseFamily.FDM), 20, 3, 4),
         (PulseSpec(M=8, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=3, otfs_n=1), 20, 3, 4),
         (PulseSpec(M=16, N=4, Q=12, beta=0.3, family=PulseFamily.GENERAL_DDOP), 3, 9, 4),
+        (PulseSpec(M=4, N=4, Q=64, beta=0.3, family=PulseFamily.GENERAL_DDOP), 3, 3, 4),
     ], ids=["ddop", "ddop-btrrc", "tdm", "gddop-q40", "fdm", "otfs", "shifts-past-T",
             "origin-only", "doppler-past-N", "gddop-overlap-8", "gddop-btrrc-overlap-8",
-            "fdm-shifts-past-2T", "otfs-shifts-past-2T", "gddop-doppler-past-N"])
+            "fdm-shifts-past-2T", "otfs-shifts-past-2T", "gddop-doppler-past-N",
+            "gddop-rows-fewer-than-lags"])
     def test_matches_fft_reference(self, spec, delay, doppler, oversample):
         expected = _fft_scan_reference(spec, delay, doppler, oversample)
         got = orthogonality_scan(spec, delay, doppler, oversample=oversample)
@@ -363,6 +366,16 @@ class TestOrthogonalityScan:
                             lambda spec, tau, count: (1.0, np.zeros(tau.shape)))
         with pytest.raises(DegenerateInputError, match="pulse has zero energy on its grid"):
             orthogonality_scan(SMALL, 2, 2, oversample=8)
+
+    @pytest.mark.parametrize("family", [PulseFamily.DDOP, PulseFamily.OTFS_BASIS])
+    def test_subnormal_T_stays_finite(self, family):
+        """At T = 1e-310 the sub-pulse amplitude overflows, but the scan reads the
+        sub-pulse scaled to a peak below 1: origin 1 and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scan = orthogonality_scan(PulseSpec(M=16, N=4, T=1e-310, family=family), 2, 2, oversample=4)
+        assert np.all(np.isfinite(scan))
+        assert scan[2, 2] == pytest.approx(1.0, abs=1e-9)
 
 
 def _fft_scan_reference(spec, max_delay_steps, max_doppler_steps, oversample):

@@ -1,6 +1,7 @@
 """Localization measurements: moments, invariances, and the shift identity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +16,19 @@ from ddopkit.metrics import (
     measure_all,
     measure_freq,
     measure_time,
+    measure_train,
+    spectrum_rows,
 )
-from ddopkit.pulses import PulseSpec
+from ddopkit import pulses
+from ddopkit.experiments import measure_point
+from ddopkit.pulses import PulseFamily, PulseSpec, synth_pulse, train_parts
 from ddopkit.signal_core import (
     DegenerateInputError,
     InvalidInputError,
     PowerSpectrum,
     SampledSignal,
     TimeGrid,
+    energy,
     power_spectrum,
 )
 
@@ -327,3 +333,122 @@ class TestShiftIdentity:
     def test_rejects_zero_scale(self):
         with pytest.raises(InvalidInputError):
             lemma1_check(lambda r: np.exp(-r * r), 0.0, 1.0)
+
+
+DEFAULT = PulseSpec(M=256, N=64)
+
+
+def assert_same_metrics(got, want, rel=1e-12):
+    for field in ("time_dispersion", "freq_dispersion", "energy_capture", "mean_time"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel, abs=0.0), field
+    assert abs(got.mean_freq - want.mean_freq) <= rel * want.freq_dispersion
+
+
+class TestMeasureTrain:
+    """The train measured from its parts against ``measure_all`` of its samples."""
+
+    @pytest.mark.parametrize("spec,oversample,zero_pad,rows", [
+        *((replace(DEFAULT, beta=beta, subpulse=shape), 16, 4, (512, 2025))
+          for shape in ("rrc", "btrrc") for beta in (0.0, 0.35, 1.0)),
+        (PulseSpec(M=64, N=8, family=PulseFamily.FDM), 8, 4, (512, 32)),
+        (PulseSpec(M=32, N=3, family=PulseFamily.FDM), 4, 2, (128, 6)),
+        *((PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=m, otfs_n=2), 8, 4, (256, 32))
+          for m in (0, 5, 31)),
+        (PulseSpec(M=45, N=7, Q=2, beta=0.3), 1, 4, (45, 25)),
+        (PulseSpec(M=45, N=2, Q=2, beta=0.3), 1, 1, (5, 10)),
+        (PulseSpec(M=45, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=3, otfs_n=1), 1, 1, (45, 4)),
+        (PulseSpec(M=45, N=3, family=PulseFamily.OTFS_BASIS, otfs_m=3, otfs_n=1), 1, 1, (45, 3)),
+    ], ids=["rrc-0", "rrc-0.35", "rrc-1", "btrrc-0", "btrrc-0.35", "btrrc-1", "fdm",
+            "fdm-comb-at-row-r/2", "otfs-m0", "otfs-m5", "otfs-m31", "real-odd-m-odd-r", "real-odd-m-even-r",
+            "complex-odd-m-even-r", "complex-odd-m-odd-r"])
+    def test_matches_the_sampled_spectrum(self, spec, oversample, zero_pad, rows):
+        """Every parity of m and r, real and complex, against measure_all to 1e-12."""
+        parts = train_parts(spec, oversample)
+        assert spectrum_rows(parts, zero_pad) == rows
+        assert parts.subpulse.shape[0] <= rows[0]
+        band = AnalysisBand.default_for(spec)
+        assert_same_metrics(measure_train(parts, band, zero_pad),
+                            measure_all(synth_pulse(spec, oversample), band, zero_pad))
+
+    def test_band_edge_on_a_bin(self):
+        """The default band edge 5M/T is bin 324,000 of the default train. An edge
+        set to one bin's float frequency can pick one more bin on that side
+        than on the other, and the mirrored rows must follow. In a band of a
+        few bins around 0, measure_all's frequencies start + k*df carry
+        rounding of about 1e-16 * (L/2) bins, so it is the reference there
+        only to 1e-9."""
+        parts = train_parts(DEFAULT)
+        m, r = spectrum_rows(parts)
+        length = m * r
+        spectrum = power_spectrum(parts.signal())
+        assert spectrum.values.shape[0] == length == 1_036_800
+        default = AnalysisBand.default_for(DEFAULT)
+        assert default.half_width / spectrum.freq_interval == 324_000.0
+        assert spectrum.bins_within(default.half_width) == slice(length // 2 - 324_000, length // 2 + 324_001)
+        picked = set()
+        for k, rel in ((324_000, 1e-12), (1000, 1e-12), (2, 1e-9), (1, 1e-9)):
+            for half_width in (spectrum.frequency(length // 2 + k), -spectrum.frequency(length // 2 - k)):
+                bins = spectrum.bins_within(half_width)
+                picked.add((bins.start - length // 2, bins.stop - length // 2))
+                band = AnalysisBand(half_width=half_width)
+                assert_same_metrics(measure_train(parts, band), measure_all(parts.signal(), band), rel=rel)
+        assert (-1, 3) in picked and (-2, 3) in picked  # both sides of a one-bin asymmetry
+
+    @pytest.mark.parametrize("spec,oversample,m", [
+        (PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP), 8, 1),
+        (PulseSpec(M=256, N=8), 16, 32),
+    ], ids=["gddop-m1", "ddop-m32"])
+    def test_wide_subpulse_measures_the_samples(self, spec, oversample, m):
+        """Where the sub-pulse spans more than one row, the result is measure_all's, bit for bit."""
+        parts = train_parts(spec, oversample)
+        assert spectrum_rows(parts)[0] == m < parts.subpulse.shape[0]
+        band = AnalysisBand.default_for(spec)
+        assert measure_train(parts, band) == measure_all(synth_pulse(spec, oversample), band)
+
+    @pytest.mark.parametrize("spec", [replace(DEFAULT, beta=0.5, subpulse="btrrc"),
+                                      PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc")],
+                             ids=["parts", "samples"])
+    def test_quadrature_runs_once_per_point(self, spec, monkeypatch):
+        calls = []
+
+        def counting(spec, tau):
+            calls.append(tau.shape)
+            return btrrc_profile(spec, tau)
+
+        btrrc_profile = pulses._btrrc_profile_at
+        monkeypatch.setattr(pulses, "_btrrc_profile_at", counting)
+        measure_point(spec, None, 4, 16)
+        assert len(calls) == 1
+
+    def test_parts_describe_a_unit_energy_train(self):
+        """Where w <= m the sub-pulses do not overlap, so the train the parts add
+        up has energy dt * scale^2 * sum|c_k|^2 * sum|s_t|^2, the one measure_train
+        normalizes by; parts.signal() divides it out to unit energy."""
+        for spec in (DEFAULT, PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2)):
+            parts = train_parts(spec)
+            width, dt = parts.subpulse.shape[0], parts.grid.sample_interval
+            assert width <= spectrum_rows(parts)[0]
+            train = np.zeros(parts.grid.num_samples, dtype=np.complex128)
+            for offset, coefficient in zip(parts.offsets, parts.coefficients):
+                train[offset:offset + width] += parts.scale * coefficient * parts.subpulse
+            from_parts = dt * parts.scale ** 2 * np.sum(np.abs(parts.coefficients) ** 2) * np.sum(
+                np.abs(parts.subpulse) ** 2)
+            assert np.vdot(train, train).real * dt == pytest.approx(from_parts, rel=1e-12)
+            assert energy(parts.signal()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_subpulse_is_degenerate(self, monkeypatch):
+        monkeypatch.setitem(pulses._SUBPULSES, "rrc", lambda spec, tau, count: (1.0, np.zeros(tau.shape)))
+        with pytest.raises(DegenerateInputError, match="pulse has zero energy on its grid"):
+            measure_train(train_parts(DEFAULT), AnalysisBand.default_for(DEFAULT))
+
+    def test_single_bin_band_rejected_on_both_paths(self):
+        """A band holding one bin is the same error whichever path measures it."""
+        for spec in (DEFAULT, PulseSpec(M=256, N=8)):
+            parts = train_parts(spec)
+            spectrum = power_spectrum(parts.signal())
+            band = AnalysisBand(half_width=spectrum.freq_interval / 4)
+            with pytest.raises(DegenerateInputError) as want:
+                measure_all(parts.signal(), band)
+            with pytest.raises(DegenerateInputError) as got:
+                measure_train(parts, band)
+            assert str(got.value) == str(want.value)

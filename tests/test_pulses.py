@@ -21,6 +21,7 @@ from ddopkit.pulses import (
     pulse_grid,
     synth_pulse,
     train_layout,
+    train_parts,
 )
 from ddopkit.signal_core import (
     DegenerateInputError,
@@ -384,6 +385,15 @@ class TestTrains:
         for spec in cases:
             sig = synth_pulse(spec, oversample=8)
             assert energy(sig) == pytest.approx(1.0, abs=1e-12), spec.family
+
+    @pytest.mark.parametrize("T", [1.0, 1e-310])
+    @pytest.mark.parametrize("family", [f for f in PulseFamily if f is not PulseFamily.BTRRC_SUBPULSE])
+    def test_parts_scaled_to_a_peak_below_one(self, family, T):
+        """The sub-pulse is scaled by a power of two to a peak in [0.5, 1), also
+        where a subnormal T sends the rrc amplitude beyond the float range."""
+        parts = train_parts(PulseSpec(M=16, N=4, T=T, beta=0.3, family=family), oversample=4)
+        assert 0.5 <= np.max(np.abs(parts.subpulse)) < 1.0
+        assert np.array_equal(parts.offsets, parts.per_t * np.arange(parts.coefficients.shape[0]))
 
     def test_zero_energy_is_degenerate(self):
         """Renormalization refuses all-zero samples instead of dividing by zero."""

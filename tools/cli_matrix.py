@@ -22,10 +22,14 @@ family at M = 32, N = 8 for ``--otfs-m`` 0, 5 and 31: 286 cases, all at T = 1
 on power-of-two grids. Then json synth and metrics of each alias off those
 grids, at ``--M 64 --N 8 --oversample 8 --T 0.37`` and at
 ``--M 33 --N 7 --oversample 5`` (``--Q 40`` for gddop, ``--otfs-m 5 --otfs-n 2``
-for otfs): 28 more. Last, verify of gddop at ``--M 16 --N 4 --Q 40
+for otfs): 28 more. Then verify of gddop at ``--M 16 --N 4 --Q 40
 --oversample 8`` for ``--subpulse rrc`` and ``btrrc``, whose sub-pulses span
 2Q/M = 5 symbol periods, so the orthogonality scan sums many lags per delay
-row: 316 distinct cases.
+row. Last, json metrics of the default 256 x 64 ddop train, whose sub-pulse
+fits one spectrum row, so it is measured from its parts: rrc at beta 0, 0.5
+and 1, btrrc at beta 0.5, and rrc at ``--T 0.37``; and of the otfs family at
+``--M 32 --N 8 --oversample 8 --otfs-m 5 --otfs-n 2``, a complex pulse measured
+from every spectrum row: 322 distinct cases.
 """
 
 from __future__ import annotations
@@ -65,6 +69,13 @@ def cases() -> list[list[str]]:
     for subpulse in ("rrc", "btrrc"):
         argv = ["verify", "--family", "gddop", "--subpulse", subpulse,
                 "--M", "16", "--N", "4", "--Q", "40", "--oversample", "8"]
+        out.setdefault(" ".join(argv), argv)
+    for pulse in (["--subpulse", "rrc", "--beta", "0"], ["--subpulse", "rrc", "--beta", "0.5"],
+                  ["--subpulse", "rrc", "--beta", "1"], ["--subpulse", "btrrc", "--beta", "0.5"],
+                  ["--T", "0.37"],
+                  ["--family", "otfs", "--M", "32", "--N", "8", "--oversample", "8",
+                   "--otfs-m", "5", "--otfs-n", "2"]):
+        argv = ["metrics", *pulse, "--format", "json"]
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
