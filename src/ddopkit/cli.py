@@ -34,7 +34,8 @@ from .experiments import (
     orthogonality_scan,
     run_sweep,
 )
-from .metrics import AnalysisBand, lemma1_check, measure_all, measure_train, spectrum_rows
+from .metrics import (AnalysisBand, lemma1_check, measure_all, measure_train, measured_from_parts,
+                      spectrum_rows)
 from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, synth_pulse, train_parts
 from .signal_core import (
     InvalidInputError,
@@ -300,9 +301,7 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
                   f"time {e:.12f} vs frequency {se:.12f}")
 
     numeric = measure_all(signal, band, zero_pad=cfg.zero_pad)
-    row, _ = spectrum_rows(parts, cfg.zero_pad)
-    width = parts.subpulse.shape[0]
-    if width <= row:
+    if measured_from_parts(parts, cfg.zero_pad):
         parted = measure_train(parts, band, cfg.zero_pad)
         worst = max(abs(a - b) / b for a, b in (
             (parted.time_dispersion, numeric.time_dispersion),
@@ -312,8 +311,8 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
                       f"ΔT, ΔF and capture within {worst:.2g} of the sampled spectrum's")
     else:
         checks.skip("spectrum from parts",
-                    f"the sub-pulse's {width} samples exceed one spectrum row of m = {row}; "
-                    f"measured from the samples")
+                    f"the sub-pulse's {parts.subpulse.shape[0]} samples exceed one spectrum row "
+                    f"of m = {spectrum_rows(parts, cfg.zero_pad)[0]}; measured from the samples")
     floor = gabor_limit() - 1e-6
     checks.report(numeric.tf_area >= floor, "uncertainty floor",
                   f"ΔA = {numeric.tf_area:.6g} >= {floor:.6g}")

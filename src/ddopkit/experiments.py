@@ -325,11 +325,9 @@ def orthogonality_scan(
 
     A and B are Doppler-turned autocorrelations of the coefficients and of
     the sub-pulse, each taken for every n~ by one batched FFT. B vanishes
-    for |D| >= w, so row d sums only the lags with |qP - d| < w: the scan
-    loops over the lags, each adding to the rows it reaches, or over the
-    rows, each summing the lags that reach it, whichever are fewer. s is
-    read scaled to a peak below 1 (``TrainParts``), so nothing squared
-    over- or underflows at any T; the scan is invariant to that scale. The anchor
+    for |D| >= w, so row d sums only the lags with |qP - d| < w. s is read
+    scaled to a peak below 1 (``TrainParts``), so nothing squared over- or
+    underflows at any T; the scan is invariant to that scale. The anchor
     exp(-2j pi n~ t0/(NT)) of the grid's start t0 has unit modulus and the
     scan reports magnitudes, so it is left out; dt cancels. The energy
     ||u||^2 = sum_q (sum_k c_k conj(c_{k-q})) (sum_j s_j conj(s_{j+qP})) is
@@ -357,19 +355,12 @@ def orthogonality_scan(
     delays = np.arange(-max_delay_steps, max_delay_steps + 1)
     rows = np.zeros((delays.shape[0], 2 * max_doppler_steps + 1), dtype=np.complex128)
     lags = min(count - 1, (max_delay_steps + steps - 1) // spec.M)
-    # B[qP - d] sits at b[width - 1 - (qP - d)]
-    if 2 * lags + 1 <= delays.shape[0]:
-        for q in range(-lags, lags + 1):
-            lo = max(-max_delay_steps, q * spec.M - steps + 1)
-            hi = min(max_delay_steps, q * spec.M + steps - 1)
-            near = slice(lo + max_delay_steps, hi + max_delay_steps + 1)
-            rows[near] += a[count - 1 + q] * b[width - 1 + oversample * (delays[near] - q * spec.M)]
-    else:
-        for row, delay in enumerate(delays):
-            near = np.arange(max(-lags, (delay - steps) // spec.M + 1),
-                             min(lags, (delay + steps - 1) // spec.M) + 1)
-            rows[row] = np.sum(a[count - 1 + near] * b[width - 1 + oversample * (delay - near * spec.M)],
-                               axis=0)
+    for q in range(-lags, lags + 1):
+        lo = max(-max_delay_steps, q * spec.M - steps + 1)
+        hi = min(max_delay_steps, q * spec.M + steps - 1)
+        near = slice(lo + max_delay_steps, hi + max_delay_steps + 1)
+        # B[qP - d] sits at b[width - 1 - (qP - d)]
+        rows[near] += a[count - 1 + q] * b[width - 1 + oversample * (delays[near] - q * spec.M)]
     return np.abs(rows) / energy
 
 

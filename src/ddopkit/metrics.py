@@ -47,6 +47,7 @@ __all__ = [
     "measure_freq",
     "measure_all",
     "spectrum_rows",
+    "measured_from_parts",
     "measure_train",
     "lemma1_check",
 ]
@@ -198,6 +199,13 @@ def spectrum_rows(parts: TrainParts, zero_pad: int = 4) -> tuple[int, int]:
     return m, length // m
 
 
+def measured_from_parts(parts: TrainParts, zero_pad: int = 4) -> bool:
+    """Whether ``measure_train`` reads the spectrum row by row: the sub-pulse's
+    w samples fit one row of ``spectrum_rows`` (w <= m). Otherwise it measures
+    the synthesized train."""
+    return parts.subpulse.shape[0] <= spectrum_rows(parts, zero_pad)[0]
+
+
 def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
     """Numeric localization metrics of the train ``parts.signal()``: those of
     ``measure_all(parts.signal(), band, zero_pad)``, to rounding.
@@ -216,9 +224,9 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     come from the sub-pulse's moments and the |c_k|^2. Where w > m, the train
     is synthesized from its parts and measured by ``measure_all``.
     """
-    m, r = spectrum_rows(parts, zero_pad)
-    if parts.subpulse.shape[0] > m:
+    if not measured_from_parts(parts, zero_pad):
         return measure_all(parts.signal(), band, zero_pad)
+    m, r = spectrum_rows(parts, zero_pad)
     sub_power = np.abs(parts.subpulse) ** 2
     coef_power = np.abs(parts.coefficients) ** 2
     sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
@@ -316,31 +324,17 @@ def _window_sums(power: np.ndarray, rows: np.ndarray, r: int, bands: list[tuple[
     """For each band lo <= kappa < hi: per row, the sums of power * i**q (q = 0, 1, 2)
     over the in-band columns, their nonzero count, and the out-of-band sum.
 
-    A row's in-band columns are one run; the runs of all rows and bands
-    differ by a column or so at each end, so the columns every run holds are
-    summed once for all, and only the few others are masked.
+    Row j's in-band columns are the run m//2 - (j - lo)//r <= c < m//2 - (j - hi)//r.
     """
     m = power.shape[1]
-    i = np.arange(m) - m // 2
-    moments = np.stack((np.ones(m), i, i * i))
-    runs = [(np.clip(m // 2 - (rows - lo) // r, 0, m), np.clip(m // 2 - (rows - hi) // r, 0, m))
-            for lo, hi in bands]
-    first = max(int(a.max()) for a, _ in runs)
-    last = max(first, min(int(b.min()) for _, b in runs))
-    start, stop = min(int(a.min()) for a, _ in runs), max(int(b.max()) for _, b in runs)
-    core = power[:, first:last]
-    core_sums = np.einsum("jc,qc->qj", core, moments[:, first:last])
-    core_nonzero = np.count_nonzero(core, axis=1)
-    beyond = np.sum(power[:, :start], axis=1) + np.sum(power[:, stop:], axis=1)
-    edge = np.r_[start:first, last:stop]
-    edge_power = power[:, edge]
+    c = np.arange(m)
+    moments = np.stack((np.ones(m), c - m // 2, (c - m // 2) ** 2))
     out = []
-    for a, b in runs:
-        inside = (edge >= a[:, None]) & (edge < b[:, None])
-        held = np.where(inside, edge_power, 0.0)
-        out.append((core_sums + np.einsum("je,qe->qj", held, moments[:, edge]),
-                    core_nonzero + np.count_nonzero(held, axis=1),
-                    beyond + np.sum(edge_power - held, axis=1)))
+    for lo, hi in bands:
+        inside = (c >= m // 2 - (rows[:, None] - lo) // r) & (c < m // 2 - (rows[:, None] - hi) // r)
+        held = np.where(inside, power, 0.0)
+        out.append((np.einsum("jc,qc->qj", held, moments), np.count_nonzero(held, axis=1),
+                    np.sum(np.where(inside, 0.0, power), axis=1)))
     return out
 
 

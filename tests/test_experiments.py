@@ -354,7 +354,7 @@ class TestOrthogonalityScan:
     ], ids=["ddop", "ddop-btrrc", "tdm", "gddop-q40", "fdm", "otfs", "shifts-past-T",
             "origin-only", "doppler-past-N", "gddop-overlap-8", "gddop-btrrc-overlap-8",
             "fdm-shifts-past-2T", "otfs-shifts-past-2T", "gddop-doppler-past-N",
-            "gddop-rows-fewer-than-lags"])
+            "gddop-overlap-32"])
     def test_matches_fft_reference(self, spec, delay, doppler, oversample):
         expected = _fft_scan_reference(spec, delay, doppler, oversample)
         got = orthogonality_scan(spec, delay, doppler, oversample=oversample)

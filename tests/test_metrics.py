@@ -17,9 +17,10 @@ from ddopkit.metrics import (
     measure_freq,
     measure_time,
     measure_train,
+    measured_from_parts,
     spectrum_rows,
 )
-from ddopkit import pulses
+from ddopkit import metrics, pulses
 from ddopkit.experiments import measure_point
 from ddopkit.pulses import PulseFamily, PulseSpec, synth_pulse, train_parts
 from ddopkit.signal_core import (
@@ -365,7 +366,7 @@ class TestMeasureTrain:
         """Every parity of m and r, real and complex, against measure_all to 1e-12."""
         parts = train_parts(spec, oversample)
         assert spectrum_rows(parts, zero_pad) == rows
-        assert parts.subpulse.shape[0] <= rows[0]
+        assert parts.subpulse.shape[0] <= rows[0] and measured_from_parts(parts, zero_pad)
         band = AnalysisBand.default_for(spec)
         assert_same_metrics(measure_train(parts, band, zero_pad),
                             measure_all(synth_pulse(spec, oversample), band, zero_pad))
@@ -402,6 +403,7 @@ class TestMeasureTrain:
         """Where the sub-pulse spans more than one row, the result is measure_all's, bit for bit."""
         parts = train_parts(spec, oversample)
         assert spectrum_rows(parts)[0] == m < parts.subpulse.shape[0]
+        assert not measured_from_parts(parts)
         band = AnalysisBand.default_for(spec)
         assert measure_train(parts, band) == measure_all(synth_pulse(spec, oversample), band)
 
@@ -452,3 +454,23 @@ class TestMeasureTrain:
             with pytest.raises(DegenerateInputError) as got:
                 measure_train(parts, band)
             assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("m,r,first", [(16, 7, -3), (16, 7, 0), (15, 8, -4), (9, 5, 0)])
+    def test_window_sums_match_a_mask(self, m, r, first):
+        """Each row's in-band sums, nonzero count and out-of-band sum, against a
+        mask over every bin kappa = j + r*(c - m//2), for bands inside, across
+        and past the rows' span, on a power array with exact zeros."""
+        rows = np.arange(first, first + r)
+        rng = np.random.default_rng(m * r)
+        power = rng.random((r, m)) * (rng.random((r, m)) < 0.7)
+        i = np.arange(m) - m // 2
+        kappa = rows[:, None] + r * i
+        span = (int(kappa.min()), int(kappa.max()) + 1)
+        bands = [(lo, hi) for lo in range(span[0] - 2, span[1] + 2, 3)
+                 for hi in range(lo + 1, span[1] + 3, 4)]
+        for (lo, hi), (sums, nonzero, outside) in zip(bands, metrics._window_sums(power, rows, r, bands)):
+            inside = (kappa >= lo) & (kappa < hi)
+            held = np.where(inside, power, 0.0)
+            np.testing.assert_allclose(sums, [held.sum(axis=1), held @ i, held @ (i * i)], rtol=1e-13, atol=1e-13)
+            assert np.array_equal(nonzero, np.count_nonzero(held, axis=1))
+            np.testing.assert_allclose(outside, np.where(inside, 0.0, power).sum(axis=1), rtol=1e-13, atol=1e-13)
