@@ -43,6 +43,7 @@ from .signal_core import (
     fast_length,
     non_negative_int,
     positive_int,
+    sum_of_products,
 )
 
 __all__ = [
@@ -341,8 +342,8 @@ def orthogonality_scan(
     parts = train_parts(spec, oversample)
     sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
     count, width = coefficients.shape[0], sub.shape[0]
-    energy = sum((2.0 if q else 1.0) * (np.vdot(coefficients[:count - q], coefficients[q:])
-                                        * np.vdot(sub[q * per_t:], sub[:width - q * per_t])).real
+    energy = sum((2.0 if q else 1.0) * (sum_of_products(coefficients[:count - q].conj(), coefficients[q:])
+                                        * sum_of_products(sub[q * per_t:].conj(), sub[:width - q * per_t])).real
                  for q in range(min(count, -(-width // per_t))))
     if energy <= 0.0:
         raise DegenerateInputError("pulse has zero energy on its grid")

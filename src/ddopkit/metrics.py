@@ -37,6 +37,7 @@ from .signal_core import (
     fast_length,
     positive_int,
     power_spectrum,
+    sum_of_products,
 )
 
 __all__ = [
@@ -110,8 +111,8 @@ def _moments(x: np.ndarray, weights: np.ndarray, total: float) -> tuple[float, f
     """Mean and variance of x under weights summing to total; an over- or
     underflow is left to ``_dispersion`` to judge."""
     with np.errstate(all="ignore"):
-        mean = float(np.dot(x, weights) / total)
-        var = float(np.dot((x - mean) ** 2, weights) / total)
+        mean = float(sum_of_products(x, weights) / total)
+        var = float(sum_of_products((x - mean) ** 2, weights) / total)
     return mean, var
 
 
@@ -278,16 +279,16 @@ def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int) -> tuple[
     in_band = out_band = first_moment = 0.0
     nonzero = 0
     for (s, nonzero_in_row, outside), (_, sign, w) in zip(sums, bands):
-        in_band += float(np.dot(w, s[0]))
-        out_band += float(np.dot(w, outside))
+        in_band += float(sum_of_products(w, s[0]))
+        out_band += float(sum_of_products(w, outside))
         nonzero += int(np.sum(nonzero_in_row[w > 0.0]))
-        first_moment += sign * float(np.dot(w, rows * s[0] + r * s[1]))
+        first_moment += sign * float(sum_of_products(w, rows * s[0] + r * s[1]))
     _check_band(in_band, nonzero, hi - lo, band, freq_interval)
     mean = first_moment / in_band
     var = 0.0
     for (s, _, _), (_, sign, w) in zip(sums, bands):
         d = rows - sign * mean
-        var += float(np.dot(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
+        var += float(sum_of_products(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
     with np.errstate(all="ignore"):
         freq_var = float(var / in_band * freq_interval * freq_interval)
     return mean * freq_interval, _dispersion(freq_var, "frequency"), in_band / (in_band + out_band)

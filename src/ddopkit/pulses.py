@@ -60,6 +60,7 @@ from .signal_core import (
     TimeGrid,
     non_negative_int,
     positive_int,
+    sum_of_products,
 )
 
 __all__ = [
@@ -220,9 +221,12 @@ def _rrc_profile(x: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _renormalized(grid: TimeGrid, samples: np.ndarray) -> SampledSignal:
-    raw = float(np.real(np.vdot(samples, samples)) * grid.sample_interval)
-    if raw <= 0.0:
-        raise DegenerateInputError("pulse has zero energy on its grid")
+    raw = float(sum_of_products(samples.conj(), samples).real * grid.sample_interval)
+    if not 0.0 < raw < math.inf:
+        raise DegenerateInputError(
+            "pulse has zero energy on its grid" if raw == 0.0 else
+            f"the pulse energy ({raw:g}) is not a positive number in the float range "
+            f"(0, {sys.float_info.max:g}]; rescale T towards 1")
     return SampledSignal(grid=grid, samples=samples * math.sqrt(1.0 / raw))
 
 
@@ -330,7 +334,7 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
         rows = max(1, _COS_BLOCK_ELEMENTS // fq.size)
         for start in range(0, tau.size, rows):
             block = slice(start, start + rows)
-            total[block] += 2.0 * np.cos(2.0 * np.pi * np.outer(tau[block], fq)) @ amp_df
+            total[block] += 2.0 * np.einsum("ij,j->i", np.cos(2.0 * np.pi * np.outer(tau[block], fq)), amp_df)
     return total
 
 

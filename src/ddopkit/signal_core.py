@@ -19,6 +19,11 @@ Conventions used throughout the package:
   by the same ``bins_within`` rule, from m-point transforms of its sub-pulse
   where the sub-pulse fits one row of m = gcd(L, samples per T) bins, and
   from ``power_spectrum`` of the synthesized train elsewhere.
+* Every sum of products in the package (energies, moments, the btrrc
+  cosine sum) runs in numpy's own ``einsum`` loop (``sum_of_products``),
+  never in BLAS. A threaded BLAS splits a long sum between its threads, so
+  its rounding would follow the thread count, and its idle threads spin
+  against the sweep's worker pool.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "bins_within",
     "energy",
     "spectral_energy",
+    "sum_of_products",
     "positive_int",
     "non_negative_int",
     "fast_length",
@@ -141,12 +147,21 @@ def bins_within(start_freq: float, freq_interval: float, count: int, half_width:
     return slice(first(lambda f: f >= -half_width), first(lambda f: f > half_width))
 
 
+def sum_of_products(a: np.ndarray, b: np.ndarray):
+    """sum_i a[i] * b[i], no conjugation, as a numpy scalar.
+
+    ``einsum`` without ``optimize`` sums in numpy's own single-threaded
+    loop, so the result does not depend on the BLAS thread count.
+    """
+    return np.einsum("i,i->", a, b)
+
+
 def energy(signal: SampledSignal) -> float:
     """Midpoint Riemann sum of |g(t)|^2."""
     if signal.samples.size == 0:
         raise InvalidInputError("empty signal")
     mags = np.abs(signal.samples)
-    return float(np.dot(mags, mags) * signal.grid.sample_interval)
+    return float(sum_of_products(mags, mags) * signal.grid.sample_interval)
 
 
 def spectral_energy(spectrum: PowerSpectrum) -> float:

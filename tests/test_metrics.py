@@ -31,6 +31,7 @@ from ddopkit.signal_core import (
     TimeGrid,
     energy,
     power_spectrum,
+    sum_of_products,
 )
 
 WIDE = AnalysisBand(half_width=20.0)
@@ -185,8 +186,8 @@ def check_against_mask(spectrum, band):
     weights = spectrum.values * spectrum.freq_interval
     fb, wb = f[inside], weights[inside]
     in_band = float(np.sum(wb))
-    mean = float(np.dot(fb, wb) / in_band) if in_band > 0.0 else 0.0
-    var = float(np.dot((fb - mean) ** 2, wb) / in_band) if in_band > 0.0 else 0.0
+    mean = float(sum_of_products(fb, wb) / in_band) if in_band > 0.0 else 0.0
+    var = float(sum_of_products((fb - mean) ** 2, wb) / in_band) if in_band > 0.0 else 0.0
     if np.count_nonzero(wb) < 2 or not var > 0.0:
         with pytest.raises(DegenerateInputError):
             measure_freq(spectrum, band)

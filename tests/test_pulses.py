@@ -29,6 +29,7 @@ from ddopkit.signal_core import (
     TimeGrid,
     energy,
     power_spectrum,
+    sum_of_products,
 )
 
 
@@ -488,7 +489,7 @@ class TestTrains:
 
 
 def _unit_energy(grid, samples):
-    raw = float(np.real(np.vdot(samples, samples)) * grid.sample_interval)
+    raw = float(sum_of_products(samples.conj(), samples).real * grid.sample_interval)
     return samples * math.sqrt(1.0 / raw)
 
 

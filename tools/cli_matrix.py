@@ -29,7 +29,9 @@ row. Last, json metrics of the default 256 x 64 ddop train, whose sub-pulse
 fits one spectrum row, so it is measured from its parts: rrc at beta 0, 0.5
 and 1, btrrc at beta 0.5, and rrc at ``--T 0.37``; and of the otfs family at
 ``--M 32 --N 8 --oversample 8 --otfs-m 5 --otfs-n 2``, a complex pulse measured
-from every spectrum row: 322 distinct cases.
+from every spectrum row. Last, the benchmark's 11-point btrrc beta sweep of
+the default M = 256, N = 8 train, long enough that a threaded BLAS would
+split its sums: 323 distinct cases.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ def cases() -> list[list[str]]:
                    "--otfs-m", "5", "--otfs-n", "2"]):
         argv = ["metrics", *pulse, "--format", "json"]
         out.setdefault(" ".join(argv), argv)
+    argv = ["sweep", "--vary", "beta", "--steps", "11", "--subpulse", "btrrc", "--N", "8",
+            "--from", "0.2", "--to", "0.7", "--format", "csv"]
+    out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
 
