@@ -11,9 +11,11 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 the train's length-L DFT is the sub-pulse's DFT times the coefficients'
 comb, so where the sub-pulse fits one row of m = gcd(L, P) samples it sums
 the band moments from m-point sub-pulse transforms and ΔT from the
-sub-pulse's own moments, and never builds the train. Otherwise it
-synthesizes the train and calls ``measure_all``, which stays the
-independent oracle.
+sub-pulse's own moments, and never builds the train. There the capture's
+total, the energy of all L bins, comes from discrete Parseval instead of an
+out-of-band sum; the capture is still in-band over all energy, never above 1.
+Otherwise it synthesizes the train and calls ``measure_all``, which stays
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -222,12 +224,15 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     The band's bins are ``bins_within``'s, found row by row, and the moments
     are summed there, so neither the train nor an L-long array is built. The
     sub-pulses cannot overlap (w <= m <= P), so the energy, mean time and ΔT
-    come from the sub-pulse's moments and the |c_k|^2. Where w > m, the train
-    is synthesized from its parts and measured by ``measure_all``.
+    come from the sub-pulse's moments and the |c_k|^2, and by discrete
+    Parseval all L bins hold L * sum|c_k|^2 * sum|s_t|^2: the capture is the
+    in-band sum over the larger of that total and itself, so it never
+    exceeds 1, and a band of every bin captures exactly 1. Where w > m, the
+    train is synthesized from its parts and measured by ``measure_all``.
     """
-    if not measured_from_parts(parts, zero_pad):
-        return measure_all(parts.signal(), band, zero_pad)
     m, r = spectrum_rows(parts, zero_pad)
+    if parts.subpulse.shape[0] > m:  # not measured_from_parts
+        return measure_all(parts.signal(), band, zero_pad)
     sub_power = np.abs(parts.subpulse) ** 2
     coef_power = np.abs(parts.coefficients) ** 2
     sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
@@ -242,7 +247,7 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     period = parts.per_t * dt
     time_disp = _dispersion(sub_var + period * period * index_var, "time")
 
-    mean_freq, freq_disp, capture = _train_freq(parts, band, m, r)
+    mean_freq, freq_disp, capture = _train_freq(parts, band, m, r, m * r * sub_energy * coef_energy)
     return LocalizationMetrics(
         mean_time=sub_mean + period * index_mean,
         mean_freq=mean_freq,
@@ -253,12 +258,15 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     )
 
 
-def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int) -> tuple[float, float, float]:
-    """``measure_freq`` of the train's spectrum, summed row by row.
+def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int,
+                total: float) -> tuple[float, float, float]:
+    """``measure_freq`` of the train's spectrum, summed row by row, with
+    ``total`` the power of all L bins (``measure_train``'s Parseval sum).
 
     Bin k is read at its signed index kappa = j + r*i, with row j and
-    centered column i = c - m//2; for even m the rows run from 0, for odd m
-    from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
+    centered column -(m//2) <= i < m - m//2; for even m the rows run from 0,
+    for odd m from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
+    A band that is its own mirror is summed once.
     """
     length = m * r
     freq_interval = 1.0 / (length * parts.grid.sample_interval)
@@ -276,27 +284,28 @@ def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int) -> tuple[
     if real:
         bands.append(((1 - hi, 1 - lo), -1.0, weight * ((rows != 0) & (2 * np.abs(rows) < r))))
     sums = _window_sums(power, rows, r, [kappas for kappas, _, _ in bands])
-    in_band = out_band = first_moment = 0.0
+    in_band = first_moment = 0.0
     nonzero = 0
-    for (s, nonzero_in_row, outside), (_, sign, w) in zip(sums, bands):
+    for (s, nonzero_in_row), (_, sign, w) in zip(sums, bands):
         in_band += float(sum_of_products(w, s[0]))
-        out_band += float(sum_of_products(w, outside))
         nonzero += int(np.sum(nonzero_in_row[w > 0.0]))
         first_moment += sign * float(sum_of_products(w, rows * s[0] + r * s[1]))
     _check_band(in_band, nonzero, hi - lo, band, freq_interval)
     mean = first_moment / in_band
     var = 0.0
-    for (s, _, _), (_, sign, w) in zip(sums, bands):
+    for (s, _), (_, sign, w) in zip(sums, bands):
         d = rows - sign * mean
         var += float(sum_of_products(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
     with np.errstate(all="ignore"):
         freq_var = float(var / in_band * freq_interval * freq_interval)
-    return mean * freq_interval, _dispersion(freq_var, "frequency"), in_band / (in_band + out_band)
+    whole = in_band if hi - lo == length else max(in_band, total)  # a band of every bin holds it all
+    return mean * freq_interval, _dispersion(freq_var, "frequency"), in_band / whole
 
 
 def _row_power(sub: np.ndarray, rows: np.ndarray, length: int, m: int) -> np.ndarray:
-    """|Y[j, c]|^2, Y[j, c] = sum_t s_t exp(-2j pi (j + r (c - m//2)) t/L), for the
-    consecutive rows j and columns c < m: one m-point FFT per row.
+    """|Y[j, c]|^2, Y[j, c] = sum_t s_t exp(-2j pi (j + r c) t/L), for the
+    consecutive rows j and columns c < m in FFT order (column c is the
+    centered column c - m for c >= m - m//2): one m-point FFT per row.
 
     The turn exp(-2j pi j t/L) is the product of a coarse and a fine table,
     j = coarse + fine, each about sqrt(rows) x w entries; row 0 is turned by
@@ -314,29 +323,50 @@ def _row_power(sub: np.ndarray, rows: np.ndarray, length: int, m: int) -> np.nda
     turned = np.zeros((coarse.shape[0], block, m), dtype=np.complex128)
     np.multiply(turn(coarse)[:, None, :], sub * turn(np.arange(block)), out=turned[:, :, :width])
     start = int(rows[0]) - first * block
-    spectra = np.fft.fft(turned.reshape(-1, m)[start:start + rows.shape[0]], axis=1)
-    del turned
+    # in place: a larger working set is handed back to the OS and faulted in again every call
+    spectra = turned.reshape(-1, m)[start:start + rows.shape[0]]
+    np.fft.fft(spectra, axis=1, out=spectra)
     power = spectra.real ** 2
-    power += spectra.imag ** 2
-    return np.roll(power, m // 2, axis=1)
+    imag = spectra.imag
+    power += np.multiply(imag, imag, out=imag)
+    return power
 
 
 def _window_sums(power: np.ndarray, rows: np.ndarray, r: int, bands: list[tuple[int, int]]):
     """For each band lo <= kappa < hi: per row, the sums of power * i**q (q = 0, 1, 2)
-    over the in-band columns, their nonzero count, and the out-of-band sum.
+    over the in-band columns, and their nonzero count. Equal bands share one
+    result. No out-of-band sum is taken: ``measure_train`` has the total power
+    from Parseval.
 
-    Row j's in-band columns are the run m//2 - (j - lo)//r <= c < m//2 - (j - hi)//r.
+    ``power`` is in FFT order, column c holding the centered column
+    i = c - m for c >= m - m//2 and i = c otherwise. Row j's in-band columns
+    are the run -((j - lo)//r) <= i < -((j - hi)//r), at most two slices of
+    columns (i >= 0 and i < 0). The rows span fewer than r indices, so each
+    end of the run steps at most once: the rows split into at most three
+    blocks, each summed slice by slice.
     """
     m = power.shape[1]
-    c = np.arange(m)
-    moments = np.stack((np.ones(m), c - m // 2, (c - m // 2) ** 2))
-    out = []
+    i = (np.arange(m) + m // 2) % m - m // 2
+    moments = np.stack((np.ones(m), i, i * i))
+    first, count = int(rows[0]), rows.shape[0]
+    found = {}
     for lo, hi in bands:
-        inside = (c >= m // 2 - (rows[:, None] - lo) // r) & (c < m // 2 - (rows[:, None] - hi) // r)
-        held = np.where(inside, power, 0.0)
-        out.append((np.einsum("jc,qc->qj", held, moments), np.count_nonzero(held, axis=1),
-                    np.sum(np.where(inside, 0.0, power), axis=1)))
-    return out
+        if (lo, hi) in found:
+            continue
+        sums, nonzero = np.zeros((3, count)), np.zeros(count, dtype=np.intp)
+        steps = sorted({0, count, *((edge - first) % r for edge in (lo, hi))})
+        for a, b in zip(steps, steps[1:]):
+            if b > count:
+                break
+            start = max(-((first + a - lo) // r), -(m // 2))
+            stop = min(-((first + a - hi) // r), m - m // 2)
+            for c0, c1 in ((max(start, 0), stop), (start + m, min(stop, 0) + m)):
+                if c0 < c1:
+                    block = power[a:b, c0:c1]
+                    sums[:, a:b] += np.einsum("jc,qc->qj", block, moments[:, c0:c1])
+                    nonzero[a:b] += np.count_nonzero(block, axis=1)
+        found[lo, hi] = sums, nonzero
+    return [found[kappas] for kappas in bands]
 
 
 def _midpoint(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> float:

@@ -458,9 +458,11 @@ class TestMeasureTrain:
 
     @pytest.mark.parametrize("m,r,first", [(16, 7, -3), (16, 7, 0), (15, 8, -4), (9, 5, 0)])
     def test_window_sums_match_a_mask(self, m, r, first):
-        """Each row's in-band sums, nonzero count and out-of-band sum, against a
-        mask over every bin kappa = j + r*(c - m//2), for bands inside, across
-        and past the rows' span, on a power array with exact zeros."""
+        """Each row's in-band sums and nonzero count against a mask over every
+        bin kappa = j + r*(c - m//2) of a centered power array with exact
+        zeros, handed over in FFT order, for bands inside, across and past the
+        rows' span. Each band is asked for twice, as a band that is its own
+        mirror is, and both answers are the one result."""
         rows = np.arange(first, first + r)
         rng = np.random.default_rng(m * r)
         power = rng.random((r, m)) * (rng.random((r, m)) < 0.7)
@@ -469,9 +471,44 @@ class TestMeasureTrain:
         span = (int(kappa.min()), int(kappa.max()) + 1)
         bands = [(lo, hi) for lo in range(span[0] - 2, span[1] + 2, 3)
                  for hi in range(lo + 1, span[1] + 3, 4)]
-        for (lo, hi), (sums, nonzero, outside) in zip(bands, metrics._window_sums(power, rows, r, bands)):
+        got = metrics._window_sums(np.fft.ifftshift(power, axes=1), rows, r, [band for band in bands for _ in range(2)])
+        for (lo, hi), (sums, nonzero), again in zip(bands, got[::2], got[1::2]):
             inside = (kappa >= lo) & (kappa < hi)
             held = np.where(inside, power, 0.0)
             np.testing.assert_allclose(sums, [held.sum(axis=1), held @ i, held @ (i * i)], rtol=1e-13, atol=1e-13)
             assert np.array_equal(nonzero, np.count_nonzero(held, axis=1))
-            np.testing.assert_allclose(outside, np.where(inside, 0.0, power).sum(axis=1), rtol=1e-13, atol=1e-13)
+            assert again[0] is sums and again[1] is nonzero
+
+    def test_symmetric_band_is_summed_once(self, monkeypatch):
+        """The default band, kappa in [-324000, 324001), is its own mirror
+        (1 - hi, 1 - lo): one set of window sums serves both row weightings,
+        and the result is still measure_all's."""
+        seen = []
+        window_sums = metrics._window_sums
+
+        def spy(power, rows, r, bands):
+            seen.append((bands, window_sums(power, rows, r, bands)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(metrics, "_window_sums", spy)
+        band = AnalysisBand.default_for(DEFAULT)
+        assert_same_metrics(measure_train(train_parts(DEFAULT), band), measure_all(synth_pulse(DEFAULT), band))
+        [(bands, sums)] = seen
+        assert bands == [(-324_000, 324_001)] * 2 and sums[0] is sums[1]
+
+    def test_capture_from_parseval(self):
+        """The capture's total is L * sum|c_k|^2 * sum|s_t|^2, every bin's energy
+        by discrete Parseval: a band holding every bin captures exactly 1, and
+        no band captures more than 1."""
+        wide = AnalysisBand(half_width=1e12)
+        assert measure_train(train_parts(DEFAULT), wide).energy_capture == 1.0
+        spec = PulseSpec(M=32, N=3, family=PulseFamily.FDM)
+        parts = train_parts(spec, 4)
+        assert measured_from_parts(parts, 2)
+        assert measure_train(parts, wide, 2).energy_capture == 1.0
+        spectrum = power_spectrum(parts.signal(), 2)
+        for k in range(1, spectrum.values.shape[0] // 2, 7):
+            band = AnalysisBand(half_width=spectrum.frequency(spectrum.values.shape[0] // 2 + k))
+            got = measure_train(parts, band, 2)
+            assert got.energy_capture <= 1.0
+            assert_same_metrics(got, measure_all(parts.signal(), band, 2))

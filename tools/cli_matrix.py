@@ -12,7 +12,10 @@ joined by spaces. The second prints every case whose record differs, or is
 missing from one file, and exits 1 if there is any. A changed case whose
 records differ only in numbers is printed with its largest move: per output
 column (CSV) or key (JSON), the largest difference over the column's largest
-magnitude in A.
+magnitude in A. A CSV cell is printed to 12 significant digits, so a move of
+at most one unit in its 12th digit may be a rounding flip of a far smaller
+move; such cells are reported apart, as rounding flips, and only the other
+moves (every JSON number among them) count as the case's largest move.
 
 The cases: the 7 family aliases x ``--subpulse rrc|btrrc`` x beta in
 {0, 0.5, 1} x synth/metrics/verify/``sweep --vary beta --steps 3`` x csv/json
@@ -39,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 
 ALIASES = ("rrc", "btrrc", "ddop", "gddop", "tdm", "fdm", "otfs")
@@ -116,14 +120,26 @@ def _columns(text: str) -> dict[str, list] | None:
     return columns
 
 
-def largest_move(a: list, b: list) -> float | None:
-    """The largest numeric move between two records, or None if they differ otherwise."""
+def _rounding_flip(p, q, x: float, y: float) -> bool:
+    """Whether two CSV cells' texts, both of at most 12 significant digits,
+    differ by at most one unit in the 12th digit."""
+    if not (isinstance(p, str) and isinstance(q, str) and math.isfinite(x) and math.isfinite(y)):
+        return False
+    digits = [len(t.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0")) for t in (p, q)]
+    unit = 10.0 ** (math.floor(math.log10(max(abs(x), abs(y)))) - 11)
+    return max(digits) <= 12 and abs(x - y) <= unit * (1 + 1e-9)
+
+
+def largest_move(a: list, b: list) -> tuple[float, float] | None:
+    """The largest numeric move between two records and the largest rounding
+    flip (``_rounding_flip``), each relative to its column; None if the
+    records differ otherwise."""
     if a[0] != b[0] or a[2] != b[2]:
         return None
     ca, cb = _columns(a[1]), _columns(b[1])
     if ca is None or cb is None or ca.keys() != cb.keys():
         return None
-    worst = 0.0
+    worst = flip = 0.0
     for key in ca:
         try:
             x, y = [float(v) for v in ca[key]], [float(v) for v in cb[key]]
@@ -133,20 +149,32 @@ def largest_move(a: list, b: list) -> float | None:
             continue
         if len(x) != len(y):
             return None
-        diff = max((abs(p - q) for p, q in zip(x, y)), default=0.0)
-        if diff:
-            worst = max(worst, diff / max(abs(p) for p in x))
-    return worst
+        scale = max(map(abs, x), default=0.0) or max(map(abs, y), default=0.0)
+        for p, q, xp, yq in zip(ca[key], cb[key], x, y):
+            if xp != yq:
+                move = abs(xp - yq) / scale
+                if _rounding_flip(p, q, xp, yq):
+                    flip = max(flip, move)
+                else:
+                    worst = max(worst, move)
+    return worst, flip
 
 
 def compare(a_path: str, b_path: str) -> int:
     with open(a_path, encoding="utf-8") as fa, open(b_path, encoding="utf-8") as fb:
         a, b = json.load(fa), json.load(fb)
     changed = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    worst = 0.0
     for key in changed:
-        move = largest_move(a[key], b[key]) if key in a and key in b else None
-        print(key if move is None else f"{key}  (largest move {move:.2g})")
-    print(f"{len(changed)} of {len(a.keys() | b.keys())} cases differ")
+        moves = largest_move(a[key], b[key]) if key in a and key in b else None
+        if moves is None:
+            print(key)
+            continue
+        move, flip = moves
+        worst = max(worst, move)
+        flips = f"; rounding flips up to {flip:.2g}" if flip else ""
+        print(f"{key}  (largest move {move:.2g}{flips})")
+    print(f"{len(changed)} of {len(a.keys() | b.keys())} cases differ; largest move {worst:.2g}")
     return 1 if changed else 0
 
 
