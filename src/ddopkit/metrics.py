@@ -9,13 +9,13 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 ``measure_all`` measures a sampled signal through ``power_spectrum``.
 ``measure_train`` measures a pulse train from its parts (``TrainParts``):
 the train's length-L DFT is the sub-pulse's DFT times the coefficients'
-comb, so where the sub-pulse fits one row of m = gcd(L, P) samples it sums
-the band moments from m-point sub-pulse transforms and ΔT from the
-sub-pulse's own moments, and never builds the train. There the capture's
-total, the energy of all L bins, comes from discrete Parseval instead of an
-out-of-band sum; the capture is still in-band over all energy, never above 1.
-Otherwise it synthesizes the train and calls ``measure_all``, which stays
-the independent oracle.
+comb, so where the sub-pulses do not overlap it sums the band moments from
+m-point sub-pulse transforms, m a divisor of L that holds the sub-pulse,
+and ΔT from the sub-pulse's own moments, and never builds the train. There
+the capture's total, the energy of all L bins, comes from discrete Parseval
+instead of an out-of-band sum; the capture is still in-band over all
+energy, never above 1. A train whose sub-pulses overlap is synthesized and
+measured by ``measure_all``, which stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -192,21 +192,33 @@ def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) ->
 
 
 def spectrum_rows(parts: TrainParts, zero_pad: int = 4) -> tuple[int, int]:
-    """(m, r): the train's L = m*r spectrum bins as r rows of m, m = gcd(L, P).
+    """(m, r): the train's L = m*r spectrum bins as r rows of m.
 
     L is ``power_spectrum``'s transform length for the train's grid and P the
-    samples per T (``TrainParts.per_t``).
+    samples per T (``TrainParts.per_t``). m is g = gcd(L, P) where the
+    sub-pulse's w samples fit in g, and otherwise the smallest divisor of L
+    that is at least w; L is 5-smooth, so its divisors are the products of
+    its powers of 2, 3 and 5.
     """
     length = fast_length(positive_int(zero_pad, "zero_pad") * parts.grid.num_samples)
+    width = parts.subpulse.shape[0]
     m = math.gcd(length, parts.per_t)
+    if width > m:
+        divisors, rest = {1}, length
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+                divisors |= {d * prime for d in divisors}
+        m = min(d for d in divisors if d >= width)
     return m, length // m
 
 
-def measured_from_parts(parts: TrainParts, zero_pad: int = 4) -> bool:
-    """Whether ``measure_train`` reads the spectrum row by row: the sub-pulse's
-    w samples fit one row of ``spectrum_rows`` (w <= m). Otherwise it measures
+def measured_from_parts(parts: TrainParts) -> bool:
+    """Whether ``measure_train`` reads the spectrum row by row: the train's
+    sub-pulses do not overlap, because its w sub-pulse samples fit in the
+    P samples per T (w <= P) or it has one sub-pulse. Otherwise it measures
     the synthesized train."""
-    return parts.subpulse.shape[0] <= spectrum_rows(parts, zero_pad)[0]
+    return parts.subpulse.shape[0] <= parts.per_t or parts.coefficients.shape[0] == 1
 
 
 def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
@@ -215,24 +227,25 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
 
     With L bins and (m, r) = ``spectrum_rows``, bin k of the train
     u_i = sum_n c_n s_{i - nP} is S(k) C(k): S the sub-pulse's length-L DFT and
-    C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb, which depends
-    on k mod r only, because m divides P. Where the sub-pulse's w samples fit
-    one row (w <= m), row j of S, the bins k = j + r*i, is one m-point FFT of
-    s turned by exp(-2j pi j t/L), and |C|^2 comes from one r-point FFT of the
-    coefficients; a real train takes rows 0..r/2 (or -r/2..0 for odd m), each
-    standing for itself and its mirror.
+    C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb. Where the
+    sub-pulses do not overlap (``measured_from_parts``), row j of S, the bins
+    k = j + r*i, is one m-point FFT of s turned by exp(-2j pi j t/L), which
+    holds s because w <= m; a real train takes rows 0..r/2 (or -r/2..0 for
+    odd m), each standing for itself and its mirror. C repeats every
+    R = L/gcd(L, P) bins, and |C|^2 is one R-point FFT of the coefficients.
     The band's bins are ``bins_within``'s, found row by row, and the moments
-    are summed there, so neither the train nor an L-long array is built. The
-    sub-pulses cannot overlap (w <= m <= P), so the energy, mean time and ΔT
+    are summed there, so neither the train nor an L-long array is built.
+    Because the sub-pulses do not overlap, the energy, mean time and ΔT
     come from the sub-pulse's moments and the |c_k|^2, and by discrete
     Parseval all L bins hold L * sum|c_k|^2 * sum|s_t|^2: the capture is the
     in-band sum over the larger of that total and itself, so it never
-    exceeds 1, and a band of every bin captures exactly 1. Where w > m, the
-    train is synthesized from its parts and measured by ``measure_all``.
+    exceeds 1, and a band of every bin captures exactly 1. A train whose
+    sub-pulses overlap is synthesized from its parts and measured by
+    ``measure_all``.
     """
-    m, r = spectrum_rows(parts, zero_pad)
-    if parts.subpulse.shape[0] > m:  # not measured_from_parts
+    if not measured_from_parts(parts):
         return measure_all(parts.signal(), band, zero_pad)
+    m, r = spectrum_rows(parts, zero_pad)
     sub_power = np.abs(parts.subpulse) ** 2
     coef_power = np.abs(parts.coefficients) ** 2
     sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
@@ -266,7 +279,10 @@ def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int,
     Bin k is read at its signed index kappa = j + r*i, with row j and
     centered column -(m//2) <= i < m - m//2; for even m the rows run from 0,
     for odd m from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
-    A band that is its own mirror is summed once.
+    A band that is its own mirror is summed once. |C(kappa)|^2 is entry
+    (kappa * P/g) mod R of the comb's table, g = gcd(L, P) and R = L/g: where
+    m = g that entry is the same for a whole row, a row weight; otherwise
+    each bin's power is weighted by its own entry and the rows by 1.
     """
     length = m * r
     freq_interval = 1.0 / (length * parts.grid.sample_interval)
@@ -278,7 +294,15 @@ def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int,
     else:
         rows = np.arange(r) - (r // 2 if m % 2 else 0)
     power = _row_power(parts.subpulse, rows, length, m)
-    weight = np.abs(np.fft.fft(parts.coefficients, r)[rows * (parts.per_t // m) % r]) ** 2
+    g = math.gcd(length, parts.per_t)
+    period, step = length // g, parts.per_t // g
+    comb = np.abs(np.fft.fft(parts.coefficients, period)) ** 2
+    if m == g:
+        weight = comb[rows * step % period]
+    else:
+        i = (np.arange(m) + m // 2) % m - m // 2  # centered column of each FFT-order column
+        power *= comb[(rows[:, None] + r * i) * step % period]
+        weight = np.ones(rows.shape[0])
     # (band, sign, row weight): a real train's rows 0 < |j| < r/2 also stand for their mirrors at -kappa
     bands = [((lo, hi), 1.0, weight)]
     if real:

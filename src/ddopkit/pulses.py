@@ -344,11 +344,16 @@ def _rrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, 
 
 
 def _btrrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
-    """Exponential-rolloff sub-pulse of energy 1/count; at beta = 0 it is the rrc sub-pulse."""
+    """Exponential-rolloff sub-pulse of energy 1/count; at beta = 0 it is the rrc sub-pulse.
+
+    The profile is even and tau runs symmetrically about the centre, so the
+    quadrature runs on the half tau >= 0 and its samples are mirrored.
+    """
     if spec.beta == 0.0:
         return _rrc_subpulse(spec, tau, count)
+    half = _btrrc_profile_at(spec, tau[tau.shape[0] // 2:])
     # the spectral quadrature already carries unit energy
-    return math.sqrt(1.0 / count), _btrrc_profile_at(spec, tau)
+    return math.sqrt(1.0 / count), np.concatenate((half[tau.shape[0] % 2:][::-1], half))
 
 
 def _rect_window(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:

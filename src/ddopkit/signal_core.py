@@ -17,10 +17,10 @@ Conventions used throughout the package:
   identity holds to rounding for any L.
 * ``metrics.measure_train`` reads the same L bins of a pulse train, picked
   by the same ``bins_within`` rule, from m-point transforms of its sub-pulse
-  where the sub-pulse fits one row of m = gcd(L, samples per T) bins, and
-  from ``power_spectrum`` of the synthesized train elsewhere. On the first
-  path it sums only the band's bins: the energy of all L bins, the
-  capture's total, comes from the discrete Parseval identity.
+  (m a divisor of L that holds the sub-pulse) where its sub-pulses do not
+  overlap, and from ``power_spectrum`` of the synthesized train where they
+  do. On the first path it sums only the band's bins: the energy of all L
+  bins, the capture's total, comes from the discrete Parseval identity.
 * Every sum of products in the package (energies, moments, the btrrc
   cosine sum) runs in numpy's own ``einsum`` loop (``sum_of_products``),
   never in BLAS. A threaded BLAS splits a long sum between its threads, so

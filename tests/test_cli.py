@@ -369,9 +369,9 @@ class TestVerify:
     @pytest.mark.parametrize("argv,line", [
         (["--M", "64", "--N", "16", "--oversample", "16"],
          "[PASS] spectrum from parts: ΔT, ΔF and capture within "),
-        (["--M", "64", "--N", "8", "--oversample", "8"],
-         "[SKIP] spectrum from parts: the sub-pulse's 48 samples exceed one spectrum row of m = 4; "
-         "measured from the samples"),
+        (["--family", "gddop", "--M", "16", "--N", "4", "--Q", "40", "--oversample", "8"],
+         "[SKIP] spectrum from parts: the sub-pulse's w = 640 samples exceed the P = 128 samples per T, "
+         "so the sub-pulses overlap; measured from the samples"),
     ], ids=["parts", "samples"])
     def test_spectrum_from_parts(self, argv, line, capsys):
         lines = run(["verify", *argv], capsys)[1].splitlines()

@@ -22,7 +22,7 @@ from ddopkit.metrics import (
 )
 from ddopkit import metrics, pulses
 from ddopkit.experiments import measure_point
-from ddopkit.pulses import PulseFamily, PulseSpec, synth_pulse, train_parts
+from ddopkit.pulses import PulseFamily, PulseSpec, TrainParts, synth_pulse, train_parts
 from ddopkit.signal_core import (
     DegenerateInputError,
     InvalidInputError,
@@ -30,6 +30,7 @@ from ddopkit.signal_core import (
     SampledSignal,
     TimeGrid,
     energy,
+    fast_length,
     power_spectrum,
     sum_of_products,
 )
@@ -367,7 +368,7 @@ class TestMeasureTrain:
         """Every parity of m and r, real and complex, against measure_all to 1e-12."""
         parts = train_parts(spec, oversample)
         assert spectrum_rows(parts, zero_pad) == rows
-        assert parts.subpulse.shape[0] <= rows[0] and measured_from_parts(parts, zero_pad)
+        assert parts.subpulse.shape[0] <= rows[0] and measured_from_parts(parts)
         band = AnalysisBand.default_for(spec)
         assert_same_metrics(measure_train(parts, band, zero_pad),
                             measure_all(synth_pulse(spec, oversample), band, zero_pad))
@@ -396,21 +397,58 @@ class TestMeasureTrain:
                 assert_same_metrics(measure_train(parts, band), measure_all(parts.signal(), band), rel=rel)
         assert (-1, 3) in picked and (-2, 3) in picked  # both sides of a one-bin asymmetry
 
-    @pytest.mark.parametrize("spec,oversample,m", [
-        (PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP), 8, 1),
-        (PulseSpec(M=256, N=8), 16, 32),
-    ], ids=["gddop-m1", "ddop-m32"])
-    def test_wide_subpulse_measures_the_samples(self, spec, oversample, m):
-        """Where the sub-pulse spans more than one row, the result is measure_all's, bit for bit."""
+    @pytest.mark.parametrize("spec,oversample,zero_pad,rows", [
+        (PulseSpec(M=256, N=8, beta=0.35, subpulse="btrrc"), 16, 4, (432, 270)),
+        (PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP), 8, 4, (75, 125)),
+        (PulseSpec(M=12, N=4), 8, 4, (25, 50)),
+        (PulseSpec(M=33, N=7, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2), 5, 4, (192, 25)),
+        (PulseSpec(M=12, N=7, family=PulseFamily.OTFS_BASIS, otfs_m=1, otfs_n=1), 8, 2, (135, 10)),
+        (PulseSpec(M=16, N=4, Q=40, family=PulseFamily.TDM), 8, 4, (640, 4)),
+    ], ids=["ddop-256x8", "gddop-odd-m-odd-r", "ddop-odd-m-even-r", "otfs-toned", "otfs-odd-m",
+            "tdm-one-subpulse-wider-than-P"])
+    def test_rows_wider_than_the_comb_period(self, spec, oversample, zero_pad, rows):
+        """Where gcd(L, P) < w, the rows are m >= w bins, m the smallest divisor
+        of L that holds the sub-pulse, and each bin is weighted by its own
+        comb entry; the result is measure_all's to 1e-12."""
         parts = train_parts(spec, oversample)
-        assert spectrum_rows(parts)[0] == m < parts.subpulse.shape[0]
-        assert not measured_from_parts(parts)
+        m, r = spectrum_rows(parts, zero_pad)
+        assert (m, r) == rows and math.gcd(m * r, parts.per_t) < parts.subpulse.shape[0] <= m
+        assert measured_from_parts(parts)
         band = AnalysisBand.default_for(spec)
-        assert measure_train(parts, band) == measure_all(synth_pulse(spec, oversample), band)
+        assert_same_metrics(measure_train(parts, band, zero_pad),
+                            measure_all(synth_pulse(spec, oversample), band, zero_pad))
+
+    @pytest.mark.parametrize("spec", [
+        PulseSpec(M=16, N=4, Q=40, family=PulseFamily.GENERAL_DDOP),
+        PulseSpec(M=64, N=8, Q=40, beta=0.5, subpulse="btrrc", family=PulseFamily.GENERAL_DDOP),
+    ], ids=["gddop-16x4", "gddop-64x8-btrrc"])
+    def test_overlapping_subpulses_measure_the_samples(self, spec):
+        """Where the sub-pulses overlap (w > P), the result is measure_all's, bit for bit."""
+        parts = train_parts(spec, 8)
+        assert parts.subpulse.shape[0] > parts.per_t and not measured_from_parts(parts)
+        band = AnalysisBand.default_for(spec)
+        assert measure_train(parts, band) == measure_all(synth_pulse(spec, 8), band)
+
+    def test_row_size_rule(self):
+        """m = gcd(L, P) where the sub-pulse fits in it, else the smallest
+        divisor of L that is at least w, against a search over every divisor."""
+        for num_samples in (2, 7, 29, 96, 1000, 4801):
+            for zero_pad in (1, 4):
+                length = fast_length(zero_pad * num_samples)
+                for per_t in (1, 12, 45, 128, 165):
+                    for width in {1, 2, 5, 16, 31, per_t, num_samples}:
+                        if width > num_samples:
+                            continue
+                        parts = TrainParts(TimeGrid(0.0, 1.0, num_samples), np.ones(width), 1.0, np.ones(1), per_t)
+                        g = math.gcd(length, per_t)
+                        m = g if width <= g else min(d for d in range(width, length + 1) if length % d == 0)
+                        assert spectrum_rows(parts, zero_pad) == (m, length // m)
 
     @pytest.mark.parametrize("spec", [replace(DEFAULT, beta=0.5, subpulse="btrrc"),
-                                      PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc")],
-                             ids=["parts", "samples"])
+                                      PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc"),
+                                      PulseSpec(M=16, N=4, Q=40, beta=0.5, subpulse="btrrc",
+                                                family=PulseFamily.GENERAL_DDOP)],
+                             ids=["parts", "wide-rows", "samples"])
     def test_quadrature_runs_once_per_point(self, spec, monkeypatch):
         calls = []
 
@@ -424,13 +462,13 @@ class TestMeasureTrain:
         assert len(calls) == 1
 
     def test_parts_describe_a_unit_energy_train(self):
-        """Where w <= m the sub-pulses do not overlap, so the train the parts add
+        """Where w <= P the sub-pulses do not overlap, so the train the parts add
         up has energy dt * scale^2 * sum|c_k|^2 * sum|s_t|^2, the one measure_train
         normalizes by; parts.signal() divides it out to unit energy."""
         for spec in (DEFAULT, PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2)):
             parts = train_parts(spec)
             width, dt = parts.subpulse.shape[0], parts.grid.sample_interval
-            assert width <= spectrum_rows(parts)[0]
+            assert width <= parts.per_t and measured_from_parts(parts)
             train = np.zeros(parts.grid.num_samples, dtype=np.complex128)
             for offset, coefficient in zip(parts.offsets, parts.coefficients):
                 train[offset:offset + width] += parts.scale * coefficient * parts.subpulse
@@ -446,7 +484,7 @@ class TestMeasureTrain:
 
     def test_single_bin_band_rejected_on_both_paths(self):
         """A band holding one bin is the same error whichever path measures it."""
-        for spec in (DEFAULT, PulseSpec(M=256, N=8)):
+        for spec in (DEFAULT, PulseSpec(M=256, N=8), PulseSpec(M=16, N=4, Q=40, family=PulseFamily.GENERAL_DDOP)):
             parts = train_parts(spec)
             spectrum = power_spectrum(parts.signal())
             band = AnalysisBand(half_width=spectrum.freq_interval / 4)
@@ -504,7 +542,7 @@ class TestMeasureTrain:
         assert measure_train(train_parts(DEFAULT), wide).energy_capture == 1.0
         spec = PulseSpec(M=32, N=3, family=PulseFamily.FDM)
         parts = train_parts(spec, 4)
-        assert measured_from_parts(parts, 2)
+        assert measured_from_parts(parts)
         assert measure_train(parts, wide, 2).energy_capture == 1.0
         spectrum = power_spectrum(parts.signal(), 2)
         for k in range(1, spectrum.values.shape[0] // 2, 7):

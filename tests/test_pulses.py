@@ -333,6 +333,43 @@ class TestClosedFormSpectra:
         assert len(shapes) > branches
         assert np.max(np.abs(blocked - whole)) <= 1e-15 * abs(whole[0])
 
+    @pytest.mark.parametrize("spec,oversample", [
+        (PulseSpec(M=256, N=8, beta=0.35, subpulse="btrrc"), 16),
+        (PulseSpec(M=64, N=8, Q=40, beta=0.5, subpulse="btrrc", family=PulseFamily.GENERAL_DDOP), 8),
+        (PulseSpec(M=33, N=7, beta=0.5, subpulse="btrrc"), 5),
+        (PulseSpec(M=16, N=1, Q=3, beta=1.0, family=PulseFamily.BTRRC_SUBPULSE), 5),
+        (PulseSpec(M=64, N=8, Q=40, T=0.37, beta=0.5, subpulse="btrrc", family=PulseFamily.GENERAL_DDOP), 8),
+    ], ids=["ddop-256x8", "gddop", "ddop-33x7", "single", "gddop-T0.37"])
+    def test_btrrc_subpulse_mirrored_from_its_half(self, spec, oversample):
+        """The sub-pulse is the quadrature on tau >= 0, mirrored: exactly
+        symmetric, and the quadrature's own values on the grid mirrored from
+        that half. Against the quadrature on the grid's tau, which is
+        symmetric only to within delta = max|tau_k + tau_{n-1-k}|, it moves
+        by at most 1e-15 of the peak plus slope times delta, the slope of
+        a(t) = 2 int A cos(2 pi f t) df being at most 2 pi f_hi a(0)."""
+        parts = train_parts(spec, oversample)
+        train = train_layout(spec)
+        k = np.arange(train.width * oversample)
+        tau = parts.grid.start_time + (k + 0.5) * parts.grid.sample_interval - train.first_step * spec.T / spec.M
+        half = tau[tau.shape[0] // 2:]
+        _, mirrored = pulses._btrrc_subpulse(spec, tau, train.count)
+        assert np.array_equal(parts.subpulse, parts.subpulse[::-1])
+        assert np.array_equal(parts.subpulse, mirrored * 2.0 ** -math.frexp(np.max(np.abs(mirrored)))[1])
+        assert np.array_equal(mirrored, _btrrc_profile_at(spec, np.concatenate((-half[::-1], half))))
+        full = _btrrc_profile_at(spec, tau)
+        peak = np.max(np.abs(full))
+        delta = np.max(np.abs(tau + tau[::-1]))
+        f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
+        assert np.max(np.abs(mirrored - full)) <= peak * (1e-15 + 2.0 * np.pi * f_hi * delta)
+
+    def test_btrrc_subpulse_on_an_odd_grid(self):
+        """An odd count of offsets has its centre at tau = 0, taken once."""
+        spec = PulseSpec(M=64, N=8, beta=0.5, subpulse="btrrc")
+        half = np.linspace(0.0, spec.ta / 2, 13)
+        _, profile = pulses._btrrc_subpulse(spec, np.concatenate((-half[:0:-1], half)), 1)
+        assert np.array_equal(profile, np.concatenate((_btrrc_profile_at(spec, half)[:0:-1],
+                                                       _btrrc_profile_at(spec, half))))
+
     @pytest.mark.parametrize("cap", [63, 64])
     def test_gauss_legendre_degree_cap(self, cap, monkeypatch):
         """At M 32, Q 16, beta 0.5 and oversample 4 the sub-pulse's offsets reach

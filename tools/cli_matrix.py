@@ -12,7 +12,9 @@ joined by spaces. The second prints every case whose record differs, or is
 missing from one file, and exits 1 if there is any. A changed case whose
 records differ only in numbers is printed with its largest move: per output
 column (CSV) or key (JSON), the largest difference over the column's largest
-magnitude in A. A CSV cell is printed to 12 significant digits, so a move of
+magnitude in A. The ``_pct`` columns, percent differences of nearly equal
+numbers, are reported apart, as their largest absolute move in percentage
+points. A CSV cell is printed to 12 significant digits, so a move of
 at most one unit in its 12th digit may be a rounding flip of a far smaller
 move; such cells are reported apart, as rounding flips, and only the other
 moves (every JSON number among them) count as the case's largest move.
@@ -32,9 +34,12 @@ row. Last, json metrics of the default 256 x 64 ddop train, whose sub-pulse
 fits one spectrum row, so it is measured from its parts: rrc at beta 0, 0.5
 and 1, btrrc at beta 0.5, and rrc at ``--T 0.37``; and of the otfs family at
 ``--M 32 --N 8 --oversample 8 --otfs-m 5 --otfs-n 2``, a complex pulse measured
-from every spectrum row. Last, the benchmark's 11-point btrrc beta sweep of
-the default M = 256, N = 8 train, long enough that a threaded BLAS would
-split its sums: 323 distinct cases.
+from every spectrum row; and two trains whose sub-pulse is wider than
+gcd(L, P), so their rows are longer than the comb's period: the btrrc
+``--N 8`` train at the default M = 256 (rows of m = 432) and gddop at
+``--M 32 --N 8 --oversample 8`` (odd rows, m = 75). Last, the benchmark's
+11-point btrrc beta sweep of the default M = 256, N = 8 train, long enough
+that a threaded BLAS would split its sums: 325 distinct cases.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal
+from typing import NamedTuple
 
 ALIASES = ("rrc", "btrrc", "ddop", "gddop", "tdm", "fdm", "otfs")
 
@@ -80,7 +87,9 @@ def cases() -> list[list[str]]:
                   ["--subpulse", "rrc", "--beta", "1"], ["--subpulse", "btrrc", "--beta", "0.5"],
                   ["--T", "0.37"],
                   ["--family", "otfs", "--M", "32", "--N", "8", "--oversample", "8",
-                   "--otfs-m", "5", "--otfs-n", "2"]):
+                   "--otfs-m", "5", "--otfs-n", "2"],
+                  ["--subpulse", "btrrc", "--N", "8"],
+                  ["--family", "gddop", "--M", "32", "--N", "8", "--oversample", "8"]):
         argv = ["metrics", *pulse, "--format", "json"]
         out.setdefault(" ".join(argv), argv)
     argv = ["sweep", "--vary", "beta", "--steps", "11", "--subpulse", "btrrc", "--N", "8",
@@ -122,24 +131,35 @@ def _columns(text: str) -> dict[str, list] | None:
 
 def _rounding_flip(p, q, x: float, y: float) -> bool:
     """Whether two CSV cells' texts, both of at most 12 significant digits,
-    differ by at most one unit in the 12th digit."""
+    differ by at most one unit in the 12th digit, in decimal arithmetic: the
+    binary difference of the two parsed numbers can exceed one unit by the
+    numbers' own rounding."""
     if not (isinstance(p, str) and isinstance(q, str) and math.isfinite(x) and math.isfinite(y)):
         return False
-    digits = [len(t.lower().split("e")[0].lstrip("+-").replace(".", "").lstrip("0")) for t in (p, q)]
-    unit = 10.0 ** (math.floor(math.log10(max(abs(x), abs(y)))) - 11)
-    return max(digits) <= 12 and abs(x - y) <= unit * (1 + 1e-9)
+    a, b = Decimal(p), Decimal(q)
+    unit = Decimal(1).scaleb(max(abs(a), abs(b)).adjusted() - 11)
+    return max(len(a.as_tuple().digits), len(b.as_tuple().digits)) <= 12 and abs(a - b) <= unit
 
 
-def largest_move(a: list, b: list) -> tuple[float, float] | None:
-    """The largest numeric move between two records and the largest rounding
-    flip (``_rounding_flip``), each relative to its column; None if the
-    records differ otherwise."""
+class Moves(NamedTuple):
+    """The largest moves between two records of one case."""
+
+    measured: float  # relative to its column, over every column but the _pct ones
+    pct: float  # absolute, in percentage points, over the _pct columns
+    flip: float  # the largest rounding flip (``_rounding_flip``) in any column, relative to it
+
+
+def largest_move(a: list, b: list) -> Moves | None:
+    """The largest numeric moves between two records; None if the records
+    differ otherwise. A ``_pct`` column is a percent difference of two
+    nearly equal numbers, so a move far below the measured columns' can be a
+    large fraction of it: its moves are kept apart, in percentage points."""
     if a[0] != b[0] or a[2] != b[2]:
         return None
     ca, cb = _columns(a[1]), _columns(b[1])
     if ca is None or cb is None or ca.keys() != cb.keys():
         return None
-    worst = flip = 0.0
+    worst = pct = flip = 0.0
     for key in ca:
         try:
             x, y = [float(v) for v in ca[key]], [float(v) for v in cb[key]]
@@ -151,30 +171,33 @@ def largest_move(a: list, b: list) -> tuple[float, float] | None:
             return None
         scale = max(map(abs, x), default=0.0) or max(map(abs, y), default=0.0)
         for p, q, xp, yq in zip(ca[key], cb[key], x, y):
-            if xp != yq:
-                move = abs(xp - yq) / scale
-                if _rounding_flip(p, q, xp, yq):
-                    flip = max(flip, move)
-                else:
-                    worst = max(worst, move)
-    return worst, flip
+            if xp == yq:
+                continue
+            if _rounding_flip(p, q, xp, yq):
+                flip = max(flip, abs(xp - yq) / scale)
+            elif key.endswith("_pct"):
+                pct = max(pct, abs(xp - yq))
+            else:
+                worst = max(worst, abs(xp - yq) / scale)
+    return Moves(worst, pct, flip)
 
 
 def compare(a_path: str, b_path: str) -> int:
     with open(a_path, encoding="utf-8") as fa, open(b_path, encoding="utf-8") as fb:
         a, b = json.load(fa), json.load(fb)
     changed = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    worst = 0.0
+    worst = worst_pct = 0.0
     for key in changed:
         moves = largest_move(a[key], b[key]) if key in a and key in b else None
         if moves is None:
             print(key)
             continue
-        move, flip = moves
-        worst = max(worst, move)
-        flips = f"; rounding flips up to {flip:.2g}" if flip else ""
-        print(f"{key}  (largest move {move:.2g}{flips})")
-    print(f"{len(changed)} of {len(a.keys() | b.keys())} cases differ; largest move {worst:.2g}")
+        worst, worst_pct = max(worst, moves.measured), max(worst_pct, moves.pct)
+        pct = f"; _pct columns {moves.pct:.2g} points" if moves.pct else ""
+        flips = f"; rounding flips up to {moves.flip:.2g}" if moves.flip else ""
+        print(f"{key}  (largest move {moves.measured:.2g}{pct}{flips})")
+    print(f"{len(changed)} of {len(a.keys() | b.keys())} cases differ; largest move {worst:.2g}; "
+          f"_pct columns {worst_pct:.2g} points")
     return 1 if changed else 0
 
 
