@@ -9,7 +9,9 @@ empty. ``SweepRow`` judges a measurement against its closed form
 verify commands. Rows are computed
 independently (worker threads, capped by the DDOP_THREADS environment
 variable) but always emitted in plan order, and a point whose spec is illegal
-becomes a "failed: ..." row instead of aborting the sweep.
+becomes a "failed: ..." row instead of aborting the sweep. Points whose
+trains share a spectrum layout (``metrics.SpectrumLayout``) read one, built
+once per sweep.
 
 Report serialization is fixed: a CSV with the header
 
@@ -28,6 +30,7 @@ import enum
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -35,8 +38,16 @@ from functools import partial
 import numpy as np
 
 from .analytic import analytic_for
-from .metrics import AnalysisBand, LocalizationMetrics, measure_train
-from .pulses import PulseFamily, PulseSpec, default_q, train_parts
+from .metrics import (
+    AnalysisBand,
+    LocalizationMetrics,
+    SpectrumLayout,
+    layout_key,
+    measure_train,
+    measured_from_parts,
+    spectrum_layout,
+)
+from .pulses import PulseFamily, PulseSpec, TrainParts, default_q, train_parts
 from .signal_core import (
     DegenerateInputError,
     InvalidInputError,
@@ -256,15 +267,50 @@ def measure_point(
     band: AnalysisBand | None,
     zero_pad: int,
     oversample: int,
+    layouts: _SharedLayouts | None = None,
 ) -> tuple[LocalizationMetrics, LocalizationMetrics | None]:
     """Numeric metrics of the pulse, measured from its train's parts
     (``measure_train``), and its closed form (None where no closed form applies).
 
-    band=None means the spec's default band +-5M/T.
+    band=None means the spec's default band +-5M/T. ``run_sweep`` passes its
+    sweep's layouts, so points that share a spectrum layout build it once;
+    without them ``measure_train`` builds the layout for this point.
     """
     resolved = band if band is not None else AnalysisBand.default_for(spec)
-    numeric = measure_train(train_parts(spec, oversample), resolved, zero_pad)
+    parts = train_parts(spec, oversample)
+    layout = None if layouts is None else layouts.get(parts, resolved, zero_pad)
+    numeric = measure_train(parts, resolved, zero_pad, layout)
     return numeric, analytic_for(spec, resolved, oversample)
+
+
+class _SharedLayouts:
+    """The spectrum layouts of one sweep. Each is built once, by the first
+    point that asks for it, while points with other layouts build theirs.
+    Only the last ``limit`` are kept, as many as points run at once: a
+    sweep's points share one layout (a beta axis) or each read their own
+    (Q, (M, N)). Nothing outlives the sweep."""
+
+    def __init__(self, limit: int) -> None:
+        self._limit = limit
+        self._lock = threading.Lock()
+        self._entries: dict[tuple, list] = {}
+
+    def get(self, parts: TrainParts, band: AnalysisBand, zero_pad: int) -> SpectrumLayout | None:
+        """The layout ``measure_train`` reads for these parts, or None where
+        it measures the synthesized train."""
+        if not measured_from_parts(parts):
+            return None
+        key = layout_key(parts, band, zero_pad)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = [threading.Lock(), None]
+                if len(self._entries) > self._limit:
+                    del self._entries[next(iter(self._entries))]
+        with entry[0]:
+            if entry[1] is None:
+                entry[1] = spectrum_layout(parts, band, zero_pad)
+        return entry[1]
 
 
 def _row(label: str, point) -> SweepRow:
@@ -277,13 +323,21 @@ def _row(label: str, point) -> SweepRow:
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
-    """Measure every point of the plan; failed points become rows, not raises."""
+    """Measure every point of the plan; failed points become rows, not raises.
+
+    A sweep's points differ only in their sub-pulse samples wherever their
+    train's grid, sub-pulse width, P, coefficients, band and zero_pad agree,
+    as on a beta axis; such points share one ``SpectrumLayout``. The layouts
+    live for this call only, and at most as many as it has workers at once.
+    """
+    workers = worker_count()
+    layouts = _SharedLayouts(workers)
 
     def one(value) -> SweepRow:
         return _row(plan.label_at(value), lambda: measure_point(
-            plan.spec_at(value), plan.band, plan.zero_pad, plan.oversample))
+            plan.spec_at(value), plan.band, plan.zero_pad, plan.oversample, layouts))
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(one, plan.values))
     return SweepReport(rows=tuple(rows))
 

@@ -16,6 +16,13 @@ the capture's total, the energy of all L bins, comes from discrete Parseval
 instead of an out-of-band sum; the capture is still in-band over all
 energy, never above 1. A train whose sub-pulses overlap is synthesized and
 measured by ``measure_all``, which stays the independent oracle.
+
+What that row spectrum reads besides the sub-pulse samples, (m, r), the
+band's run of bins, the rows, their turn tables and the comb's weights, is
+the train's ``SpectrumLayout`` (``spectrum_layout``). ``measure_train``
+builds one per call unless it is given one; ``experiments.run_sweep``
+builds each distinct layout once and shares it between the points of that
+one sweep, such as every point of a roll-off sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ import enum
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +59,9 @@ __all__ = [
     "measure_all",
     "spectrum_rows",
     "measured_from_parts",
+    "SpectrumLayout",
+    "layout_key",
+    "spectrum_layout",
     "measure_train",
     "lemma1_check",
 ]
@@ -221,7 +232,104 @@ def measured_from_parts(parts: TrainParts) -> bool:
     return parts.subpulse.shape[0] <= parts.per_t or parts.coefficients.shape[0] == 1
 
 
-def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
+_ROW_CHUNK_ELEMENTS = 1 << 14
+
+
+class SpectrumLayout(NamedTuple):
+    """What ``measure_train`` reads of a train's row spectrum that does not
+    depend on its sub-pulse samples: all of it but the samples' FFTs.
+
+    (m, r) are ``spectrum_rows``'s, freq_interval the bin spacing 1/(L dt),
+    kappas the band's run lo <= kappa < hi of signed bin indices
+    (``bins_within``) and rows the spectrum rows read: of a real train (the
+    key says whether it is) only rows 0..r/2, which stand for their mirrors
+    too. coarse and fine are ``_row_power``'s turn tables, offset the first
+    row's place in their product. bin_weight is None where m = gcd(L, P),
+    each row then weighted by its comb entry |C|^2; otherwise it holds
+    every bin's |C|^2 and the rows are weighted by 1. bands lists (kappas,
+    sign, row weight), a real train's mirrored band second. key is
+    ``layout_key`` of the train it was built for. These arrays are
+    read-only, so one layout serves every point of a sweep that shares it.
+    workspace holds each thread's own buffers for ``_row_power``, allocated
+    on the thread's first point and reused by its next ones.
+    """
+
+    key: tuple
+    m: int
+    r: int
+    freq_interval: float
+    kappas: tuple[int, int]
+    rows: np.ndarray
+    coarse: np.ndarray
+    fine: np.ndarray
+    offset: int
+    bin_weight: np.ndarray | None
+    bands: tuple
+    workspace: threading.local
+
+
+def layout_key(parts: TrainParts, band: AnalysisBand, zero_pad: int) -> tuple:
+    """What a ``SpectrumLayout`` depends on: the grid, the sub-pulse's width,
+    P, the coefficients, whether the train is real, the band and zero_pad."""
+    real = not (parts.subpulse.imag.any() or parts.coefficients.imag.any())
+    return (parts.grid, parts.subpulse.shape[0], parts.per_t, parts.coefficients.tobytes(), real,
+            band, zero_pad)
+
+
+def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> SpectrumLayout:
+    """The ``SpectrumLayout`` of a train measured from its parts.
+
+    Bin k is read at its signed index kappa = j + r*i, with row j and
+    centered column -(m//2) <= i < m - m//2; for even m the rows run from 0,
+    for odd m from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
+    |C(kappa)|^2 is entry (kappa * P/g) mod R of the comb's table,
+    g = gcd(L, P) and R = L/g. The turn exp(-2j pi j t/L) of row j is the
+    product of a coarse and a fine table, j = coarse + fine, each about
+    sqrt(rows) x w entries.
+    """
+    key = layout_key(parts, band, zero_pad)
+    m, r = spectrum_rows(parts, zero_pad)
+    length = m * r
+    freq_interval = 1.0 / (length * parts.grid.sample_interval)
+    bins = bins_within(-(length // 2) * freq_interval, freq_interval, length, band.half_width)
+    lo, hi = bins.start - length // 2, bins.stop - length // 2
+    real = key[4]
+    if real:
+        rows = np.arange(r // 2 + 1) if m % 2 == 0 else np.arange(-(r // 2), 1)
+    else:
+        rows = np.arange(r) - (r // 2 if m % 2 else 0)
+
+    t = np.arange(parts.subpulse.shape[0])
+    block = math.isqrt(rows.shape[0] - 1) + 1
+    first = int(rows[0]) // block
+
+    def turn(k: np.ndarray) -> np.ndarray:
+        return np.exp(-2j * np.pi * (np.outer(k, t) % length) / length)
+
+    coarse = turn(block * np.arange(first, int(rows[-1]) // block + 1))
+    fine = turn(np.arange(block))
+
+    g = math.gcd(length, parts.per_t)
+    period, step = length // g, parts.per_t // g
+    comb = np.abs(np.fft.fft(parts.coefficients, period)) ** 2
+    if m == g:
+        bin_weight, weight = None, comb[rows * step % period]
+    else:
+        i = (np.arange(m) + m // 2) % m - m // 2  # centered column of each FFT-order column
+        bin_weight, weight = comb[(rows[:, None] + r * i) * step % period], np.ones(rows.shape[0])
+    # (band, sign, row weight): a real train's rows 0 < |j| < r/2 also stand for their mirrors at -kappa
+    bands = [((lo, hi), 1.0, weight)]
+    if real:
+        bands.append(((1 - hi, 1 - lo), -1.0, weight * ((rows != 0) & (2 * np.abs(rows) < r))))
+    for array in (rows, coarse, fine, bin_weight, *(w for _, _, w in bands)):
+        if array is not None:
+            array.flags.writeable = False
+    return SpectrumLayout(key, m, r, freq_interval, (lo, hi), rows, coarse, fine,
+                          int(rows[0]) - first * block, bin_weight, tuple(bands), threading.local())
+
+
+def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
+                  layout: SpectrumLayout | None = None) -> LocalizationMetrics:
     """Numeric localization metrics of the train ``parts.signal()``: those of
     ``measure_all(parts.signal(), band, zero_pad)``, to rounding.
 
@@ -242,10 +350,19 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     exceeds 1, and a band of every bin captures exactly 1. A train whose
     sub-pulses overlap is synthesized from its parts and measured by
     ``measure_all``.
+
+    Everything above but the sub-pulse's turned FFTs and its moments is the
+    train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds it for
+    this call; a sweep builds one per distinct layout and passes it to each
+    of its points. A layout built for another train, band or zero_pad
+    (another ``layout_key``) is rejected with ``InvalidInputError``.
     """
     if not measured_from_parts(parts):
         return measure_all(parts.signal(), band, zero_pad)
-    m, r = spectrum_rows(parts, zero_pad)
+    if layout is None:
+        layout = spectrum_layout(parts, band, zero_pad)
+    elif layout.key != layout_key(parts, band, zero_pad):
+        raise InvalidInputError("the spectrum layout was built for another train, band or zero-pad factor")
     sub_power = np.abs(parts.subpulse) ** 2
     coef_power = np.abs(parts.coefficients) ** 2
     sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
@@ -260,7 +377,8 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     period = parts.per_t * dt
     time_disp = _dispersion(sub_var + period * period * index_var, "time")
 
-    mean_freq, freq_disp, capture = _train_freq(parts, band, m, r, m * r * sub_energy * coef_energy)
+    total = layout.m * layout.r * sub_energy * coef_energy
+    mean_freq, freq_disp, capture = _train_freq(parts.subpulse, layout, band, total)
     return LocalizationMetrics(
         mean_time=sub_mean + period * index_mean,
         mean_freq=mean_freq,
@@ -271,53 +389,29 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> L
     )
 
 
-def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int,
+def _train_freq(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
                 total: float) -> tuple[float, float, float]:
-    """``measure_freq`` of the train's spectrum, summed row by row, with
-    ``total`` the power of all L bins (``measure_train``'s Parseval sum).
-
-    Bin k is read at its signed index kappa = j + r*i, with row j and
-    centered column -(m//2) <= i < m - m//2; for even m the rows run from 0,
-    for odd m from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
-    A band that is its own mirror is summed once. |C(kappa)|^2 is entry
-    (kappa * P/g) mod R of the comb's table, g = gcd(L, P) and R = L/g: where
-    m = g that entry is the same for a whole row, a row weight; otherwise
-    each bin's power is weighted by its own entry and the rows by 1.
+    """``measure_freq`` of the train's spectrum, summed row by row over the
+    layout's bands, with ``total`` the power of all L bins
+    (``measure_train``'s Parseval sum). A band that is its own mirror is
+    summed once.
     """
-    length = m * r
-    freq_interval = 1.0 / (length * parts.grid.sample_interval)
-    bins = bins_within(-(length // 2) * freq_interval, freq_interval, length, band.half_width)
-    lo, hi = bins.start - length // 2, bins.stop - length // 2
-    real = not (parts.subpulse.imag.any() or parts.coefficients.imag.any())
-    if real:
-        rows = np.arange(r // 2 + 1) if m % 2 == 0 else np.arange(-(r // 2), 1)
-    else:
-        rows = np.arange(r) - (r // 2 if m % 2 else 0)
-    power = _row_power(parts.subpulse, rows, length, m)
-    g = math.gcd(length, parts.per_t)
-    period, step = length // g, parts.per_t // g
-    comb = np.abs(np.fft.fft(parts.coefficients, period)) ** 2
-    if m == g:
-        weight = comb[rows * step % period]
-    else:
-        i = (np.arange(m) + m // 2) % m - m // 2  # centered column of each FFT-order column
-        power *= comb[(rows[:, None] + r * i) * step % period]
-        weight = np.ones(rows.shape[0])
-    # (band, sign, row weight): a real train's rows 0 < |j| < r/2 also stand for their mirrors at -kappa
-    bands = [((lo, hi), 1.0, weight)]
-    if real:
-        bands.append(((1 - hi, 1 - lo), -1.0, weight * ((rows != 0) & (2 * np.abs(rows) < r))))
-    sums = _window_sums(power, rows, r, [kappas for kappas, _, _ in bands])
+    m, r, rows = layout.m, layout.r, layout.rows
+    (lo, hi), length, freq_interval = layout.kappas, m * r, layout.freq_interval
+    power = _row_power(sub, layout)
+    if layout.bin_weight is not None:
+        power *= layout.bin_weight
+    sums = _window_sums(power, rows, r, [kappas for kappas, _, _ in layout.bands])
     in_band = first_moment = 0.0
     nonzero = 0
-    for (s, nonzero_in_row), (_, sign, w) in zip(sums, bands):
+    for (s, nonzero_in_row), (_, sign, w) in zip(sums, layout.bands):
         in_band += float(sum_of_products(w, s[0]))
         nonzero += int(np.sum(nonzero_in_row[w > 0.0]))
         first_moment += sign * float(sum_of_products(w, rows * s[0] + r * s[1]))
     _check_band(in_band, nonzero, hi - lo, band, freq_interval)
     mean = first_moment / in_band
     var = 0.0
-    for (s, _), (_, sign, w) in zip(sums, bands):
+    for (s, _), (_, sign, w) in zip(sums, layout.bands):
         d = rows - sign * mean
         var += float(sum_of_products(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
     with np.errstate(all="ignore"):
@@ -326,33 +420,39 @@ def _train_freq(parts: TrainParts, band: AnalysisBand, m: int, r: int,
     return mean * freq_interval, _dispersion(freq_var, "frequency"), in_band / whole
 
 
-def _row_power(sub: np.ndarray, rows: np.ndarray, length: int, m: int) -> np.ndarray:
+def _row_power(sub: np.ndarray, layout: SpectrumLayout) -> np.ndarray:
     """|Y[j, c]|^2, Y[j, c] = sum_t s_t exp(-2j pi (j + r c) t/L), for the
-    consecutive rows j and columns c < m in FFT order (column c is the
+    layout's rows j and columns c < m in FFT order (column c is the
     centered column c - m for c >= m - m//2): one m-point FFT per row.
 
-    The turn exp(-2j pi j t/L) is the product of a coarse and a fine table,
-    j = coarse + fine, each about sqrt(rows) x w entries; row 0 is turned by
-    exp(0) twice, so it is s exactly.
+    Row j = coarse + fine is s times the fine turn, times the coarse one;
+    row 0 is turned by exp(0) twice, so it is s exactly. The rows are
+    turned, transformed and squared a few coarse turns at a time, in one
+    buffer of at most about _ROW_CHUNK_ELEMENTS, so only the power is
+    held whole. The buffer and the returned power are the calling thread's
+    in the layout's workspace: every point measured with the layout on
+    that thread reuses them, and the power is overwritten by its next call.
     """
-    width = sub.shape[0]
-    t = np.arange(width)
-    block = math.isqrt(rows.shape[0] - 1) + 1
-    first = int(rows[0]) // block
-    coarse = block * np.arange(first, int(rows[-1]) // block + 1)
-
-    def turn(k: np.ndarray) -> np.ndarray:
-        return np.exp(-2j * np.pi * (np.outer(k, t) % length) / length)
-
-    turned = np.zeros((coarse.shape[0], block, m), dtype=np.complex128)
-    np.multiply(turn(coarse)[:, None, :], sub * turn(np.arange(block)), out=turned[:, :, :width])
-    start = int(rows[0]) - first * block
-    # in place: a larger working set is handed back to the OS and faulted in again every call
-    spectra = turned.reshape(-1, m)[start:start + rows.shape[0]]
-    np.fft.fft(spectra, axis=1, out=spectra)
-    power = spectra.real ** 2
-    imag = spectra.imag
-    power += np.multiply(imag, imag, out=imag)
+    coarse, m = layout.coarse, layout.m
+    block, width = layout.fine.shape[0], sub.shape[0]
+    start, stop = layout.offset, layout.offset + layout.rows.shape[0]
+    step = max(1, _ROW_CHUNK_ELEMENTS // (block * m))
+    space = layout.workspace
+    if not hasattr(space, "power"):
+        space.power = np.empty((stop - start, m))
+        space.buffer = np.empty((min(step, coarse.shape[0]), block, m), dtype=np.complex128)
+    power, buffer = space.power, space.buffer
+    fine = sub * layout.fine
+    for c0 in range(0, coarse.shape[0], step):
+        turned = buffer[:coarse[c0:c0 + step].shape[0]]
+        turned[:, :, width:] = 0.0  # the zero padding, which the last FFT overwrote
+        np.multiply(coarse[c0:c0 + step, None, :], fine, out=turned[:, :, :width])
+        a, b = max(start, c0 * block), min(stop, (c0 + step) * block)
+        spectra = turned.reshape(-1, m)[a - c0 * block:b - c0 * block]
+        np.fft.fft(spectra, axis=1, out=spectra)
+        squares = spectra.view(np.float64)  # re, im of each bin, side by side
+        np.multiply(squares, squares, out=squares)
+        np.add(squares[:, 0::2], squares[:, 1::2], out=power[a - start:b - start])
     return power
 
 

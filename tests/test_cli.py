@@ -407,6 +407,25 @@ class TestVerify:
         assert "[FAIL] family orderings: FDM not measured: failed: " in out
         assert "raise the zero-pad factor" in out
 
+    def test_parts_path_rejecting_the_band_fails_its_check(self, capsys):
+        """On the FDM rectangle's sinc zeros the row spectrum holds exact zeros
+        in all but one band bin, while the sampled spectrum holds rounding
+        there: the parts path rejects the band, and verify reports that as one
+        failed check and runs the rest. metrics, on the parts path alone,
+        stays a usage error."""
+        pulse = ["--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"]
+        rc, out, err = run(["verify", *pulse], capsys)
+        lines = out.splitlines()
+        assert rc == 1 and err == ""
+        assert lines[2] == ("[FAIL] spectrum from parts: not measured from parts: only one of the 90 "
+                            "bins in the analysis band |f| <= 225 carries energy; the rest are exact "
+                            "zeros of the spectrum at bin spacing 0.5, so raise the zero-pad factor")
+        assert any(line.startswith("[PASS] Gaussian floor attainment") for line in lines[3:])
+        assert lines[-2].startswith("[SKIP] family orderings") and lines[-1].endswith("check(s) failed")
+        rc, out, err = run(["metrics", *pulse], capsys)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: only one of the 90 bins")
+
     def test_interior_index_checked(self, capsys):
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",
                           "--otfs-m", "5", "--otfs-n", "2", "--oversample", "8",

@@ -1,9 +1,11 @@
 """Sweep harness, family comparison, and the fine-shift scan."""
 
+import gc
 import json
 import math
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,7 @@ from ddopkit.experiments import (
     run_sweep,
     worker_count,
 )
-from ddopkit import pulses
+from ddopkit import experiments, metrics, pulses
 from ddopkit.analytic import analytic_for
 from ddopkit.metrics import AnalysisBand, LocalizationMetrics, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
@@ -174,6 +176,104 @@ class TestRunSweep:
         monkeypatch.setenv("DDOP_THREADS", "1")
         assert run_sweep(plan).to_csv() == cold
         assert degrees == []
+
+
+class TestSharedLayouts:
+    """A sweep builds each distinct spectrum layout once, shares it between
+    its points and threads, and keeps none after it returns."""
+
+    @staticmethod
+    def count_layouts(monkeypatch) -> list:
+        """Patch spectrum_layout where the sweep and measure_train call it;
+        the returned list gets one weak reference per layout built."""
+        built = []
+        real = metrics.spectrum_layout
+
+        def counting(parts, band, zero_pad=4):
+            layout = real(parts, band, zero_pad)
+            built.append(weakref.ref(layout.rows))
+            return layout
+
+        monkeypatch.setattr(experiments, "spectrum_layout", counting)
+        monkeypatch.setattr(metrics, "spectrum_layout", counting)
+        return built
+
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_beta_sweep_builds_one_layout(self, threads, monkeypatch):
+        built = self.count_layouts(monkeypatch)
+        monkeypatch.setenv("DDOP_THREADS", threads)
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
+                         values=tuple(round(0.05 * (i + 1), 2) for i in range(11)),
+                         fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_sweep(plan)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(row.status == "ok" for row in report.rows)
+        assert len(built) == 1
+        gc.collect()
+        assert built[0]() is None  # nothing outlives the sweep
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_q_sweep_builds_one_layout_per_q(self, threads, monkeypatch):
+        """Each Q reads its own layout; the sweep keeps only as many as it
+        has workers, so on one worker no earlier layout is alive when the
+        next is built."""
+        built = self.count_layouts(monkeypatch)
+        alive = []
+        real = experiments.spectrum_layout
+
+        def noting_alive(parts, band, zero_pad=4):
+            alive.append(sum(ref() is not None for ref in built))
+            return real(parts, band, zero_pad)
+
+        monkeypatch.setattr(experiments, "spectrum_layout", noting_alive)
+        monkeypatch.setenv("DDOP_THREADS", threads)
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.Q,
+                         values=(2, 3, 4, 5, 16), fixed=SMALL, oversample=8)
+        assert [row.status == "ok" for row in run_sweep(plan).rows] == [True] * 4 + [False]
+        assert len(built) == 4
+        if threads == "1":
+            assert alive == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("axis,values,fixed", [
+        (SweptParameter.BETA, (0.0, 0.35, 0.7, 1.0), replace(SMALL, subpulse="btrrc")),
+        (SweptParameter.BETA, (0.0, 0.5, 1.0), replace(SMALL, family=PulseFamily.GENERAL_DDOP)),
+        (SweptParameter.Q, (2, 3, 4, 16), SMALL),
+        (SweptParameter.M_N_PAIR, ((4, 4), (8, 4), (16, 8), (32, 4)), SMALL),
+    ], ids=["beta-btrrc", "beta-gddop", "q-with-failed-row", "mn"])
+    def test_rows_equal_unshared_points(self, axis, values, fixed, monkeypatch):
+        """Every row is measure_point's own, with no layout shared, to the bit,
+        however the two threads that share a layout interleave; a failed row
+        carries the error that point raises."""
+        monkeypatch.setenv("DDOP_THREADS", "2")
+        plan = SweepPlan(family=fixed.family, swept_parameter=axis, values=values, fixed=fixed, oversample=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = run_sweep(plan).rows
+        finally:
+            sys.setswitchinterval(interval)
+        for value, row in zip(values, rows):
+            try:
+                numeric, analytic = measure_point(plan.spec_at(value), None, plan.zero_pad, plan.oversample)
+            except ValueError as exc:
+                assert row.status == f"failed: {exc}" and row.numeric is None
+            else:
+                assert row.status == "ok" and row.numeric == numeric and row.analytic == analytic
+        assert any(row.status != "ok" for row in rows) == (axis is SweptParameter.Q)
+
+    def test_beta_sweep_csv_same_on_one_and_two_threads(self, monkeypatch):
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
+                         values=tuple(round(0.1 * i, 1) for i in range(11)),
+                         fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
+        csv = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DDOP_THREADS", threads)
+            csv[threads] = run_sweep(plan).to_csv().encode()
+        assert csv["1"] == csv["2"]
 
 
 class TestReportRendering:

@@ -1,6 +1,8 @@
 """Localization measurements: moments, invariances, and the shift identity."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -550,3 +552,79 @@ class TestMeasureTrain:
             got = measure_train(parts, band, 2)
             assert got.energy_capture <= 1.0
             assert_same_metrics(got, measure_all(parts.signal(), band, 2))
+
+
+class TestSpectrumLayout:
+    """A layout holds what a train's row spectrum reads besides its sub-pulse
+    samples; it serves only the trains, band and zero_pad it was built for."""
+
+    @pytest.mark.parametrize("spec,oversample,row_weights", [
+        (PulseSpec(M=16, N=4, beta=0.2), 16, True),
+        (PulseSpec(M=16, N=4, beta=0.2, subpulse="btrrc"), 16, True),
+        (PulseSpec(M=32, N=8, beta=0.2, subpulse="btrrc"), 8, False),
+        (PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.GENERAL_DDOP), 8, False),
+        (PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2), 8, True),
+    ], ids=["rrc", "btrrc", "btrrc-bin-weights", "gddop-bin-weights", "otfs-complex"])
+    def test_another_beta_shares_the_layout(self, spec, oversample, row_weights):
+        """Another roll-off changes only the sub-pulse samples: the first
+        point's layout measures the second to the same bits as its own, with
+        the comb as row weights (m = gcd(L, P)) or as per-bin weights."""
+        band = AnalysisBand.default_for(spec)
+        layout = metrics.spectrum_layout(train_parts(spec, oversample), band)
+        other = train_parts(replace(spec, beta=0.7), oversample)
+        assert layout.key == metrics.layout_key(other, band, 4)
+        assert (layout.bin_weight is None) == row_weights
+        assert measure_train(other, band, 4, layout) == measure_train(other, band, 4)
+
+    @pytest.mark.parametrize("other", ["band", "zero_pad", "Q", "otfs_n"])
+    def test_layout_of_another_train_rejected(self, other):
+        """A layout built for another band, zero_pad or Q, or for other
+        coefficients (another otfs_n on the same grid), raises instead of
+        measuring with the wrong bins, rows or comb."""
+        spec = PulseSpec(M=32, N=8, Q=2, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2)
+        if other == "Q":
+            spec = PulseSpec(M=32, N=8, Q=2)
+        band, zero_pad = AnalysisBand.default_for(spec), 4
+        parts = train_parts(spec, 8)
+        built_for = {
+            "band": (parts, AnalysisBand(half_width=band.half_width / 2), zero_pad),
+            "zero_pad": (parts, band, 2),
+            "Q": (train_parts(replace(spec, Q=4), 8), band, zero_pad),
+            "otfs_n": (train_parts(replace(spec, otfs_n=3), 8), band, zero_pad),
+        }[other]
+        if other == "otfs_n":
+            assert built_for[0].grid == parts.grid and built_for[0].subpulse.shape == parts.subpulse.shape
+        layout = metrics.spectrum_layout(*built_for)
+        with pytest.raises(InvalidInputError, match="spectrum layout was built for another train"):
+            measure_train(parts, band, zero_pad, layout)
+
+    def test_threads_keep_their_own_workspace(self, monkeypatch):
+        """Two threads measure two roll-offs with one layout. Each waits, its
+        row power made, until the other has made its own, and still gets the
+        numbers it gets alone."""
+        spec = PulseSpec(M=16, N=4, subpulse="btrrc")
+        band = AnalysisBand.default_for(spec)
+        parts = [train_parts(replace(spec, beta=beta), 16) for beta in (0.3, 0.7)]
+        layout = metrics.spectrum_layout(parts[0], band)
+        alone = [measure_train(p, band, 4, layout) for p in parts]
+        barrier = threading.Barrier(2, timeout=30)
+        window_sums = metrics._window_sums
+
+        def waiting(*args):
+            barrier.wait()
+            return window_sums(*args)
+
+        monkeypatch.setattr(metrics, "_window_sums", waiting)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(lambda p: measure_train(p, band, 4, layout), parts)) == alone
+        assert alone[0] != alone[1]
+
+    def test_arrays_are_read_only(self):
+        spec = PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP)
+        layout = metrics.spectrum_layout(train_parts(spec, 8), AnalysisBand.default_for(spec))
+        arrays = [layout.rows, layout.coarse, layout.fine, layout.bin_weight, *(w for _, _, w in layout.bands)]
+        assert len(layout.bands) == 2
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0

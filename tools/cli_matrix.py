@@ -30,7 +30,7 @@ grids, at ``--M 64 --N 8 --oversample 8 --T 0.37`` and at
 for otfs): 28 more. Then verify of gddop at ``--M 16 --N 4 --Q 40
 --oversample 8`` for ``--subpulse rrc`` and ``btrrc``, whose sub-pulses span
 2Q/M = 5 symbol periods, so the orthogonality scan sums many lags per delay
-row. Last, json metrics of the default 256 x 64 ddop train, whose sub-pulse
+row. Then json metrics of the default 256 x 64 ddop train, whose sub-pulse
 fits one spectrum row, so it is measured from its parts: rrc at beta 0, 0.5
 and 1, btrrc at beta 0.5, and rrc at ``--T 0.37``; and of the otfs family at
 ``--M 32 --N 8 --oversample 8 --otfs-m 5 --otfs-n 2``, a complex pulse measured
@@ -39,7 +39,10 @@ gcd(L, P), so their rows are longer than the comb's period: the btrrc
 ``--N 8`` train at the default M = 256 (rows of m = 432) and gddop at
 ``--M 32 --N 8 --oversample 8`` (odd rows, m = 75). Last, the benchmark's
 11-point btrrc beta sweep of the default M = 256, N = 8 train, long enough
-that a threaded BLAS would split its sums: 325 distinct cases.
+that a threaded BLAS would split its sums, and json ``sweep --vary q
+--steps 3`` at ``--M 64 --N 8 --oversample 8`` (Q 1, 8 and 64), whose
+points each read their own spectrum layout and whose Q = 64 row fails:
+326 distinct cases.
 """
 
 from __future__ import annotations
@@ -92,9 +95,11 @@ def cases() -> list[list[str]]:
                   ["--family", "gddop", "--M", "32", "--N", "8", "--oversample", "8"]):
         argv = ["metrics", *pulse, "--format", "json"]
         out.setdefault(" ".join(argv), argv)
-    argv = ["sweep", "--vary", "beta", "--steps", "11", "--subpulse", "btrrc", "--N", "8",
-            "--from", "0.2", "--to", "0.7", "--format", "csv"]
-    out.setdefault(" ".join(argv), argv)
+    for argv in (["sweep", "--vary", "beta", "--steps", "11", "--subpulse", "btrrc", "--N", "8",
+                  "--from", "0.2", "--to", "0.7", "--format", "csv"],
+                 ["sweep", "--vary", "q", "--steps", "3", "--M", "64", "--N", "8", "--oversample", "8",
+                  "--format", "json"]):
+        out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
 
