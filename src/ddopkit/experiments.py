@@ -9,9 +9,9 @@ empty. ``SweepRow`` judges a measurement against its closed form
 verify commands. Rows are computed
 independently (worker threads, capped by the DDOP_THREADS environment
 variable) but always emitted in plan order, and a point whose spec is illegal
-becomes a "failed: ..." row instead of aborting the sweep. Points whose
-trains share a spectrum layout (``metrics.SpectrumLayout``) read one, built
-once per sweep.
+becomes a "failed: ..." row instead of aborting the sweep. Every point is
+measured from its train's parts (``metrics.measure_train``); points whose
+trains share a spectrum layout (``metrics.SpectrumLayout``) read one.
 
 Report serialization is fixed: a CSV with the header
 
@@ -42,19 +42,17 @@ from .metrics import (
     AnalysisBand,
     LocalizationMetrics,
     SpectrumLayout,
+    _train_moments,
     layout_key,
     measure_train,
-    measured_from_parts,
     spectrum_layout,
 )
 from .pulses import PulseFamily, PulseSpec, TrainParts, default_q, train_parts
 from .signal_core import (
-    DegenerateInputError,
     InvalidInputError,
     fast_length,
     non_negative_int,
     positive_int,
-    sum_of_products,
 )
 
 __all__ = [
@@ -284,8 +282,9 @@ def measure_point(
 
 
 class _SharedLayouts:
-    """The spectrum layouts of one sweep. Each is built once, by the first
-    point that asks for it, while points with other layouts build theirs.
+    """The spectrum layouts of one sweep, overlapping sub-pulses or not. Each
+    is built once, by the first point that asks for it, while points with
+    other layouts build theirs.
     Only the last ``limit`` are kept, as many as points run at once: a
     sweep's points share one layout (a beta axis) or each read their own
     (Q, (M, N)). Nothing outlives the sweep."""
@@ -295,11 +294,8 @@ class _SharedLayouts:
         self._lock = threading.Lock()
         self._entries: dict[tuple, list] = {}
 
-    def get(self, parts: TrainParts, band: AnalysisBand, zero_pad: int) -> SpectrumLayout | None:
-        """The layout ``measure_train`` reads for these parts, or None where
-        it measures the synthesized train."""
-        if not measured_from_parts(parts):
-            return None
+    def get(self, parts: TrainParts, band: AnalysisBand, zero_pad: int) -> SpectrumLayout:
+        """The layout ``measure_train`` reads for these parts."""
         key = layout_key(parts, band, zero_pad)
         with self._lock:
             entry = self._entries.get(key)
@@ -386,9 +382,10 @@ def orthogonality_scan(
     exp(-2j pi n~ t0/(NT)) of the grid's start t0 has unit modulus and the
     scan reports magnitudes, so it is left out; dt cancels. The energy
     ||u||^2 = sum_q (sum_k c_k conj(c_{k-q})) (sum_j s_j conj(s_{j+qP})) is
-    summed in the time domain, not read from the transforms, so the origin
-    (1 for every pulse) compares two independent computations. A zero
-    energy raises ``DegenerateInputError``.
+    ``measure_train``'s lag sum (``metrics._train_moments``), in the time
+    domain, not read from the transforms, so the origin (1 for every pulse)
+    compares two independent computations. A zero energy raises
+    ``DegenerateInputError``.
     """
     max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
     max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
@@ -396,12 +393,7 @@ def orthogonality_scan(
     parts = train_parts(spec, oversample)
     sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
     count, width = coefficients.shape[0], sub.shape[0]
-    energy = sum((2.0 if q else 1.0) * (sum_of_products(coefficients[:count - q].conj(), coefficients[q:])
-                                        * sum_of_products(sub[q * per_t:].conj(), sub[:width - q * per_t])).real
-                 for q in range(min(count, -(-width // per_t))))
-    if energy <= 0.0:
-        raise DegenerateInputError("pulse has zero energy on its grid")
-
+    energy = _train_moments(parts)[0]
     a = _turned_autocorrelation(coefficients, max_doppler_steps, spec.N)
     b = _turned_autocorrelation(sub, max_doppler_steps, spec.N * per_t)
 

@@ -6,16 +6,14 @@ Delta T over the full time grid, Delta F over a symmetric analysis band
 fraction reported alongside). The area Delta T * Delta F is bounded below by
 1/(4*pi) and the Gaussian exp(-pi t^2) attains the bound.
 
-``measure_all`` measures a sampled signal through ``power_spectrum``.
-``measure_train`` measures a pulse train from its parts (``TrainParts``):
-the train's length-L DFT is the sub-pulse's DFT times the coefficients'
-comb, so where the sub-pulses do not overlap it sums the band moments from
-m-point sub-pulse transforms, m a divisor of L that holds the sub-pulse,
-and ΔT from the sub-pulse's own moments, and never builds the train. There
-the capture's total, the energy of all L bins, comes from discrete Parseval
-instead of an out-of-band sum; the capture is still in-band over all
-energy, never above 1. A train whose sub-pulses overlap is synthesized and
-measured by ``measure_all``, which stays the independent oracle.
+``measure_all`` measures a sampled signal through ``power_spectrum``; it is
+the independent oracle. ``measure_train`` measures every pulse train from
+its parts (``TrainParts``) and never builds it: its length-L DFT is the
+sub-pulse's DFT times the coefficients' comb, so the band moments are sums
+over m-point sub-pulse transforms, m a divisor of L that holds the
+sub-pulse. ΔT, the mean time and the energy are the sub-pulse's and the
+coefficients' moments plus, where sub-pulses overlap, lag products; the
+capture's total, all L bins, is the energy by discrete Parseval.
 
 What that row spectrum reads besides the sub-pulse samples, (m, r), the
 band's run of bins, the rows, their turn tables and the comb's weights, is
@@ -58,7 +56,6 @@ __all__ = [
     "measure_freq",
     "measure_all",
     "spectrum_rows",
-    "measured_from_parts",
     "SpectrumLayout",
     "layout_key",
     "spectrum_layout",
@@ -224,14 +221,6 @@ def spectrum_rows(parts: TrainParts, zero_pad: int = 4) -> tuple[int, int]:
     return m, length // m
 
 
-def measured_from_parts(parts: TrainParts) -> bool:
-    """Whether ``measure_train`` reads the spectrum row by row: the train's
-    sub-pulses do not overlap, because its w sub-pulse samples fit in the
-    P samples per T (w <= P) or it has one sub-pulse. Otherwise it measures
-    the synthesized train."""
-    return parts.subpulse.shape[0] <= parts.per_t or parts.coefficients.shape[0] == 1
-
-
 _ROW_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -328,6 +317,44 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
                           int(rows[0]) - first * block, bin_weight, tuple(bands), threading.local())
 
 
+def _train_moments(parts: TrainParts, bins: int = 1) -> tuple[float, float, float]:
+    """bins times the energy sum_i |u_i|^2 of the train u_i = sum_k c_k s_{i-kP}
+    (with bins = L, by discrete Parseval, the power of its L DFT bins), its
+    mean time and its time variance. Sample i = kP + x lies at tau_x + kT,
+    T = P dt. Lag 0 pairs each sub-pulse with itself: the moments of |s_x|^2
+    and |c_k|^2. Each lag q >= 1 with qP < w, where sub-pulses k and k - q
+    overlap, adds 2 Re of sum_k c_k conj(c_{k-q}) kappa_k^a times
+    sum_x s_x conj(s_{x+qP}) sigma_x^b, a + b <= 2, kappa_k and sigma_x the
+    times kT and tau_x about their lag-0 means: corrections that are exactly
+    0.0 without overlap, so such a train keeps the lag-0 numbers."""
+    sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
+    sub_power, coef_power = np.abs(sub) ** 2, np.abs(coefficients) ** 2
+    sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
+    single = sub_energy * coef_energy  # lag 0's energy
+    if not single > 0.0:
+        raise DegenerateInputError("pulse has zero energy on its grid")
+    count, width, dt = coefficients.shape[0], sub.shape[0], parts.grid.sample_interval
+    tau, index = parts.grid.start_time + (np.arange(width) + 0.5) * dt, np.arange(count)
+    sub_mean, sub_var = _moments(tau, sub_power, sub_energy)
+    index_mean, index_var = _moments(index, coef_power, coef_energy)
+    period = per_t * dt
+    mean, var = sub_mean + period * index_mean, sub_var + period * period * index_var
+    lags = np.zeros((3, 3), dtype=np.complex128)  # [a, b]: the two sums' product, summed over q
+    with np.errstate(all="ignore"):
+        for q in range(1, min(count, -(-width // per_t))):
+            d = width - q * per_t  # the number of samples sub-pulses k and k - q share
+            kappa, sigma = (np.stack((np.ones_like(v), v, v * v))
+                            for v in (period * (index[q:] - index_mean), tau[:d] - sub_mean))
+            a = np.einsum("ak,k->a", kappa, coefficients[q:] * coefficients[:count - q].conj())
+            lags += np.outer(a, np.einsum("bx,x->b", sigma, sub[:d] * sub[width - d:].conj()))
+        x0, x1 = 2.0 * float(lags[0, 0].real), 2.0 * float((lags[0, 1] + lags[1, 0]).real)
+        x2 = 2.0 * float((lags[0, 2] + 2.0 * lags[1, 1] + lags[2, 0]).real)
+        energy = single + x0
+        shift = x1 / energy
+        var = var * (single / energy) + x2 / energy - shift * shift
+    return bins * sub_energy * coef_energy + bins * x0, mean + shift, var
+
+
 def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
                   layout: SpectrumLayout | None = None) -> LocalizationMetrics:
     """Numeric localization metrics of the train ``parts.signal()``: those of
@@ -335,21 +362,18 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
 
     With L bins and (m, r) = ``spectrum_rows``, bin k of the train
     u_i = sum_n c_n s_{i - nP} is S(k) C(k): S the sub-pulse's length-L DFT and
-    C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb. Where the
-    sub-pulses do not overlap (``measured_from_parts``), row j of S, the bins
-    k = j + r*i, is one m-point FFT of s turned by exp(-2j pi j t/L), which
-    holds s because w <= m; a real train takes rows 0..r/2 (or -r/2..0 for
-    odd m), each standing for itself and its mirror. C repeats every
-    R = L/gcd(L, P) bins, and |C|^2 is one R-point FFT of the coefficients.
-    The band's bins are ``bins_within``'s, found row by row, and the moments
-    are summed there, so neither the train nor an L-long array is built.
-    Because the sub-pulses do not overlap, the energy, mean time and ΔT
-    come from the sub-pulse's moments and the |c_k|^2, and by discrete
-    Parseval all L bins hold L * sum|c_k|^2 * sum|s_t|^2: the capture is the
-    in-band sum over the larger of that total and itself, so it never
-    exceeds 1, and a band of every bin captures exactly 1. A train whose
-    sub-pulses overlap is synthesized from its parts and measured by
-    ``measure_all``.
+    C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb. Row j of S,
+    the bins k = j + r*i, is one m-point FFT of s turned by exp(-2j pi j t/L),
+    which holds s because w <= m, overlapping sub-pulses or not; a real train
+    takes rows 0..r/2 (or -r/2..0 for odd m), each standing for itself and
+    its mirror. C repeats every R = L/gcd(L, P) bins, and |C|^2 is one
+    R-point FFT of the coefficients. The band's bins are ``bins_within``'s,
+    found row by row, and the moments are summed there, so neither the train
+    nor an L-long array is built. The energy, mean time and ΔT are
+    ``_train_moments``'s, and by discrete Parseval all L bins hold L times
+    that energy: the capture is the in-band sum over the larger of that
+    total and itself, so it never exceeds 1, and a band of every bin
+    captures exactly 1.
 
     Everything above but the sub-pulse's turned FFTs and its moments is the
     train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds it for
@@ -357,36 +381,15 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
     of its points. A layout built for another train, band or zero_pad
     (another ``layout_key``) is rejected with ``InvalidInputError``.
     """
-    if not measured_from_parts(parts):
-        return measure_all(parts.signal(), band, zero_pad)
     if layout is None:
         layout = spectrum_layout(parts, band, zero_pad)
     elif layout.key != layout_key(parts, band, zero_pad):
         raise InvalidInputError("the spectrum layout was built for another train, band or zero-pad factor")
-    sub_power = np.abs(parts.subpulse) ** 2
-    coef_power = np.abs(parts.coefficients) ** 2
-    sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
-    if not sub_energy * coef_energy > 0.0:
-        raise DegenerateInputError("pulse has zero energy on its grid")
-
-    grid = parts.grid
-    dt = grid.sample_interval
-    tau = grid.start_time + (np.arange(sub_power.shape[0]) + 0.5) * dt
-    sub_mean, sub_var = _moments(tau, sub_power, sub_energy)
-    index_mean, index_var = _moments(np.arange(coef_power.shape[0]), coef_power, coef_energy)
-    period = parts.per_t * dt
-    time_disp = _dispersion(sub_var + period * period * index_var, "time")
-
-    total = layout.m * layout.r * sub_energy * coef_energy
+    total, mean_time, time_var = _train_moments(parts, layout.m * layout.r)
+    time_disp = _dispersion(time_var, "time")
     mean_freq, freq_disp, capture = _train_freq(parts.subpulse, layout, band, total)
-    return LocalizationMetrics(
-        mean_time=sub_mean + period * index_mean,
-        mean_freq=mean_freq,
-        time_dispersion=time_disp,
-        freq_dispersion=freq_disp,
-        provenance=Provenance.NUMERIC,
-        energy_capture=capture,
-    )
+    return LocalizationMetrics(mean_time=mean_time, mean_freq=mean_freq, time_dispersion=time_disp,
+                               freq_dispersion=freq_disp, provenance=Provenance.NUMERIC, energy_capture=capture)
 
 
 def _train_freq(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,

@@ -370,9 +370,8 @@ class TestVerify:
         (["--M", "64", "--N", "16", "--oversample", "16"],
          "[PASS] spectrum from parts: ΔT, ΔF and capture within "),
         (["--family", "gddop", "--M", "16", "--N", "4", "--Q", "40", "--oversample", "8"],
-         "[SKIP] spectrum from parts: the sub-pulse's w = 640 samples exceed the P = 128 samples per T, "
-         "so the sub-pulses overlap; measured from the samples"),
-    ], ids=["parts", "samples"])
+         "[PASS] spectrum from parts: ΔT, ΔF and capture within "),
+    ], ids=["parts", "overlapping"])
     def test_spectrum_from_parts(self, argv, line, capsys):
         lines = run(["verify", *argv], capsys)[1].splitlines()
         assert lines[1].startswith("[PASS] Parseval") and lines[2].startswith(line)
@@ -425,6 +424,29 @@ class TestVerify:
         rc, out, err = run(["metrics", *pulse], capsys)
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: only one of the 90 bins")
+
+    @pytest.mark.parametrize("pulse,reason", [
+        (["--M", "32", "--N", "8", "--band", "1e-9"],
+         "the analysis band |f| <= 1e-09 holds a single spectral bin (bin spacing 0.0341333); widen the band"),
+        (["--family", "tdm", "--M", "16", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
+         "only one of the 2 bins in the analysis band |f| <= 80 carries energy"),
+    ], ids=["one-bin-band", "one-bin-with-energy"])
+    def test_sampled_path_rejecting_the_band_fails_its_check(self, pulse, reason, capsys):
+        """A band the sampled measurement rejects is one failed check; the
+        three checks that read its numbers are skipped, saying why, and every
+        other check still prints its line. metrics stays a usage error."""
+        rc, out, err = run(["verify", *pulse], capsys)
+        lines = out.splitlines()
+        assert rc == 1 and err == "" and len(lines) == 12
+        assert lines[2].startswith(f"[FAIL] sampled metrics: not measured: {reason}")
+        assert [line for line in lines if "sampled metrics, which" in line] == [
+            f"[SKIP] {name}: it reads the sampled metrics, which were not measured"
+            for name in ("spectrum from parts", "uncertainty floor", "closed-form agreement")]
+        assert any(line.startswith("[PASS] Gaussian floor attainment") for line in lines[3:])
+        assert lines[-1].endswith("check(s) failed")
+        rc, out, err = run(["metrics", *pulse], capsys)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {reason}")
 
     def test_interior_index_checked(self, capsys):
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",

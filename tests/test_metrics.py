@@ -19,7 +19,6 @@ from ddopkit.metrics import (
     measure_freq,
     measure_time,
     measure_train,
-    measured_from_parts,
     spectrum_rows,
 )
 from ddopkit import metrics, pulses
@@ -370,7 +369,7 @@ class TestMeasureTrain:
         """Every parity of m and r, real and complex, against measure_all to 1e-12."""
         parts = train_parts(spec, oversample)
         assert spectrum_rows(parts, zero_pad) == rows
-        assert parts.subpulse.shape[0] <= rows[0] and measured_from_parts(parts)
+        assert parts.subpulse.shape[0] <= min(rows[0], parts.per_t)
         band = AnalysisBand.default_for(spec)
         assert_same_metrics(measure_train(parts, band, zero_pad),
                             measure_all(synth_pulse(spec, oversample), band, zero_pad))
@@ -415,21 +414,44 @@ class TestMeasureTrain:
         parts = train_parts(spec, oversample)
         m, r = spectrum_rows(parts, zero_pad)
         assert (m, r) == rows and math.gcd(m * r, parts.per_t) < parts.subpulse.shape[0] <= m
-        assert measured_from_parts(parts)
         band = AnalysisBand.default_for(spec)
         assert_same_metrics(measure_train(parts, band, zero_pad),
                             measure_all(synth_pulse(spec, oversample), band, zero_pad))
 
-    @pytest.mark.parametrize("spec", [
-        PulseSpec(M=16, N=4, Q=40, family=PulseFamily.GENERAL_DDOP),
-        PulseSpec(M=64, N=8, Q=40, beta=0.5, subpulse="btrrc", family=PulseFamily.GENERAL_DDOP),
-    ], ids=["gddop-16x4", "gddop-64x8-btrrc"])
-    def test_overlapping_subpulses_measure_the_samples(self, spec):
-        """Where the sub-pulses overlap (w > P), the result is measure_all's, bit for bit."""
+    @pytest.mark.parametrize("spec,overlap", [
+        (PulseSpec(M=16, N=4, Q=40, family=PulseFamily.GENERAL_DDOP), 5),
+        (PulseSpec(M=64, N=8, Q=40, beta=0.5, subpulse="btrrc", family=PulseFamily.GENERAL_DDOP), 1.25),
+        (PulseSpec(M=16, N=4, Q=256, family=PulseFamily.GENERAL_DDOP), 32),
+    ], ids=["gddop-16x4", "gddop-64x8-btrrc", "gddop-16x4-q256"])
+    def test_overlapping_subpulses_add_lag_terms(self, spec, overlap):
+        """Where the sub-pulses overlap (w > P), the row spectrum still holds
+        the sub-pulse and ΔT adds the lag products: measure_all's to 1e-12."""
         parts = train_parts(spec, 8)
-        assert parts.subpulse.shape[0] > parts.per_t and not measured_from_parts(parts)
+        assert parts.subpulse.shape[0] == overlap * parts.per_t
         band = AnalysisBand.default_for(spec)
-        assert measure_train(parts, band) == measure_all(synth_pulse(spec, 8), band)
+        assert_same_metrics(measure_train(parts, band), measure_all(synth_pulse(spec, 8), band))
+
+    def test_lag_terms_of_a_train_no_family_has(self):
+        """Hann-tapered coefficients with a complex tone, built by hand, on a
+        toned sub-pulse 2.5 P wide, so lag 2 overlaps only in part: measure_all's
+        to 1e-12. Neighbours overlap out of phase, and ΔT from lag 0 alone
+        misses by about 8%, so the lag terms are what this compares."""
+        per_t, count = 40, 5
+        width = 5 * per_t // 2
+        x = np.arange(width) + 0.5
+        k = np.arange(count)
+        sub = np.sin(np.pi * x / width) ** 2 * np.exp(0.02j * np.pi * x)
+        coefficients = np.sin(np.pi * (k + 1) / (count + 1)) ** 2 * np.exp(1.8j * np.pi * k)
+        grid = TimeGrid(-1.0, 0.01, (count - 1) * per_t + width)
+        parts = TrainParts(grid, sub, 1.0, coefficients, per_t)
+        band = AnalysisBand(half_width=25.0)
+        got = measure_train(parts, band)
+        assert_same_metrics(got, measure_all(parts.signal(), band))
+
+        tau, period = grid.start_time + x * grid.sample_interval, per_t * grid.sample_interval
+        lag0 = math.sqrt(np.cov(tau, aweights=np.abs(sub) ** 2, ddof=0)
+                         + period ** 2 * np.cov(k, aweights=np.abs(coefficients) ** 2, ddof=0))
+        assert abs(lag0 / got.time_dispersion - 1.0) > 0.01
 
     def test_row_size_rule(self):
         """m = gcd(L, P) where the sub-pulse fits in it, else the smallest
@@ -450,7 +472,7 @@ class TestMeasureTrain:
                                       PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc"),
                                       PulseSpec(M=16, N=4, Q=40, beta=0.5, subpulse="btrrc",
                                                 family=PulseFamily.GENERAL_DDOP)],
-                             ids=["parts", "wide-rows", "samples"])
+                             ids=["parts", "wide-rows", "overlapping"])
     def test_quadrature_runs_once_per_point(self, spec, monkeypatch):
         calls = []
 
@@ -470,7 +492,7 @@ class TestMeasureTrain:
         for spec in (DEFAULT, PulseSpec(M=32, N=8, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2)):
             parts = train_parts(spec)
             width, dt = parts.subpulse.shape[0], parts.grid.sample_interval
-            assert width <= parts.per_t and measured_from_parts(parts)
+            assert width <= parts.per_t
             train = np.zeros(parts.grid.num_samples, dtype=np.complex128)
             for offset, coefficient in zip(parts.offsets, parts.coefficients):
                 train[offset:offset + width] += parts.scale * coefficient * parts.subpulse
@@ -544,7 +566,6 @@ class TestMeasureTrain:
         assert measure_train(train_parts(DEFAULT), wide).energy_capture == 1.0
         spec = PulseSpec(M=32, N=3, family=PulseFamily.FDM)
         parts = train_parts(spec, 4)
-        assert measured_from_parts(parts)
         assert measure_train(parts, wide, 2).energy_capture == 1.0
         spectrum = power_spectrum(parts.signal(), 2)
         for k in range(1, spectrum.values.shape[0] // 2, 7):

@@ -31,18 +31,24 @@ for otfs): 28 more. Then verify of gddop at ``--M 16 --N 4 --Q 40
 --oversample 8`` for ``--subpulse rrc`` and ``btrrc``, whose sub-pulses span
 2Q/M = 5 symbol periods, so the orthogonality scan sums many lags per delay
 row. Then json metrics of the default 256 x 64 ddop train, whose sub-pulse
-fits one spectrum row, so it is measured from its parts: rrc at beta 0, 0.5
-and 1, btrrc at beta 0.5, and rrc at ``--T 0.37``; and of the otfs family at
-``--M 32 --N 8 --oversample 8 --otfs-m 5 --otfs-n 2``, a complex pulse measured
-from every spectrum row; and two trains whose sub-pulse is wider than
-gcd(L, P), so their rows are longer than the comb's period: the btrrc
-``--N 8`` train at the default M = 256 (rows of m = 432) and gddop at
-``--M 32 --N 8 --oversample 8`` (odd rows, m = 75). Last, the benchmark's
-11-point btrrc beta sweep of the default M = 256, N = 8 train, long enough
-that a threaded BLAS would split its sums, and json ``sweep --vary q
---steps 3`` at ``--M 64 --N 8 --oversample 8`` (Q 1, 8 and 64), whose
-points each read their own spectrum layout and whose Q = 64 row fails:
-326 distinct cases.
+fits one spectrum row: rrc at beta 0, 0.5 and 1, btrrc at beta 0.5, and rrc
+at ``--T 0.37``; and of the otfs family at ``--M 32 --N 8 --oversample 8
+--otfs-m 5 --otfs-n 2``, a complex pulse measured from every spectrum row;
+and two trains whose sub-pulse is wider than gcd(L, P), so their rows are
+longer than the comb's period: the btrrc ``--N 8`` train at the default
+M = 256 (rows of m = 432) and gddop at ``--M 32 --N 8 --oversample 8`` (odd
+rows, m = 75). Then the benchmark's 11-point btrrc beta sweep of the
+default M = 256, N = 8 train, long enough that a threaded BLAS would split
+its sums, and json ``sweep --vary q --steps 3`` at ``--M 64 --N 8
+--oversample 8`` (Q 1, 8 and 64), whose points each read their own
+spectrum layout and whose Q = 64 row fails. Then json metrics of gddop at
+``--M 16 --N 4 --Q 256 --oversample 8`` for ``--subpulse rrc`` and
+``btrrc``, whose sub-pulses span 32 symbol periods, so ΔT sums 3 lags of
+overlapping sub-pulses. Last, verify of ``--M 32 --N 8 --band 1e-9`` (a
+band of one bin) and of ``--family tdm --M 16 --N 2 --oversample 1
+--zero-pad 1`` (one band bin with energy), where the sampled measurement
+rejects the band: 330 distinct cases. Every train is measured from its
+parts.
 """
 
 from __future__ import annotations
@@ -98,7 +104,11 @@ def cases() -> list[list[str]]:
     for argv in (["sweep", "--vary", "beta", "--steps", "11", "--subpulse", "btrrc", "--N", "8",
                   "--from", "0.2", "--to", "0.7", "--format", "csv"],
                  ["sweep", "--vary", "q", "--steps", "3", "--M", "64", "--N", "8", "--oversample", "8",
-                  "--format", "json"]):
+                  "--format", "json"],
+                 *(["metrics", "--family", "gddop", "--subpulse", subpulse, "--M", "16", "--N", "4",
+                    "--Q", "256", "--oversample", "8", "--format", "json"] for subpulse in ("rrc", "btrrc")),
+                 ["verify", "--M", "32", "--N", "8", "--band", "1e-9"],
+                 ["verify", "--family", "tdm", "--M", "16", "--N", "2", "--oversample", "1", "--zero-pad", "1"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
