@@ -50,6 +50,7 @@ from .metrics import (
 from .pulses import PulseFamily, PulseSpec, TrainParts, default_q, train_parts
 from .signal_core import (
     InvalidInputError,
+    _turn_table,
     fast_length,
     non_negative_int,
     positive_int,
@@ -375,8 +376,12 @@ def orthogonality_scan(
         B[D] = sum_j s_j exp(-2j pi n~ j/(NP)) conj(s_{j+D}).
 
     A and B are Doppler-turned autocorrelations of the coefficients and of
-    the sub-pulse, each taken for every n~ by one batched FFT. B vanishes
-    for |D| >= w, so row d sums only the lags with |qP - d| < w. s is read
+    the sub-pulse (``_turned_autocorrelation``). qP - d is always a multiple
+    of oversample, so B is taken only at those lags, from the oversample
+    polyphase components of s, each w/oversample samples long. B vanishes
+    for |D| >= w, so row d sums only the lags with |qP - d| < w. At a
+    negative n~, A and B are the conjugates of those of conj(c) and conj(s)
+    at -n~, so a real train's columns +-n~ are equal to the bit. s is read
     scaled to a peak below 1 (``TrainParts``), so nothing squared over- or
     underflows at any T; the scan is invariant to that scale. The anchor
     exp(-2j pi n~ t0/(NT)) of the grid's start t0 has unit modulus and the
@@ -392,13 +397,13 @@ def orthogonality_scan(
     oversample = positive_int(oversample, "oversample")
     parts = train_parts(spec, oversample)
     sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
-    count, width = coefficients.shape[0], sub.shape[0]
+    count = coefficients.shape[0]
     energy = _train_moments(parts)[0]
     a = _turned_autocorrelation(coefficients, max_doppler_steps, spec.N)
-    b = _turned_autocorrelation(sub, max_doppler_steps, spec.N * per_t)
+    b = _turned_autocorrelation(sub, max_doppler_steps, spec.N * per_t, oversample)
 
-    # Lag q reaches the rows m~ with |q*M - m~| < width/oversample, the sub-pulse's width in steps.
-    steps = width // oversample
+    # Lag q reaches the rows m~ with |q*M - m~| < steps, the sub-pulse's width in steps.
+    steps = sub.shape[0] // oversample
     delays = np.arange(-max_delay_steps, max_delay_steps + 1)
     rows = np.zeros((delays.shape[0], 2 * max_doppler_steps + 1), dtype=np.complex128)
     lags = min(count - 1, (max_delay_steps + steps - 1) // spec.M)
@@ -406,23 +411,46 @@ def orthogonality_scan(
         lo = max(-max_delay_steps, q * spec.M - steps + 1)
         hi = min(max_delay_steps, q * spec.M + steps - 1)
         near = slice(lo + max_delay_steps, hi + max_delay_steps + 1)
-        # B[qP - d] sits at b[width - 1 - (qP - d)]
-        rows[near] += a[count - 1 + q] * b[width - 1 + oversample * (delays[near] - q * spec.M)]
+        # B[qP - d] is lag (m~ - qM) * oversample, at b[steps - 1 + m~ - qM]
+        rows[near] += a[count - 1 + q] * b[steps - 1 + delays[near] - q * spec.M]
     return np.abs(rows) / energy
 
 
-def _turned_autocorrelation(x: np.ndarray, max_doppler_steps: int, period: int) -> np.ndarray:
-    """r[n - 1 + q, n~ + max_doppler_steps] = sum_k x_k exp(-2j pi n~ k/period) conj(x_{k-q})
-    for |q| < n = len(x) and |n~| <= max_doppler_steps.
+def _turned_autocorrelation(x: np.ndarray, max_doppler_steps: int, period: int,
+                            phases: int = 1) -> np.ndarray:
+    """r[W - 1 + q, n~ + max_doppler_steps] =
+    sum_k x_k exp(-2j pi n~ k/period) conj(x_{k - q*phases})
+    for |q| < W = len(x)/phases and |n~| <= max_doppler_steps: only the lags
+    that are multiples of phases. len(x) must be a multiple of phases.
 
-    One batched FFT correlation, zero-padded past 2n - 1 samples so no lag
-    wraps. n~*k is reduced modulo the period before scaling so large |n~|
-    keeps full precision; the turns of negative n~ conjugate the positive ones.
+    A negative n~ is the conjugate of the correlation of conj(x) at -n~;
+    for a real x that is x's own, so only n~ >= 0 is correlated, once for a
+    real x and twice for a complex one (``_doppler_correlations``).
     """
-    n = x.shape[0]
-    half = np.exp(-2j * np.pi * (np.outer(np.arange(max_doppler_steps + 1), np.arange(n)) % period)
-                  / period)
-    turns = np.concatenate((np.conj(half[:0:-1]), half))
-    length = fast_length(2 * n - 1)
-    spectra = np.fft.fft(turns * x, length) * np.conj(np.fft.fft(x, length))
-    return np.fft.ifft(spectra)[:, np.arange(1 - n, n)].T
+    turned = _doppler_correlations(x, max_doppler_steps, period, phases)
+    mirror = _doppler_correlations(np.conj(x), max_doppler_steps, period, phases) if x.imag.any() else turned
+    return np.concatenate((np.conj(mirror[:, :0:-1]), turned), axis=1)
+
+
+def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, phases: int) -> np.ndarray:
+    """``_turned_autocorrelation``'s columns n~ >= 0.
+
+    Sample phases*j + p is entry j of polyphase component p, and lag
+    q*phases pairs entries j and j - q of the same component, so each lag
+    is a sum over the phases components of their W-sample correlations.
+    Sample phases*j + p is turned by exp(-2j pi n~ phases j/period) times
+    exp(-2j pi n~ p/period), a W-entry and a phases-entry table
+    (``signal_core._turn_table``). Each turned component is transformed at
+    ``fast_length(2W - 1)``, so no lag wraps, and multiplied by the
+    conjugate transform of the unturned one; the products are summed over
+    the components and each Doppler shift takes one inverse transform.
+    """
+    width = x.shape[0] // phases
+    components = x.reshape(width, phases).T
+    doppler = np.arange(max_doppler_steps + 1)
+    coarse = _turn_table(doppler, phases * np.arange(width), period)
+    fine = _turn_table(doppler, np.arange(phases), period)
+    length = fast_length(2 * width - 1)
+    turned = np.fft.fft(coarse[:, None, :] * fine[:, :, None] * components, length)
+    spectra = np.einsum("npl,pl->nl", turned, np.conj(np.fft.fft(components, length)))
+    return np.fft.ifft(spectra)[:, np.arange(1 - width, width)].T

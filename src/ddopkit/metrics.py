@@ -41,6 +41,7 @@ from .signal_core import (
     InvalidInputError,
     PowerSpectrum,
     SampledSignal,
+    _turn_table,
     bins_within,
     fast_length,
     positive_int,
@@ -292,11 +293,8 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     block = math.isqrt(rows.shape[0] - 1) + 1
     first = int(rows[0]) // block
 
-    def turn(k: np.ndarray) -> np.ndarray:
-        return np.exp(-2j * np.pi * (np.outer(k, t) % length) / length)
-
-    coarse = turn(block * np.arange(first, int(rows[-1]) // block + 1))
-    fine = turn(np.arange(block))
+    coarse = _turn_table(block * np.arange(first, int(rows[-1]) // block + 1), t, length)
+    fine = _turn_table(np.arange(block), t, length)
 
     g = math.gcd(length, parts.per_t)
     period, step = length // g, parts.per_t // g

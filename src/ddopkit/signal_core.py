@@ -192,6 +192,13 @@ def _whole_number(value, name: str, minimum: int, what: str) -> int:
     raise InvalidInputError(f"{name} must be {what} below 2**63, got {value!r}")
 
 
+def _turn_table(k: np.ndarray, t: np.ndarray, period: int) -> np.ndarray:
+    """exp(-2j pi ((k t) mod period)/period), k down the rows and t along the
+    columns. k t is reduced modulo the period before it is scaled, so a large
+    product keeps full precision."""
+    return np.exp(-2j * np.pi * (np.outer(k, t) % period) / period)
+
+
 def fast_length(minimum: int) -> int:
     """The smallest 5-smooth integer 2**a * 3**b * 5**c that is >= minimum.
 

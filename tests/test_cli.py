@@ -72,6 +72,34 @@ class TestUsageErrors:
         assert out == "" and len(err.splitlines()) == 1
 
 
+class TestModuleEntryPoint:
+    """``python -m ddopkit`` runs ``cli.main`` in a fresh process."""
+
+    @staticmethod
+    def _run(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "ddopkit", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_matches_main(self, capsys):
+        argv = ["verify", "--M", "16", "--N", "4"]
+        rc, out, err = run(argv, capsys)
+        proc = self._run(argv)
+        assert rc in (0, 1) and proc.returncode == rc
+        assert proc.stdout == out and proc.stderr == err
+
+    def test_bad_flag_value(self):
+        proc = self._run(["verify", "--M", "16", "--N", "4", "--oversample", "0"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: oversample") and len(proc.stderr.splitlines()) == 1
+
+    def test_unknown_flag(self):
+        """argparse's usage text, then its one error line."""
+        proc = self._run(["verify", "--M", "16", "--N", "4", "--bogus"])
+        assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == "ddopkit: error: unrecognized arguments: --bogus"
+
+
 class TestConfigFile:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -451,15 +451,27 @@ class TestOrthogonalityScan:
         (PulseSpec(M=8, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=3, otfs_n=1), 20, 3, 4),
         (PulseSpec(M=16, N=4, Q=12, beta=0.3, family=PulseFamily.GENERAL_DDOP), 3, 9, 4),
         (PulseSpec(M=4, N=4, Q=64, beta=0.3, family=PulseFamily.GENERAL_DDOP), 3, 3, 4),
+        (PulseSpec(M=4, N=4, Q=256, beta=0.3, family=PulseFamily.GENERAL_DDOP), 3, 3, 16),
     ], ids=["ddop", "ddop-btrrc", "tdm", "gddop-q40", "fdm", "otfs", "shifts-past-T",
             "origin-only", "doppler-past-N", "gddop-overlap-8", "gddop-btrrc-overlap-8",
             "fdm-shifts-past-2T", "otfs-shifts-past-2T", "gddop-doppler-past-N",
-            "gddop-overlap-32"])
+            "gddop-overlap-32", "gddop-overlap-128-oversample-16"])
     def test_matches_fft_reference(self, spec, delay, doppler, oversample):
         expected = _fft_scan_reference(spec, delay, doppler, oversample)
         got = orthogonality_scan(spec, delay, doppler, oversample=oversample)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) < 1e-13
+
+    @pytest.mark.parametrize("spec", [
+        PulseSpec(M=32, N=8, beta=0.3),
+        PulseSpec(M=16, N=4, family=PulseFamily.FDM),
+        PulseSpec(M=8, N=4, Q=32, beta=0.6, family=PulseFamily.GENERAL_DDOP, subpulse="btrrc"),
+    ], ids=["ddop", "fdm", "gddop-btrrc"])
+    def test_real_train_mirrors_doppler(self, spec):
+        """A real train's Doppler shifts +-n~ read conjugate correlations, so
+        their magnitudes are equal to the bit."""
+        scan = orthogonality_scan(spec, 3, 5, oversample=4)
+        assert np.array_equal(scan, scan[:, ::-1])
 
     def test_zero_subpulse_is_degenerate(self, monkeypatch):
         monkeypatch.setitem(pulses._SUBPULSES, "rrc",
@@ -476,6 +488,29 @@ class TestOrthogonalityScan:
             scan = orthogonality_scan(PulseSpec(M=16, N=4, T=1e-310, family=family), 2, 2, oversample=4)
         assert np.all(np.isfinite(scan))
         assert scan[2, 2] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestTurnedAutocorrelation:
+    """``_turned_autocorrelation`` against the double sum it is defined by."""
+
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("phases", [1, 4])
+    def test_matches_the_double_sum(self, complex_input, phases):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(24)
+        if complex_input:
+            x = x + 1j * rng.standard_normal(24)
+        period, doppler = 10, 7  # n~ up to 7 > period/2: turns past the modulo reduction
+        got = experiments._turned_autocorrelation(x, doppler, period, phases)
+        width = x.shape[0] // phases
+        assert got.shape == (2 * width - 1, 2 * doppler + 1)
+        expected = np.zeros(got.shape, dtype=np.complex128)
+        for q in range(1 - width, width):
+            for n in range(-doppler, doppler + 1):
+                expected[width - 1 + q, doppler + n] = sum(
+                    x[k] * np.exp(-2j * np.pi * n * k / period) * np.conj(x[k - q * phases])
+                    for k in range(max(0, q * phases), min(x.shape[0], x.shape[0] + q * phases)))
+        assert np.max(np.abs(got - expected)) < 1e-13
 
 
 def _fft_scan_reference(spec, max_delay_steps, max_doppler_steps, oversample):
