@@ -78,8 +78,16 @@ _SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name not in ("pulse", "
 _CONFIG_KEYS = {"pulse", "subpulse", *_SETTINGS}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommand parsers, whose usage
+    errors are one stderr line, ``ddopkit: error: ...``, with no usage text."""
+
+    def error(self, message):
+        self.exit(2, f"ddopkit: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddopkit",
         description="Synthesize delay-Doppler pulse trains and measure their "
                     "time-frequency localization.",

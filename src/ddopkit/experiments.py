@@ -448,8 +448,8 @@ def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, ph
     width = x.shape[0] // phases
     components = x.reshape(width, phases).T
     doppler = np.arange(max_doppler_steps + 1)
-    coarse = _turn_table(doppler, phases * np.arange(width), period)
-    fine = _turn_table(doppler, np.arange(phases), period)
+    coarse = _turn_table(doppler, range(0, phases * width, phases), period)
+    fine = _turn_table(doppler, range(phases), period)
     length = fast_length(2 * width - 1)
     turned = np.fft.fft(coarse[:, None, :] * fine[:, :, None] * components, length)
     spectra = np.einsum("npl,pl->nl", turned, np.conj(np.fft.fft(components, length)))

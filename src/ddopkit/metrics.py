@@ -10,10 +10,11 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 the independent oracle. ``measure_train`` measures every pulse train from
 its parts (``TrainParts``) and never builds it: its length-L DFT is the
 sub-pulse's DFT times the coefficients' comb, so the band moments are sums
-over m-point sub-pulse transforms, m a divisor of L that holds the
-sub-pulse. ΔT, the mean time and the energy are the sub-pulse's and the
-coefficients' moments plus, where sub-pulses overlap, lag products; the
-capture's total, all L bins, is the energy by discrete Parseval.
+over m-point sub-pulse transforms, two spectrum rows to a transform, m a
+divisor of L that holds the sub-pulse. ΔT, the mean time and the energy
+are the sub-pulse's and the coefficients' moments plus, where sub-pulses
+overlap, lag products; the capture's total, all L bins, is the energy by
+discrete Parseval.
 
 What that row spectrum reads besides the sub-pulse samples, (m, r), the
 band's run of bins, the rows, their turn tables and the comb's weights, is
@@ -233,8 +234,11 @@ class SpectrumLayout(NamedTuple):
     kappas the band's run lo <= kappa < hi of signed bin indices
     (``bins_within``) and rows the spectrum rows read: of a real train (the
     key says whether it is) only rows 0..r/2, which stand for their mirrors
-    too. coarse and fine are ``_row_power``'s turn tables, offset the first
-    row's place in their product. bin_weight is None where m = gcd(L, P),
+    too. ``_row_power`` transforms the rows in pairs, the first half of them
+    with the second: coarse and fine are the first half's turn tables, fine
+    already times the pair shift, offset the first row's place in their
+    product, and rotate the per-column turn that makes each pair's transform
+    the two rows' real spectra. bin_weight is None where m = gcd(L, P),
     each row then weighted by its comb entry |C|^2; otherwise it holds
     every bin's |C|^2 and the rows are weighted by 1. bands lists (kappas,
     sign, row weight), a real train's mirrored band second. key is
@@ -253,6 +257,7 @@ class SpectrumLayout(NamedTuple):
     coarse: np.ndarray
     fine: np.ndarray
     offset: int
+    rotate: np.ndarray
     bin_weight: np.ndarray | None
     bands: tuple
     workspace: threading.local
@@ -273,9 +278,17 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     centered column -(m//2) <= i < m - m//2; for even m the rows run from 0,
     for odd m from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
     |C(kappa)|^2 is entry (kappa * P/g) mod R of the comb's table,
-    g = gcd(L, P) and R = L/g. The turn exp(-2j pi j t/L) of row j is the
-    product of a coarse and a fine table, j = coarse + fine, each about
-    sqrt(rows) x w entries.
+    g = gcd(L, P) and R = L/g.
+
+    Row j is turned about the sub-pulse's centre h = (w - 1)/2, by
+    exp(-2j pi j (t - h)/L), an integer angle j (2t - (w - 1)) modulo 2L.
+    With d = ceil(rows/2), rows j and j + d share one transform: the fine
+    table is multiplied by the shift 1 + i exp(-2j pi d (t - h)/L), so
+    the turned sub-pulse of row j plus i times that of row j + d is the
+    product of a coarse and a fine entry, j = coarse + fine, each table
+    about sqrt(d) x w entries (``signal_core._turn_table``). rotate is
+    exp(+2j pi c h/m), the turn of column c that moves the transform's
+    time origin to h.
     """
     key = layout_key(parts, band, zero_pad)
     m, r = spectrum_rows(parts, zero_pad)
@@ -289,12 +302,15 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     else:
         rows = np.arange(r) - (r // 2 if m % 2 else 0)
 
-    t = np.arange(parts.subpulse.shape[0])
-    block = math.isqrt(rows.shape[0] - 1) + 1
+    width = parts.subpulse.shape[0]
+    centred = range(1 - width, width, 2)  # 2t - (w - 1): twice the time about the centre
+    pair = (rows.shape[0] + 1) // 2
+    block = math.isqrt(pair - 1) + 1
     first = int(rows[0]) // block
-
-    coarse = _turn_table(block * np.arange(first, int(rows[-1]) // block + 1), t, length)
-    fine = _turn_table(np.arange(block), t, length)
+    coarse = _turn_table(block * np.arange(first, int(rows[pair - 1]) // block + 1), centred, 2 * length)
+    fine = _turn_table(np.arange(block), centred, 2 * length)
+    fine *= 1.0 + 1j * _turn_table(np.array([pair]), centred, 2 * length)[0]  # row j + pair, as i times row j
+    rotate = _turn_table(np.array([1 - width]), range(m), 2 * m)[0]
 
     g = math.gcd(length, parts.per_t)
     period, step = length // g, parts.per_t // g
@@ -308,11 +324,12 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     bands = [((lo, hi), 1.0, weight)]
     if real:
         bands.append(((1 - hi, 1 - lo), -1.0, weight * ((rows != 0) & (2 * np.abs(rows) < r))))
-    for array in (rows, coarse, fine, bin_weight, *(w for _, _, w in bands)):
+    for array in (rows, coarse, fine, rotate, bin_weight, *(w for _, _, w in bands)):
         if array is not None:
             array.flags.writeable = False
     return SpectrumLayout(key, m, r, freq_interval, (lo, hi), rows, coarse, fine,
-                          int(rows[0]) - first * block, bin_weight, tuple(bands), threading.local())
+                          int(rows[0]) - first * block, rotate, bin_weight, tuple(bands),
+                          threading.local())
 
 
 def _train_moments(parts: TrainParts, bins: int = 1) -> tuple[float, float, float]:
@@ -361,10 +378,11 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
     With L bins and (m, r) = ``spectrum_rows``, bin k of the train
     u_i = sum_n c_n s_{i - nP} is S(k) C(k): S the sub-pulse's length-L DFT and
     C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb. Row j of S,
-    the bins k = j + r*i, is one m-point FFT of s turned by exp(-2j pi j t/L),
-    which holds s because w <= m, overlapping sub-pulses or not; a real train
-    takes rows 0..r/2 (or -r/2..0 for odd m), each standing for itself and
-    its mirror. C repeats every R = L/gcd(L, P) bins, and |C|^2 is one
+    the bins k = j + r*i, is an m-point FFT of s turned by exp(-2j pi j t/L),
+    which holds s because w <= m, overlapping sub-pulses or not; one FFT
+    carries two rows (``_row_power``). A real train takes rows 0..r/2 (or
+    -r/2..0 for odd m), each standing for itself and its mirror. C repeats
+    every R = L/gcd(L, P) bins, and |C|^2 is one
     R-point FFT of the coefficients. The band's bins are ``bins_within``'s,
     found row by row, and the moments are summed there, so neither the train
     nor an L-long array is built. The energy, mean time and ΔT are
@@ -404,15 +422,17 @@ def _train_freq(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
         power *= layout.bin_weight
     sums = _window_sums(power, rows, r, [kappas for kappas, _, _ in layout.bands])
     in_band = first_moment = 0.0
-    nonzero = 0
-    for (s, nonzero_in_row), (_, sign, w) in zip(sums, layout.bands):
+    lit = []  # (band, row index) of weighted rows with in-band energy; two prove two nonzero bins
+    for s, (kappas, sign, w) in zip(sums, layout.bands):
         in_band += float(sum_of_products(w, s[0]))
-        nonzero += int(np.sum(nonzero_in_row[w > 0.0]))
+        lit += [(kappas, i) for i in np.flatnonzero((w > 0.0) & (s[0] > 0.0))[:2]]
         first_moment += sign * float(sum_of_products(w, rows * s[0] + r * s[1]))
+    nonzero = len(lit) if len(lit) > 1 else sum(
+        np.count_nonzero(power[i, c0:c1]) for kappas, i in lit for c0, c1 in _column_runs(rows[i], kappas, r, m))
     _check_band(in_band, nonzero, hi - lo, band, freq_interval)
     mean = first_moment / in_band
     var = 0.0
-    for (s, _), (_, sign, w) in zip(sums, layout.bands):
+    for s, (_, sign, w) in zip(sums, layout.bands):
         d = rows - sign * mean
         var += float(sum_of_products(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
     with np.errstate(all="ignore"):
@@ -424,73 +444,101 @@ def _train_freq(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
 def _row_power(sub: np.ndarray, layout: SpectrumLayout) -> np.ndarray:
     """|Y[j, c]|^2, Y[j, c] = sum_t s_t exp(-2j pi (j + r c) t/L), for the
     layout's rows j and columns c < m in FFT order (column c is the
-    centered column c - m for c >= m - m//2): one m-point FFT per row.
+    centered column c - m for c >= m - m//2): one m-point FFT per pair of
+    rows.
 
-    Row j = coarse + fine is s times the fine turn, times the coarse one;
-    row 0 is turned by exp(0) twice, so it is s exactly. The rows are
-    turned, transformed and squared a few coarse turns at a time, in one
-    buffer of at most about _ROW_CHUNK_ELEMENTS, so only the power is
-    held whole. The buffer and the returned power are the calling thread's
-    in the layout's workspace: every point measured with the layout on
-    that thread reuses them, and the power is overwritten by its next call.
+    Turned about its centre h, Y[j, c] exp(2j pi (j + r c) h/L) is
+    sum_t s_t exp(-2j pi (j + r c)(t - h)/L), which is real where s is its
+    own conjugate mirror, s_t = conj(s_{w-1-t}). Every sub-pulse is the sum
+    of such a part e = (s + conj(s[::-1]))/2 and -i times another,
+    -i o = -i (s - conj(s[::-1]))/2, so each part's transform is real and
+    |Y|^2 is the sum of their squares. For each part, row j turned goes in
+    the real part and row j + d in the imaginary part of one FFT input (the
+    layout's coarse times fine turn), and its transform times the layout's
+    rotate holds row j's real spectrum as its real part and row j + d's as
+    its imaginary part. A part that is zero is skipped: the odd part of
+    every real family's sub-pulse, which is exactly even. Row 0 is then
+    recomputed alone and unturned, as |FFT_m(s)|^2, so the exact zeros of
+    its spectrum stay exact.
+
+    The pairs are turned, transformed and squared a few coarse turns at a
+    time, in one buffer of at most about _ROW_CHUNK_ELEMENTS, so only the
+    power is held whole. The buffer and the returned power are the calling
+    thread's in the layout's workspace: every point measured with the
+    layout on that thread reuses them, and the power is overwritten by its
+    next call.
     """
-    coarse, m = layout.coarse, layout.m
-    block, width = layout.fine.shape[0], sub.shape[0]
-    start, stop = layout.offset, layout.offset + layout.rows.shape[0]
+    coarse, m, count = layout.coarse, layout.m, layout.rows.shape[0]
+    block, width, pair = layout.fine.shape[0], sub.shape[0], (count + 1) // 2
+    start, stop = layout.offset, layout.offset + pair
     step = max(1, _ROW_CHUNK_ELEMENTS // (block * m))
     space = layout.workspace
     if not hasattr(space, "power"):
-        space.power = np.empty((stop - start, m))
+        space.power = np.empty((2 * pair, m))
         space.buffer = np.empty((min(step, coarse.shape[0]), block, m), dtype=np.complex128)
     power, buffer = space.power, space.buffer
-    fine = sub * layout.fine
-    for c0 in range(0, coarse.shape[0], step):
-        turned = buffer[:coarse[c0:c0 + step].shape[0]]
-        turned[:, :, width:] = 0.0  # the zero padding, which the last FFT overwrote
-        np.multiply(coarse[c0:c0 + step, None, :], fine, out=turned[:, :, :width])
-        a, b = max(start, c0 * block), min(stop, (c0 + step) * block)
-        spectra = turned.reshape(-1, m)[a - c0 * block:b - c0 * block]
-        np.fft.fft(spectra, axis=1, out=spectra)
-        squares = spectra.view(np.float64)  # re, im of each bin, side by side
-        np.multiply(squares, squares, out=squares)
-        np.add(squares[:, 0::2], squares[:, 1::2], out=power[a - start:b - start])
-    return power
+    mirrored = np.conj(sub[::-1])
+    even_odd = [part for part in ((sub + mirrored) / 2, (sub - mirrored) * -0.5j) if part.any()]
+    for n, part in enumerate(even_odd):
+        fine = part * layout.fine
+        for c0 in range(0, coarse.shape[0], step):
+            turned = buffer[:coarse[c0:c0 + step].shape[0]]
+            turned[:, :, width:] = 0.0  # the zero padding, which the last FFT overwrote
+            np.multiply(coarse[c0:c0 + step, None, :], fine, out=turned[:, :, :width])
+            a, b = max(start, c0 * block), min(stop, (c0 + step) * block)
+            spectra = turned.reshape(-1, m)[a - c0 * block:b - c0 * block]
+            np.fft.fft(spectra, axis=1, out=spectra)
+            spectra *= layout.rotate
+            pairs = spectra.view(np.float64)  # row j's real value and row j + pair's, side by side
+            a, b = a - start, b - start
+            for rows, values in ((slice(a, b), pairs[:, 0::2]), (slice(a + pair, b + pair), pairs[:, 1::2])):
+                if n:
+                    power[rows] += values * values
+                else:
+                    np.multiply(values, values, out=power[rows])
+    zero = np.fft.fft(sub, m)  # row 0 unturned, so the exact zeros of its spectrum stay exact
+    np.add(zero.real ** 2, zero.imag ** 2, out=power[-int(layout.rows[0])])
+    return power[:count]
 
 
-def _window_sums(power: np.ndarray, rows: np.ndarray, r: int, bands: list[tuple[int, int]]):
-    """For each band lo <= kappa < hi: per row, the sums of power * i**q (q = 0, 1, 2)
-    over the in-band columns, and their nonzero count. Equal bands share one
-    result. No out-of-band sum is taken: ``measure_train`` has the total power
-    from Parseval.
+def _column_runs(j: int, kappas: tuple[int, int], r: int, m: int) -> list[tuple[int, int]]:
+    """Row j's in-band columns as FFT-order slices [c0, c1): the centered run
+    -((j - lo)//r) <= i < -((j - hi)//r), split at i = 0 into at most two,
+    column c holding i = c - m for c >= m - m//2 and i = c otherwise."""
+    lo, hi = kappas
+    start = max(-((j - lo) // r), -(m // 2))
+    stop = min(-((j - hi) // r), m - m // 2)
+    return [(c0, c1) for c0, c1 in ((max(start, 0), stop), (start + m, min(stop, 0) + m)) if c0 < c1]
 
-    ``power`` is in FFT order, column c holding the centered column
-    i = c - m for c >= m - m//2 and i = c otherwise. Row j's in-band columns
-    are the run -((j - lo)//r) <= i < -((j - hi)//r), at most two slices of
-    columns (i >= 0 and i < 0). The rows span fewer than r indices, so each
-    end of the run steps at most once: the rows split into at most three
-    blocks, each summed slice by slice.
+
+def _window_sums(power: np.ndarray, rows: np.ndarray, r: int, bands: list[tuple[int, int]]) -> list[np.ndarray]:
+    """For each band lo <= kappa < hi: per row, the sums of power * i**q
+    (q = 0, 1, 2) over the in-band columns (``_column_runs``), a (3, rows)
+    array. Equal bands share one result. No out-of-band sum is taken:
+    ``measure_train`` has the total power from Parseval, and no bin is
+    counted: ``_train_freq`` counts the nonzero bins of a row only where
+    fewer than two rows carry energy.
+
+    The rows span fewer than r indices, so each end of a row's run steps at
+    most once over them: the rows split into at most three blocks that share
+    one run, each summed slice by slice.
     """
     m = power.shape[1]
     i = (np.arange(m) + m // 2) % m - m // 2
     moments = np.stack((np.ones(m), i, i * i))
     first, count = int(rows[0]), rows.shape[0]
     found = {}
-    for lo, hi in bands:
-        if (lo, hi) in found:
+    for kappas in bands:
+        if kappas in found:
             continue
-        sums, nonzero = np.zeros((3, count)), np.zeros(count, dtype=np.intp)
-        steps = sorted({0, count, *((edge - first) % r for edge in (lo, hi))})
+        sums = np.zeros((3, count))
+        steps = sorted({0, count, *((edge - first) % r for edge in kappas)})
         for a, b in zip(steps, steps[1:]):
             if b > count:
                 break
-            start = max(-((first + a - lo) // r), -(m // 2))
-            stop = min(-((first + a - hi) // r), m - m // 2)
-            for c0, c1 in ((max(start, 0), stop), (start + m, min(stop, 0) + m)):
-                if c0 < c1:
-                    block = power[a:b, c0:c1]
-                    sums[:, a:b] += np.einsum("jc,qc->qj", block, moments[:, c0:c1])
-                    nonzero[a:b] += np.count_nonzero(block, axis=1)
-        found[lo, hi] = sums, nonzero
+            for c0, c1 in _column_runs(first + a, kappas, r, m):
+                sums[:, a:b] += np.einsum("jc,qc->qj", power[a:b, c0:c1], moments[:, c0:c1])
+        found[kappas] = sums
     return [found[kappas] for kappas in bands]
 
 

@@ -17,10 +17,10 @@ Conventions used throughout the package:
   identity holds to rounding for any L.
 * ``metrics.measure_train`` reads the same L bins of a pulse train, picked
   by the same ``bins_within`` rule, from m-point transforms of its sub-pulse
-  (m a divisor of L that holds the sub-pulse) where its sub-pulses do not
-  overlap, and from ``power_spectrum`` of the synthesized train where they
-  do. On the first path it sums only the band's bins: the energy of all L
-  bins, the capture's total, comes from the discrete Parseval identity.
+  (m a divisor of L that holds the sub-pulse), two spectrum rows to a
+  transform, and never synthesizes the train. It sums only the band's bins:
+  the energy of all L bins, the capture's total, comes from the discrete
+  Parseval identity.
 * Every sum of products in the package (energies, moments, the btrrc
   cosine sum) runs in numpy's own ``einsum`` loop (``sum_of_products``),
   never in BLAS. A threaded BLAS splits a long sum between its threads, so
@@ -192,11 +192,35 @@ def _whole_number(value, name: str, minimum: int, what: str) -> int:
     raise InvalidInputError(f"{name} must be {what} below 2**63, got {value!r}")
 
 
-def _turn_table(k: np.ndarray, t: np.ndarray, period: int) -> np.ndarray:
-    """exp(-2j pi ((k t) mod period)/period), k down the rows and t along the
-    columns. k t is reduced modulo the period before it is scaled, so a large
-    product keeps full precision."""
-    return np.exp(-2j * np.pi * (np.outer(k, t) % period) / period)
+_TURN_SPLIT = 64
+
+
+def _turn_table(k: np.ndarray, t: range, period: int) -> np.ndarray:
+    """exp(-2j pi ((k t) mod period)/period), the integers k down the rows
+    and the arithmetic progression t along the columns. Every product is
+    reduced modulo the period, into (-period/2, period/2], before it is
+    scaled, so a large one keeps full precision and no angle exceeds pi.
+
+    From _TURN_SPLIT entries on, t_n = t_0 + stride (B a + b), B about
+    sqrt(len(t)), and the table is the product of two factors,
+    exp(-2j pi (k (t_0 + stride B a) mod period)/period) and
+    exp(-2j pi (k stride b mod period)/period): about 2 sqrt(len(t)) exps
+    per k instead of len(t), each entry a few ulp from the direct exp.
+    """
+    k = np.asarray(k, dtype=np.int64)
+
+    def turn(angles):
+        reduced = np.outer(k, angles) % period
+        reduced[2 * reduced > period] -= period
+        return np.exp(-2j * np.pi * reduced / period)
+
+    if len(t) < _TURN_SPLIT:
+        return turn(np.asarray(t, dtype=np.int64))
+    block = math.isqrt(len(t) - 1) + 1
+    coarse = turn(t.start + t.step * block * np.arange(-(-len(t) // block), dtype=np.int64))
+    fine = turn(t.step * np.arange(block, dtype=np.int64))
+    table = (coarse[:, :, None] * fine[:, None, :]).reshape(k.shape[0], -1)
+    return np.ascontiguousarray(table[:, :len(t)])
 
 
 def fast_length(minimum: int) -> int:

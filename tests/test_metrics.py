@@ -520,11 +520,12 @@ class TestMeasureTrain:
 
     @pytest.mark.parametrize("m,r,first", [(16, 7, -3), (16, 7, 0), (15, 8, -4), (9, 5, 0)])
     def test_window_sums_match_a_mask(self, m, r, first):
-        """Each row's in-band sums and nonzero count against a mask over every
-        bin kappa = j + r*(c - m//2) of a centered power array with exact
-        zeros, handed over in FFT order, for bands inside, across and past the
-        rows' span. Each band is asked for twice, as a band that is its own
-        mirror is, and both answers are the one result."""
+        """Each row's in-band sums, and its nonzero count over its column runs,
+        against a mask over every bin kappa = j + r*(c - m//2) of a centered
+        power array with exact zeros, handed over in FFT order, for bands
+        inside, across and past the rows' span. Each band is asked for twice,
+        as a band that is its own mirror is, and both answers are the one
+        result."""
         rows = np.arange(first, first + r)
         rng = np.random.default_rng(m * r)
         power = rng.random((r, m)) * (rng.random((r, m)) < 0.7)
@@ -533,13 +534,16 @@ class TestMeasureTrain:
         span = (int(kappa.min()), int(kappa.max()) + 1)
         bands = [(lo, hi) for lo in range(span[0] - 2, span[1] + 2, 3)
                  for hi in range(lo + 1, span[1] + 3, 4)]
-        got = metrics._window_sums(np.fft.ifftshift(power, axes=1), rows, r, [band for band in bands for _ in range(2)])
-        for (lo, hi), (sums, nonzero), again in zip(bands, got[::2], got[1::2]):
+        fft_order = np.fft.ifftshift(power, axes=1)
+        got = metrics._window_sums(fft_order, rows, r, [band for band in bands for _ in range(2)])
+        for (lo, hi), sums, again in zip(bands, got[::2], got[1::2]):
             inside = (kappa >= lo) & (kappa < hi)
             held = np.where(inside, power, 0.0)
             np.testing.assert_allclose(sums, [held.sum(axis=1), held @ i, held @ (i * i)], rtol=1e-13, atol=1e-13)
+            nonzero = [sum(np.count_nonzero(fft_order[n, c0:c1]) for c0, c1 in metrics._column_runs(j, (lo, hi), r, m))
+                       for n, j in enumerate(rows)]
             assert np.array_equal(nonzero, np.count_nonzero(held, axis=1))
-            assert again[0] is sums and again[1] is nonzero
+            assert again is sums
 
     def test_symmetric_band_is_summed_once(self, monkeypatch):
         """The default band, kappa in [-324000, 324001), is its own mirror
@@ -573,6 +577,73 @@ class TestMeasureTrain:
             got = measure_train(parts, band, 2)
             assert got.energy_capture <= 1.0
             assert_same_metrics(got, measure_all(parts.signal(), band, 2))
+
+
+def _parts(num_samples, per_t, sub, coefficients=(1.0, 1.0, 1.0)):
+    return TrainParts(TimeGrid(0.0, 1.0, num_samples), np.asarray(sub), 1.0, np.asarray(coefficients), per_t)
+
+
+_X20, _X21 = np.arange(20) + 0.5, np.arange(21) + 0.5
+_ROW_CASES = {
+    # id: (parts, zero_pad, (m, r), rows read); m = gcd(L, P) unless the sub-pulse is wider
+    "even-w": (_parts(96, 32, np.sin(np.pi * _X20 / 20) ** 2), 4, (32, 12), 7),
+    "odd-w": (_parts(96, 32, np.sin(np.pi * _X21 / 21) ** 2), 4, (32, 12), 7),
+    "odd-m-even-w": (_parts(45, 15, np.hanning(10)), 1, (15, 3), 2),
+    "odd-m-odd-w": (_parts(45, 15, np.hanning(9)), 1, (15, 3), 2),
+    "asymmetric-real": (_parts(96, 32, np.random.default_rng(3).random(20)), 4, (32, 12), 7),
+    "complex-coefficients": (_parts(96, 32, np.hanning(20), np.exp(0.6j * np.pi * np.arange(3))), 4, (32, 12), 12),
+    "one-row": (_parts(16, 16, np.hanning(11)), 1, (16, 1), 1),
+    "two-rows": (_parts(16, 16, np.hanning(11)), 2, (16, 2), 2),
+    "bin-weights": (_parts(96, 32, np.hanning(40)), 4, (48, 8), 5),
+    "otfs-window": (train_parts(PulseSpec(M=16, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=1), 4),
+                    4, (64, 16), 16),
+}
+
+
+class TestRowPower:
+    """``_row_power`` transforms two rows per FFT, the conjugate-even and
+    -odd parts of the sub-pulse apart; against a direct DFT of every row."""
+
+    @pytest.mark.parametrize("case", sorted(_ROW_CASES))
+    def test_matches_a_direct_dft(self, case):
+        """|sum_t s_t exp(-2j pi (j + r c) t/L)|^2 for each row j read and each
+        FFT-order column c, to 1e-12 of the peak; row 0 bit for bit the
+        unturned |FFT_m(s)|^2."""
+        parts, zero_pad, shape, count = _ROW_CASES[case]
+        layout = metrics.spectrum_layout(parts, AnalysisBand(half_width=1e9), zero_pad)
+        m, r = shape
+        assert (layout.m, layout.r) == shape and layout.rows.shape[0] == count
+        assert (layout.bin_weight is not None) == (case == "bin-weights")
+        sub = parts.subpulse
+        mirrored = np.conj(sub[::-1])
+        if case in ("asymmetric-real", "otfs-window"):
+            assert np.any(sub + mirrored) and np.any(sub - mirrored)  # both parts are transformed
+        got = metrics._row_power(sub, layout)
+        t = np.arange(sub.shape[0])
+        want = np.array([[abs(np.sum(sub * np.exp(-2j * np.pi * ((j + r * c) * t % (m * r)) / (m * r)))) ** 2
+                          for c in range(m)] for j in layout.rows])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
+        zero = np.fft.fft(sub, m)
+        assert np.array_equal(got[list(layout.rows).index(0)], zero.real ** 2 + zero.imag ** 2)
+
+    def test_even_subpulses_take_one_part(self, monkeypatch):
+        """Every real family's sub-pulse is its own mirror, so its conjugate-odd
+        part is zero and only the even part is transformed: half as many
+        FFT rows as rows read, plus row 0."""
+        spec = PulseSpec(M=64, N=8)
+        parts = train_parts(spec, 8)
+        assert np.array_equal(parts.subpulse, parts.subpulse[::-1])
+        layout = metrics.spectrum_layout(parts, AnalysisBand.default_for(spec))
+        transformed = []
+        fft = np.fft.fft
+
+        def counting(a, n=None, axis=-1, norm=None, out=None):
+            transformed.append(a.shape[0] if a.ndim == 2 else 1)
+            return fft(a, n, axis, norm, out)
+
+        monkeypatch.setattr(np.fft, "fft", counting)
+        metrics._row_power(parts.subpulse, layout)
+        assert sum(transformed) == (layout.rows.shape[0] + 1) // 2 + 1
 
 
 class TestSpectrumLayout:
@@ -643,7 +714,8 @@ class TestSpectrumLayout:
     def test_arrays_are_read_only(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP)
         layout = metrics.spectrum_layout(train_parts(spec, 8), AnalysisBand.default_for(spec))
-        arrays = [layout.rows, layout.coarse, layout.fine, layout.bin_weight, *(w for _, _, w in layout.bands)]
+        arrays = [layout.rows, layout.coarse, layout.fine, layout.rotate, layout.bin_weight,
+                  *(w for _, _, w in layout.bands)]
         assert len(layout.bands) == 2
         for array in arrays:
             assert not array.flags.writeable

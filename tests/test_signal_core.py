@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ddopkit.metrics import AnalysisBand, measure_freq
 from ddopkit.pulses import FAMILY_ALIASES, PulseSpec, synth_pulse
+from ddopkit import signal_core
 from ddopkit.signal_core import (
     InvalidInputError,
     PowerSpectrum,
@@ -258,3 +259,27 @@ def test_parseval_any_padding(seed, n, zero_pad, real):
     e = energy(sig)
     se = spectral_energy(power_spectrum(sig, zero_pad_factor=zero_pad))
     assert se == pytest.approx(e, rel=1e-12)
+
+
+class TestTurnTable:
+    """``_turn_table`` builds exp(-2j pi ((k t) mod P)/P) on an arithmetic
+    progression t from two separable factors; against the direct exp."""
+
+    @pytest.mark.parametrize("t,period", [
+        (range(416), 2 * 1_036_800),  # stride 1
+        (range(1 - 416, 416, 2), 2 * 1_036_800),  # 2t - (w - 1): stride 2, negative entries, even w
+        (range(1 - 417, 417, 2), 2 * 1_036_800),  # odd w
+        (range(0, 16 * 130, 16), 65 * 4096),  # the scan's stride, oversample, on a wider sub-pulse
+        (range(-7, 3000, 3), 97),  # k t far beyond the period
+        (range(5, 5 + signal_core._TURN_SPLIT), 1000),  # the first split length
+        (range(5, 4 + signal_core._TURN_SPLIT), 1000),  # below it: the direct exp
+        (range(3), 7),
+    ], ids=["stride-1", "centred-even", "centred-odd", "stride-phases", "beyond-period", "at-split",
+            "below-split", "short"])
+    def test_matches_the_direct_exp(self, t, period):
+        k = np.array([0, 1, 2, 7, 507, 1012, 10 ** 9 + 7, -3])
+        direct = np.exp(-2j * np.pi * (np.outer(k, np.asarray(t)) % period) / period)
+        got = signal_core._turn_table(k, t, period)
+        assert got.shape == direct.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - direct)) <= 10 * np.finfo(float).eps
+        assert np.array_equal(got[0], np.ones(len(t)))  # k = 0 turns by exactly 1
