@@ -192,17 +192,14 @@ def _whole_number(value, name: str, minimum: int, what: str) -> int:
     raise InvalidInputError(f"{name} must be {what} below 2**63, got {value!r}")
 
 
-_TURN_SPLIT = 64
-
-
 def _turn_table(k: np.ndarray, t: range, period: int) -> np.ndarray:
     """exp(-2j pi ((k t) mod period)/period), the integers k down the rows
     and the arithmetic progression t along the columns. Every product is
     reduced modulo the period, into (-period/2, period/2], before it is
     scaled, so a large one keeps full precision and no angle exceeds pi.
 
-    From _TURN_SPLIT entries on, t_n = t_0 + stride (B a + b), B about
-    sqrt(len(t)), and the table is the product of two factors,
+    With t_n = t_0 + stride (B a + b), B about sqrt(len(t)), the table is
+    the product of two factors,
     exp(-2j pi (k (t_0 + stride B a) mod period)/period) and
     exp(-2j pi (k stride b mod period)/period): about 2 sqrt(len(t)) exps
     per k instead of len(t), each entry a few ulp from the direct exp.
@@ -214,8 +211,6 @@ def _turn_table(k: np.ndarray, t: range, period: int) -> np.ndarray:
         reduced[2 * reduced > period] -= period
         return np.exp(-2j * np.pi * reduced / period)
 
-    if len(t) < _TURN_SPLIT:
-        return turn(np.asarray(t, dtype=np.int64))
     block = math.isqrt(len(t) - 1) + 1
     coarse = turn(t.start + t.step * block * np.arange(-(-len(t) // block), dtype=np.int64))
     fine = turn(t.step * np.arange(block, dtype=np.int64))

@@ -271,11 +271,12 @@ class TestTurnTable:
         (range(1 - 417, 417, 2), 2 * 1_036_800),  # odd w
         (range(0, 16 * 130, 16), 65 * 4096),  # the scan's stride, oversample, on a wider sub-pulse
         (range(-7, 3000, 3), 97),  # k t far beyond the period
-        (range(5, 5 + signal_core._TURN_SPLIT), 1000),  # the first split length
-        (range(5, 4 + signal_core._TURN_SPLIT), 1000),  # below it: the direct exp
+        (range(5, 69), 1000),  # a square length: the last coarse block is full
+        (range(5, 68), 1000),  # one short of it
         (range(3), 7),
-    ], ids=["stride-1", "centred-even", "centred-odd", "stride-phases", "beyond-period", "at-split",
-            "below-split", "short"])
+        (range(4, 5), 9),  # one entry: one block of one
+    ], ids=["stride-1", "centred-even", "centred-odd", "stride-phases", "beyond-period", "square",
+            "below-square", "short", "single"])
     def test_matches_the_direct_exp(self, t, period):
         k = np.array([0, 1, 2, 7, 507, 1012, 10 ** 9 + 7, -3])
         direct = np.exp(-2j * np.pi * (np.outer(k, np.asarray(t)) % period) / period)
