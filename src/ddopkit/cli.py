@@ -4,14 +4,14 @@ Configuration precedence is flags > JSON config file > built-in defaults.
 Exit codes are a stable contract: 0 success, 1 check failure (or output I/O
 failure), 2 usage/config error (including illegal pulse parameters and a run
 too large to allocate). Output files are byte-deterministic for identical
-configuration; worker parallelism inside sweeps is capped by the DDOP_THREADS
-environment variable (0 = auto).
+configuration; sweeps run serially in plan order.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -86,7 +86,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"ddopkit: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="ddopkit",
         description="Synthesize delay-Doppler pulse trains and measure their "

@@ -6,12 +6,11 @@ matching closed form, and reports percent differences. Where ``analytic_for``
 finds no closed form the row keeps its numeric cells and leaves the others
 empty. ``SweepRow`` judges a measurement against its closed form
 (``percent_diff``, ``tolerance_failures``), also for the CLI's metrics and
-verify commands. Rows are computed
-independently (worker threads, capped by the DDOP_THREADS environment
-variable) but always emitted in plan order, and a point whose spec is illegal
-becomes a "failed: ..." row instead of aborting the sweep. Every point is
-measured from its train's parts (``metrics.measure_train``); points whose
-trains share a spectrum layout (``metrics.SpectrumLayout``) read one.
+verify commands. Sweeps run serially in plan order, and a point whose spec
+is illegal becomes a "failed: ..." row instead of aborting the sweep. Every
+point is measured from its train's parts (``metrics.measure_train``);
+consecutive points whose trains share a spectrum layout
+(``metrics.SpectrumLayout``) read one.
 
 Report serialization is fixed: a CSV with the header
 
@@ -29,9 +28,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -47,7 +43,7 @@ from .metrics import (
     measure_train,
     spectrum_layout,
 )
-from .pulses import PulseFamily, PulseSpec, TrainParts, default_q, train_parts
+from .pulses import PulseFamily, PulseSpec, default_q, train_parts
 from .signal_core import (
     InvalidInputError,
     _turn_table,
@@ -62,7 +58,6 @@ __all__ = [
     "SweepRow",
     "SweepReport",
     "REPORT_HEADER",
-    "worker_count",
     "default_q_values",
     "default_mn_values",
     "measure_point",
@@ -81,18 +76,6 @@ class SweptParameter(enum.Enum):
     BETA = "beta"
     Q = "q"
     M_N_PAIR = "mn"
-
-
-def worker_count() -> int:
-    """Worker cap from DDOP_THREADS; 0 or unset means one per CPU."""
-    raw = os.environ.get("DDOP_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"DDOP_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise InvalidInputError(f"DDOP_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def default_q_values(M: int, lo: int | None = None, hi: int | None = None, steps: int = 13) -> list[int]:
@@ -266,48 +249,28 @@ def measure_point(
     band: AnalysisBand | None,
     zero_pad: int,
     oversample: int,
-    layouts: _SharedLayouts | None = None,
+    layouts: dict[tuple, SpectrumLayout] | None = None,
 ) -> tuple[LocalizationMetrics, LocalizationMetrics | None]:
     """Numeric metrics of the pulse, measured from its train's parts
     (``measure_train``), and its closed form (None where no closed form applies).
 
     band=None means the spec's default band +-5M/T. ``run_sweep`` passes its
-    sweep's layouts, so points that share a spectrum layout build it once;
-    without them ``measure_train`` builds the layout for this point.
+    sweep's layouts, ``{layout_key: SpectrumLayout}``: a point reads the
+    layout held there if it is this train's, and otherwise empties the dict
+    and builds its own into it, so the dict never holds more than one.
+    Without them ``measure_train`` builds the layout for this point.
     """
     resolved = band if band is not None else AnalysisBand.default_for(spec)
     parts = train_parts(spec, oversample)
-    layout = None if layouts is None else layouts.get(parts, resolved, zero_pad)
+    layout = None
+    if layouts is not None:
+        key = layout_key(parts, resolved, zero_pad)
+        layout = layouts.get(key)
+        if layout is None:
+            layouts.clear()
+            layout = layouts[key] = spectrum_layout(parts, resolved, zero_pad)
     numeric = measure_train(parts, resolved, zero_pad, layout)
     return numeric, analytic_for(spec, resolved, oversample)
-
-
-class _SharedLayouts:
-    """The spectrum layouts of one sweep, overlapping sub-pulses or not. Each
-    is built once, by the first point that asks for it, while points with
-    other layouts build theirs.
-    Only the last ``limit`` are kept, as many as points run at once: a
-    sweep's points share one layout (a beta axis) or each read their own
-    (Q, (M, N)). Nothing outlives the sweep."""
-
-    def __init__(self, limit: int) -> None:
-        self._limit = limit
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, list] = {}
-
-    def get(self, parts: TrainParts, band: AnalysisBand, zero_pad: int) -> SpectrumLayout:
-        """The layout ``measure_train`` reads for these parts."""
-        key = layout_key(parts, band, zero_pad)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = [threading.Lock(), None]
-                if len(self._entries) > self._limit:
-                    del self._entries[next(iter(self._entries))]
-        with entry[0]:
-            if entry[1] is None:
-                entry[1] = spectrum_layout(parts, band, zero_pad)
-        return entry[1]
 
 
 def _row(label: str, point) -> SweepRow:
@@ -320,23 +283,21 @@ def _row(label: str, point) -> SweepRow:
 
 
 def run_sweep(plan: SweepPlan) -> SweepReport:
-    """Measure every point of the plan; failed points become rows, not raises.
+    """Measure every point of the plan, in plan order; failed points become
+    rows, not raises.
 
     A sweep's points differ only in their sub-pulse samples wherever their
     train's grid, sub-pulse width, P, coefficients, band and zero_pad agree,
-    as on a beta axis; such points share one ``SpectrumLayout``. The layouts
-    live for this call only, and at most as many as it has workers at once.
+    as on a beta axis; such points share one ``SpectrumLayout``. The sweep
+    keeps the last layout built, for this call only.
     """
-    workers = worker_count()
-    layouts = _SharedLayouts(workers)
+    layouts: dict[tuple, SpectrumLayout] = {}
 
     def one(value) -> SweepRow:
         return _row(plan.label_at(value), lambda: measure_point(
             plan.spec_at(value), plan.band, plan.zero_pad, plan.oversample, layouts))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, plan.values))
-    return SweepReport(rows=tuple(rows))
+    return SweepReport(rows=tuple(map(one, plan.values)))
 
 
 def compare_families(

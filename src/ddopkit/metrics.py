@@ -20,8 +20,9 @@ What that row spectrum reads besides the sub-pulse samples, (m, r), the
 band's run of bins, the rows, their turn tables and the comb's weights, is
 the train's ``SpectrumLayout`` (``spectrum_layout``). ``measure_train``
 builds one per call unless it is given one; ``experiments.run_sweep``
-builds each distinct layout once and shares it between the points of that
-one sweep, such as every point of a roll-off sweep.
+keeps the last one built and passes it on to the sweep's next points while
+their trains share it, such as every point of a roll-off sweep. A layout
+also holds ``_row_power``'s buffers, so it serves one measurement at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import enum
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -244,8 +244,9 @@ class SpectrumLayout(NamedTuple):
     sign, row weight), a real train's mirrored band second. key is
     ``layout_key`` of the train it was built for. These arrays are
     read-only, so one layout serves every point of a sweep that shares it.
-    workspace holds each thread's own buffers for ``_row_power``, allocated
-    on the thread's first point and reused by its next ones.
+    power and buffer are ``_row_power``'s output and scratch, allocated
+    with the layout and overwritten by every measurement that reads it, so
+    a layout serves one measurement at a time.
     """
 
     key: tuple
@@ -260,7 +261,8 @@ class SpectrumLayout(NamedTuple):
     rotate: np.ndarray
     bin_weight: np.ndarray | None
     bands: tuple
-    workspace: threading.local
+    power: np.ndarray
+    buffer: np.ndarray
 
 
 def layout_key(parts: TrainParts, band: AnalysisBand, zero_pad: int) -> tuple:
@@ -327,9 +329,10 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     for array in (rows, coarse, fine, rotate, bin_weight, *(w for _, _, w in bands)):
         if array is not None:
             array.flags.writeable = False
+    step = min(max(1, _ROW_CHUNK_ELEMENTS // (block * m)), coarse.shape[0])  # coarse turns per chunk
     return SpectrumLayout(key, m, r, freq_interval, (lo, hi), rows, coarse, fine,
                           int(rows[0]) - first * block, rotate, bin_weight, tuple(bands),
-                          threading.local())
+                          np.empty((2 * pair, m)), np.empty((step, block, m), dtype=np.complex128))
 
 
 def _train_moments(parts: TrainParts, bins: int = 1) -> tuple[float, float, float]:
@@ -393,8 +396,8 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
 
     Everything above but the sub-pulse's turned FFTs and its moments is the
     train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds it for
-    this call; a sweep builds one per distinct layout and passes it to each
-    of its points. A layout built for another train, band or zero_pad
+    this call; a sweep builds one per run of points that share it and passes
+    it to each of them. A layout built for another train, band or zero_pad
     (another ``layout_key``) is rejected with ``InvalidInputError``.
     """
     if layout is None:
@@ -462,21 +465,16 @@ def _row_power(sub: np.ndarray, layout: SpectrumLayout) -> np.ndarray:
     its spectrum stay exact.
 
     The pairs are turned, transformed and squared a few coarse turns at a
-    time, in one buffer of at most about _ROW_CHUNK_ELEMENTS, so only the
-    power is held whole. The buffer and the returned power are the calling
-    thread's in the layout's workspace: every point measured with the
-    layout on that thread reuses them, and the power is overwritten by its
-    next call.
+    time, in the layout's buffer of at most about _ROW_CHUNK_ELEMENTS, so
+    only the power is held whole. The returned power is a view of the
+    layout's power array: every point measured with the layout reuses both,
+    and the power is overwritten by the next call.
     """
     coarse, m, count = layout.coarse, layout.m, layout.rows.shape[0]
     block, width, pair = layout.fine.shape[0], sub.shape[0], (count + 1) // 2
     start, stop = layout.offset, layout.offset + pair
-    step = max(1, _ROW_CHUNK_ELEMENTS // (block * m))
-    space = layout.workspace
-    if not hasattr(space, "power"):
-        space.power = np.empty((2 * pair, m))
-        space.buffer = np.empty((min(step, coarse.shape[0]), block, m), dtype=np.complex128)
-    power, buffer = space.power, space.buffer
+    power, buffer = layout.power, layout.buffer
+    step = buffer.shape[0]
     mirrored = np.conj(sub[::-1])
     even_odd = [part for part in ((sub + mirrored) / 2, (sub - mirrored) * -0.5j) if part.any()]
     for n, part in enumerate(even_odd):

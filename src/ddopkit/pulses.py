@@ -47,7 +47,6 @@ import enum
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -265,35 +264,29 @@ _MAX_QUADRATURE_DEGREE = 4096
 # Rules kept per process, by degree; the oldest built is dropped first.
 _MAX_RULES = 128
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_RULES_LOCK = threading.Lock()
 
 
 def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per degree.
 
     The rule is a pure function of its degree, so every beta point, branch
-    and sweep in a process shares it. A lookup takes no lock; a miss builds
-    under ``_RULES_LOCK`` after looking again, so threads that miss the same
-    degree at once build it once. A degree above ``_MAX_QUADRATURE_DEGREE``
-    is an input error, raised before the lookup.
+    and sweep in a process shares it: a miss builds it and keeps it, up to
+    ``_MAX_RULES`` rules, the oldest dropped first. A degree above
+    ``_MAX_QUADRATURE_DEGREE`` is an input error, raised before the lookup.
     """
     if degree > _MAX_QUADRATURE_DEGREE:
         raise InvalidInputError(
             f"btrrc quadrature needs a degree-{degree} Gauss-Legendre rule but the cap is "
             f"{_MAX_QUADRATURE_DEGREE}; lower Q")
     rule = _RULES.get(degree)
-    if rule is not None:
-        return rule
-    with _RULES_LOCK:
-        rule = _RULES.get(degree)
-        if rule is None:
-            nodes, weights = np.polynomial.legendre.leggauss(degree)
-            nodes.flags.writeable = False
-            weights.flags.writeable = False
-            rule = nodes, weights
-            if len(_RULES) >= _MAX_RULES:
-                del _RULES[next(iter(_RULES))]
-            _RULES[degree] = rule
+    if rule is None:
+        nodes, weights = np.polynomial.legendre.leggauss(degree)
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        rule = nodes, weights
+        if len(_RULES) >= _MAX_RULES:
+            del _RULES[next(iter(_RULES))]
+        _RULES[degree] = rule
     return rule
 
 

@@ -24,8 +24,7 @@ Conventions used throughout the package:
 * Every sum of products in the package (energies, moments, the btrrc
   cosine sum) runs in numpy's own ``einsum`` loop (``sum_of_products``),
   never in BLAS. A threaded BLAS splits a long sum between its threads, so
-  its rounding would follow the thread count, and its idle threads spin
-  against the sweep's worker pool.
+  its rounding would follow the thread count.
 """
 
 from __future__ import annotations

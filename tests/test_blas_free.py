@@ -1,8 +1,7 @@
 """No reduction in the package reaches BLAS.
 
 A threaded BLAS (OpenBLAS) splits a long dot product between its threads,
-so the rounding of the sum follows the thread count, and its idle threads
-spin against the sweep's worker pool. The package sums with
+so the rounding of the sum follows the thread count. The package sums with
 ``signal_core.sum_of_products`` and ``einsum`` without ``optimize`` instead.
 """
 

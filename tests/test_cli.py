@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ddopkit
-from ddopkit import pulses
+from ddopkit import cli, pulses
 from ddopkit.cli import main
 from ddopkit.experiments import REPORT_HEADER
 from ddopkit.pulses import FAMILY_ALIASES
@@ -23,6 +23,10 @@ def run(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_parser_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestUsageErrors:
@@ -90,6 +94,14 @@ class TestModuleEntryPoint:
         proc = self._run(argv)
         assert rc in (0, 1) and proc.returncode == rc
         assert proc.stdout == out and proc.stderr == err
+
+    def test_import_starts_no_thread_pool_machinery(self):
+        """Sweeps run serially, so importing the CLI never loads
+        concurrent.futures, which numpy alone does not load either."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        code = "import sys, ddopkit.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
     def test_bad_flag_value(self):
         proc = self._run(["verify", "--M", "16", "--N", "4", "--oversample", "0"])
@@ -377,12 +389,6 @@ class TestSweep:
         rc, out, _ = run(["sweep", "--vary", "mn", "--oversample", "4"], capsys)
         assert rc == 0
         assert len(out.splitlines()) == 1 + 35
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("DDOP_THREADS", "many")
-        rc, _, err = run(["sweep", "--vary", "beta", "--M", "32", "--N", "8",
-                          "--steps", "2", "--to", "0.2"], capsys)
-        assert rc == 2
 
 
 class TestVerify:

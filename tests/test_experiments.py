@@ -3,7 +3,6 @@
 import gc
 import json
 import math
-import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -23,7 +22,6 @@ from ddopkit.experiments import (
     measure_point,
     orthogonality_scan,
     run_sweep,
-    worker_count,
 )
 from ddopkit import experiments, metrics, pulses
 from ddopkit.analytic import analytic_for
@@ -32,26 +30,6 @@ from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
 from ddopkit.signal_core import DegenerateInputError, InvalidInputError, energy
 
 SMALL = PulseSpec(M=32, N=8)
-
-
-class TestWorkerCount:
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("DDOP_THREADS", "4")
-        assert worker_count() == 4
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("DDOP_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv("DDOP_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5"])
-    def test_rejects_garbage(self, raw, monkeypatch):
-        monkeypatch.setenv("DDOP_THREADS", raw)
-        with pytest.raises(InvalidInputError):
-            worker_count()
 
 
 class TestDefaultGrids:
@@ -137,20 +115,9 @@ class TestRunSweep:
                          values=(0.0, 0.5, 1.0), fixed=SMALL, oversample=8)
         assert run_sweep(plan).to_csv() == run_sweep(plan).to_csv()
 
-    @pytest.mark.parametrize("subpulse", ["rrc", "btrrc"])
-    def test_single_worker_same_result(self, subpulse, monkeypatch):
-        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
-                         values=(0.0, 0.5, 1.0), fixed=replace(SMALL, subpulse=subpulse),
-                         oversample=8)
-        monkeypatch.delenv("DDOP_THREADS", raising=False)
-        parallel = run_sweep(plan).to_csv()
-        monkeypatch.setenv("DDOP_THREADS", "1")
-        assert run_sweep(plan).to_csv() == parallel
-
     def test_btrrc_rules_built_once_per_degree(self, monkeypatch):
-        """A cold 11-point btrrc beta sweep on more workers than cores builds each
-        Gauss-Legendre degree once, however its misses interleave, and a repeat
-        builds none, with the same bytes as a serial run."""
+        """A cold 11-point btrrc beta sweep builds each Gauss-Legendre degree
+        once, and a repeat builds none, with the same bytes."""
         degrees = []
         real_leggauss = np.polynomial.legendre.leggauss
 
@@ -163,24 +130,17 @@ class TestRunSweep:
                          values=tuple(round(0.05 * (i + 1), 2) for i in range(11)),
                          fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
         monkeypatch.setattr(pulses, "_RULES", {})
-        monkeypatch.setenv("DDOP_THREADS", "8")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            cold = run_sweep(plan).to_csv()
-        finally:
-            sys.setswitchinterval(interval)
+        cold = run_sweep(plan).to_csv()
         # 11 points x 3 branches ask for 33 rules; each degree is built once
         assert degrees and len(degrees) == len(set(degrees)) < 33
         degrees.clear()
-        monkeypatch.setenv("DDOP_THREADS", "1")
         assert run_sweep(plan).to_csv() == cold
         assert degrees == []
 
 
 class TestSharedLayouts:
-    """A sweep builds each distinct spectrum layout once, shares it between
-    its points and threads, and keeps none after it returns."""
+    """A sweep builds a spectrum layout once for each run of points that
+    share it, holds only the last one built, and keeps none after it returns."""
 
     @staticmethod
     def count_layouts(monkeypatch) -> list:
@@ -198,29 +158,20 @@ class TestSharedLayouts:
         monkeypatch.setattr(metrics, "spectrum_layout", counting)
         return built
 
-    @pytest.mark.parametrize("threads", ["1", "2", "8"])
-    def test_beta_sweep_builds_one_layout(self, threads, monkeypatch):
+    def test_beta_sweep_builds_one_layout(self, monkeypatch):
         built = self.count_layouts(monkeypatch)
-        monkeypatch.setenv("DDOP_THREADS", threads)
         plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
                          values=tuple(round(0.05 * (i + 1), 2) for i in range(11)),
                          fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = run_sweep(plan)
-        finally:
-            sys.setswitchinterval(interval)
+        report = run_sweep(plan)
         assert all(row.status == "ok" for row in report.rows)
         assert len(built) == 1
         gc.collect()
         assert built[0]() is None  # nothing outlives the sweep
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_q_sweep_builds_one_layout_per_q(self, threads, monkeypatch):
-        """Each Q reads its own layout; the sweep keeps only as many as it
-        has workers, so on one worker no earlier layout is alive when the
-        next is built."""
+    def test_q_sweep_builds_one_layout_per_q(self, monkeypatch):
+        """Each Q reads its own layout; the sweep keeps only the last one, so
+        no earlier layout is alive when the next is built."""
         built = self.count_layouts(monkeypatch)
         alive = []
         real = experiments.spectrum_layout
@@ -230,13 +181,11 @@ class TestSharedLayouts:
             return real(parts, band, zero_pad)
 
         monkeypatch.setattr(experiments, "spectrum_layout", noting_alive)
-        monkeypatch.setenv("DDOP_THREADS", threads)
         plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.Q,
                          values=(2, 3, 4, 5, 16), fixed=SMALL, oversample=8)
         assert [row.status == "ok" for row in run_sweep(plan).rows] == [True] * 4 + [False]
         assert len(built) == 4
-        if threads == "1":
-            assert alive == [0, 0, 0, 0]
+        assert alive == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("axis,values,fixed", [
         (SweptParameter.BETA, (0.0, 0.35, 0.7, 1.0), replace(SMALL, subpulse="btrrc")),
@@ -244,18 +193,11 @@ class TestSharedLayouts:
         (SweptParameter.Q, (2, 3, 4, 16), SMALL),
         (SweptParameter.M_N_PAIR, ((4, 4), (8, 4), (16, 8), (32, 4)), SMALL),
     ], ids=["beta-btrrc", "beta-gddop", "q-with-failed-row", "mn"])
-    def test_rows_equal_unshared_points(self, axis, values, fixed, monkeypatch):
-        """Every row is measure_point's own, with no layout shared, to the bit,
-        however the two threads that share a layout interleave; a failed row
-        carries the error that point raises."""
-        monkeypatch.setenv("DDOP_THREADS", "2")
+    def test_rows_equal_unshared_points(self, axis, values, fixed):
+        """Every row is measure_point's own, with no layout shared, to the bit;
+        a failed row carries the error that point raises."""
         plan = SweepPlan(family=fixed.family, swept_parameter=axis, values=values, fixed=fixed, oversample=8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rows = run_sweep(plan).rows
-        finally:
-            sys.setswitchinterval(interval)
+        rows = run_sweep(plan).rows
         for value, row in zip(values, rows):
             try:
                 numeric, analytic = measure_point(plan.spec_at(value), None, plan.zero_pad, plan.oversample)
@@ -264,16 +206,6 @@ class TestSharedLayouts:
             else:
                 assert row.status == "ok" and row.numeric == numeric and row.analytic == analytic
         assert any(row.status != "ok" for row in rows) == (axis is SweptParameter.Q)
-
-    def test_beta_sweep_csv_same_on_one_and_two_threads(self, monkeypatch):
-        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
-                         values=tuple(round(0.1 * i, 1) for i in range(11)),
-                         fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
-        csv = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("DDOP_THREADS", threads)
-            csv[threads] = run_sweep(plan).to_csv().encode()
-        assert csv["1"] == csv["2"]
 
 
 class TestReportRendering:
