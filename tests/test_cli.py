@@ -391,6 +391,17 @@ class TestSweep:
         assert len(out.splitlines()) == 1 + 35
 
 
+    @pytest.mark.parametrize("threads", ["many", "0", "8"])
+    def test_thread_env_is_ignored(self, threads, capsys, monkeypatch):
+        """Sweeps run serially and read no DDOP_THREADS: any value, even one
+        that is no count, gives the same report as none."""
+        argv = ["sweep", "--vary", "beta", "--M", "32", "--N", "8", "--steps", "2", "--to", "0.2"]
+        monkeypatch.delenv("DDOP_THREADS", raising=False)
+        unset = run(argv, capsys)
+        monkeypatch.setenv("DDOP_THREADS", threads)
+        assert run(argv, capsys) == unset and unset[0] == 0
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         rc, out, _ = run(["verify", "--M", "256", "--N", "8"], capsys)

@@ -158,11 +158,16 @@ class TestSharedLayouts:
         monkeypatch.setattr(metrics, "spectrum_layout", counting)
         return built
 
-    def test_beta_sweep_builds_one_layout(self, monkeypatch):
+    @pytest.mark.parametrize("fixed", [
+        SMALL,
+        replace(SMALL, subpulse="btrrc"),
+        replace(SMALL, family=PulseFamily.GENERAL_DDOP),
+    ], ids=["rrc", "btrrc", "gddop"])
+    def test_beta_sweep_builds_one_layout(self, fixed, monkeypatch):
         built = self.count_layouts(monkeypatch)
-        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.BETA,
+        plan = SweepPlan(family=fixed.family, swept_parameter=SweptParameter.BETA,
                          values=tuple(round(0.05 * (i + 1), 2) for i in range(11)),
-                         fixed=replace(SMALL, subpulse="btrrc"), oversample=8)
+                         fixed=fixed, oversample=8)
         report = run_sweep(plan)
         assert all(row.status == "ok" for row in report.rows)
         assert len(built) == 1
@@ -186,6 +191,78 @@ class TestSharedLayouts:
         assert [row.status == "ok" for row in run_sweep(plan).rows] == [True] * 4 + [False]
         assert len(built) == 4
         assert alive == [0, 0, 0, 0]
+
+    def test_mn_sweep_rebuilds_a_layout_after_a_miss(self, monkeypatch):
+        """The sweep holds one layout: a grid seen before, with another in
+        between, is built again, and no earlier layout is alive when the next
+        is built; a repeat of the last grid builds none."""
+        built = self.count_layouts(monkeypatch)
+        alive = []
+        real = experiments.spectrum_layout
+
+        def noting_alive(parts, band, zero_pad=4):
+            alive.append(sum(ref() is not None for ref in built))
+            return real(parts, band, zero_pad)
+
+        monkeypatch.setattr(experiments, "spectrum_layout", noting_alive)
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=SweptParameter.M_N_PAIR,
+                         values=((8, 4), (16, 8), (8, 4), (8, 4)), fixed=SMALL, oversample=8)
+        assert all(row.status == "ok" for row in run_sweep(plan).rows)
+        assert len(built) == 3
+        assert alive == [0, 0, 0]
+
+    def test_point_reads_the_held_layout(self, monkeypatch):
+        """A point whose train matches the held layout measures with it and
+        builds none; the dict still holds that one layout."""
+        built = self.count_layouts(monkeypatch)
+        layouts = {}
+        spec = replace(SMALL, subpulse="btrrc", beta=0.3)
+        measure_point(spec, None, 4, 8, layouts)
+        held = dict(layouts)
+        numeric, _ = measure_point(replace(spec, beta=0.7), None, 4, 8, layouts)
+        assert len(built) == 1 and len(held) == 1
+        assert layouts.keys() == held.keys()
+        assert all(layouts[key] is layout for key, layout in held.items())
+        assert numeric == measure_point(replace(spec, beta=0.7), None, 4, 8)[0]
+
+    def test_point_replaces_another_trains_layout(self, monkeypatch):
+        """A point whose train differs empties the dict and holds its own
+        layout alone; the one it replaced is then free."""
+        built = self.count_layouts(monkeypatch)
+        layouts = {}
+        measure_point(PulseSpec(M=16, N=4), None, 4, 8, layouts)
+        spec = PulseSpec(M=32, N=8)
+        measure_point(spec, None, 4, 8, layouts)
+        band = AnalysisBand.default_for(spec)
+        assert list(layouts) == [metrics.layout_key(pulses.train_parts(spec, 8), band, 4)]
+        assert len(built) == 2
+        gc.collect()
+        assert built[0]() is None and built[1]() is not None
+
+    @pytest.mark.parametrize("axis,values", [
+        (SweptParameter.BETA, (0.0, 0.5, 1.0)),
+        (SweptParameter.Q, (2, 3, 4)),
+        (SweptParameter.M_N_PAIR, ((16, 8), (4, 4), (8, 4))),
+    ], ids=["beta", "q", "mn"])
+    def test_points_run_in_plan_order(self, axis, values, monkeypatch):
+        """The sweep measures its points one after another in plan order,
+        each with the one layout dict of its call; another call gets its own."""
+        seen = []
+        real = experiments.measure_point
+
+        def recording(spec, band, zero_pad, oversample, layouts=None):
+            seen.append((spec, layouts))
+            return real(spec, band, zero_pad, oversample, layouts)
+
+        monkeypatch.setattr(experiments, "measure_point", recording)
+        plan = SweepPlan(family=PulseFamily.DDOP, swept_parameter=axis, values=values, fixed=SMALL, oversample=8)
+        run_sweep(plan)
+        first = [layouts for _, layouts in seen]
+        assert [spec for spec, _ in seen] == [plan.spec_at(value) for value in values]
+        assert all(layouts is first[0] for layouts in first)
+        seen.clear()
+        run_sweep(plan)
+        assert seen[0][1] is not first[0]
 
     @pytest.mark.parametrize("axis,values,fixed", [
         (SweptParameter.BETA, (0.0, 0.35, 0.7, 1.0), replace(SMALL, subpulse="btrrc")),

@@ -704,6 +704,33 @@ class TestSpectrumLayout:
             assert found[-1] == measure_train(parts, band)
         assert found[0] != found[1]
 
+    @pytest.mark.parametrize("spec", [
+        PulseSpec(M=16, N=4, beta=0.2),
+        PulseSpec(M=16, N=4, beta=0.2, subpulse="btrrc"),
+        PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.GENERAL_DDOP),
+        PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2),
+    ], ids=["rrc", "btrrc", "gddop-bin-weights", "otfs-complex"])
+    def test_row_power_reuses_the_layouts_arrays(self, spec, monkeypatch):
+        """Every in-place FFT of the row spectrum runs in the layout's buffer
+        and the power returned is a view of its power array, for each of two
+        roll-offs measured with the one layout."""
+        band = AnalysisBand.default_for(spec)
+        layout = metrics.spectrum_layout(train_parts(spec, 8), band)
+        targets = []
+        fft = np.fft.fft
+
+        def noting_out(a, n=None, axis=-1, norm=None, out=None):
+            if out is not None:
+                targets.append(out)
+            return fft(a, n, axis, norm, out)
+
+        monkeypatch.setattr(np.fft, "fft", noting_out)
+        for beta in (0.3, 0.7):
+            targets.clear()
+            power = metrics._row_power(train_parts(replace(spec, beta=beta), 8).subpulse, layout)
+            assert np.shares_memory(power, layout.power)
+            assert targets and all(np.shares_memory(out, layout.buffer) for out in targets)
+
     def test_arrays_are_read_only(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP)
         layout = metrics.spectrum_layout(train_parts(spec, 8), AnalysisBand.default_for(spec))
