@@ -130,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--steps", type=int, help="number of swept points")
     sw.add_argument("--metric", choices=("dT", "dF", "dA", "k"),
                     help="also print the max percent difference for this metric")
-    ver = sub.add_parser("verify", parents=[common], help="run the invariant check suite")
-    ver.add_argument("--corrupt-signal", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("verify", parents=[common], help="run the invariant check suite")
     return parser
 
 
@@ -289,7 +288,7 @@ class _Checks:
         print(f"[SKIP] {name}: {detail}")
 
 
-def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
+def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
     checks = _Checks()
     spec = cfg.pulse
     band = cfg.band if cfg.band is not None else AnalysisBand.default_for(spec)
@@ -299,13 +298,7 @@ def cmd_verify(cfg: RunConfig, tolerance: float, corrupt: bool) -> int:
     e = energy(signal)
     checks.report(abs(e - 1.0) <= 1e-9, "unit energy", f"energy = {e:.12f}")
 
-    power = power_spectrum(signal, cfg.zero_pad)
-    if corrupt:
-        # negative control: damage the spectrum so the identity cannot hold
-        bad = power.values.copy()
-        bad[::2] *= 1.01
-        power = replace(power, values=bad)
-    se = spectral_energy(power)
+    se = spectral_energy(power_spectrum(signal, cfg.zero_pad))
     checks.report(abs(se - e) <= 1e-9 * max(e, 1.0), "Parseval",
                   f"time {e:.12f} vs frequency {se:.12f}")
 
@@ -419,7 +412,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             rc = cmd_sweep(cfg, args)
         else:
-            rc = cmd_verify(cfg, args.tolerance, args.corrupt_signal)
+            rc = cmd_verify(cfg, args.tolerance)
         sys.stdout.flush()  # a closed stdout fails here, not in the exit-time flush
         return rc
     except (ValueError, MemoryError) as exc:

@@ -32,7 +32,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -335,36 +335,55 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
                           np.empty((2 * pair, m)), np.empty((step, block, m), dtype=np.complex128))
 
 
-def _train_moments(parts: TrainParts, bins: int = 1) -> tuple[float, float, float]:
-    """bins times the energy sum_i |u_i|^2 of the train u_i = sum_k c_k s_{i-kP}
-    (with bins = L, by discrete Parseval, the power of its L DFT bins), its
-    mean time and its time variance. Sample i = kP + x lies at tau_x + kT,
-    T = P dt. Lag 0 pairs each sub-pulse with itself: the moments of |s_x|^2
-    and |c_k|^2. Each lag q >= 1 with qP < w, where sub-pulses k and k - q
-    overlap, adds 2 Re of sum_k c_k conj(c_{k-q}) kappa_k^a times
-    sum_x s_x conj(s_{x+qP}) sigma_x^b, a + b <= 2, kappa_k and sigma_x the
-    times kT and tau_x about their lag-0 means: corrections that are exactly
-    0.0 without overlap, so such a train keeps the lag-0 numbers."""
+def _lag_products(parts: TrainParts) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Lag q and the products of the train u_i = sum_k c_k s_{i-kP} at it:
+    |c_k|^2 and |s_x|^2 at lag 0 (a zero energy is degenerate), then
+    c_k conj(c_{k-q}) and s_x conj(s_{x+qP}) at each lag q >= 1 at which
+    sub-pulses k and k - q share d = w - qP > 0 samples."""
     sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
-    sub_power, coef_power = np.abs(sub) ** 2, np.abs(coefficients) ** 2
+    count, width = coefficients.shape[0], sub.shape[0]
+    coef_power, sub_power = np.abs(coefficients) ** 2, np.abs(sub) ** 2
+    if not float(np.sum(sub_power)) * float(np.sum(coef_power)) > 0.0:
+        raise DegenerateInputError("pulse has zero energy on its grid")
+    yield 0, coef_power, sub_power
+    for q in range(1, min(count, -(-width // per_t))):
+        d = width - q * per_t
+        yield q, coefficients[q:] * coefficients[:count - q].conj(), sub[:d] * sub[width - d:].conj()
+
+
+def _train_energy(parts: TrainParts) -> float:
+    """The train's energy sum_i |u_i|^2 in the time domain: the sums of lag 0's
+    products multiplied, plus 2 Re of each overlapping lag's (``_lag_products``)."""
+    products = _lag_products(parts)
+    _, coef_power, sub_power = next(products)
+    return float(np.sum(sub_power)) * float(np.sum(coef_power)) + 2.0 * sum(
+        float((np.sum(pair) * np.sum(shared)).real) for _, pair, shared in products)
+
+
+def _train_moments(parts: TrainParts, bins: int) -> tuple[float, float, float]:
+    """bins times the energy of the train u_i = sum_k c_k s_{i-kP} (with
+    bins = L, by discrete Parseval, the power of its L DFT bins), its mean
+    time and its time variance, from its ``_lag_products``. Sample i = kP + x
+    lies at tau_x + kT, T = P dt. Lag 0 gives the moments of |s_x|^2 and
+    |c_k|^2; each overlapping lag q adds 2 Re of sum_k c_k conj(c_{k-q}) kappa_k^a
+    times sum_x s_x conj(s_{x+qP}) sigma_x^b, a + b <= 2, kappa_k and sigma_x
+    the times kT and tau_x about their lag-0 means: exactly 0.0 without overlap."""
+    products = _lag_products(parts)
+    _, coef_power, sub_power = next(products)
     sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
     single = sub_energy * coef_energy  # lag 0's energy
-    if not single > 0.0:
-        raise DegenerateInputError("pulse has zero energy on its grid")
-    count, width, dt = coefficients.shape[0], sub.shape[0], parts.grid.sample_interval
+    count, width, dt = coef_power.shape[0], sub_power.shape[0], parts.grid.sample_interval
     tau, index = parts.grid.start_time + (np.arange(width) + 0.5) * dt, np.arange(count)
     sub_mean, sub_var = _moments(tau, sub_power, sub_energy)
     index_mean, index_var = _moments(index, coef_power, coef_energy)
-    period = per_t * dt
+    period = parts.per_t * dt
     mean, var = sub_mean + period * index_mean, sub_var + period * period * index_var
     lags = np.zeros((3, 3), dtype=np.complex128)  # [a, b]: the two sums' product, summed over q
     with np.errstate(all="ignore"):
-        for q in range(1, min(count, -(-width // per_t))):
-            d = width - q * per_t  # the number of samples sub-pulses k and k - q share
+        for q, pair, shared in products:
             kappa, sigma = (np.stack((np.ones_like(v), v, v * v))
-                            for v in (period * (index[q:] - index_mean), tau[:d] - sub_mean))
-            a = np.einsum("ak,k->a", kappa, coefficients[q:] * coefficients[:count - q].conj())
-            lags += np.outer(a, np.einsum("bx,x->b", sigma, sub[:d] * sub[width - d:].conj()))
+                            for v in (period * (index[q:] - index_mean), tau[:shared.shape[0]] - sub_mean))
+            lags += np.outer(np.einsum("ak,k->a", kappa, pair), np.einsum("bx,x->b", sigma, shared))
         x0, x1 = 2.0 * float(lags[0, 0].real), 2.0 * float((lags[0, 1] + lags[1, 0]).real)
         x2 = 2.0 * float((lags[0, 2] + 2.0 * lags[1, 1] + lags[2, 0]).real)
         energy = single + x0
@@ -546,16 +565,20 @@ def _midpoint(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: i
     return float(np.sum(fn(rho)) * step)
 
 
+# lemma1_check's integration half-width and its midpoint rule's cell count.
+_LEMMA1_RHO_MAX = 8.0
+_LEMMA1_POINTS = 200_000
+
+
 def lemma1_check(
     sample_fn: Callable[[np.ndarray], np.ndarray],
     rho_alpha: float,
     rho_gamma: float,
-    rho_max: float = 8.0,
-    num_points: int = 200_000,
 ) -> tuple[float, float, float]:
     """Quadratic-moment shift identity for an even profile X.
 
-    For even X supported (or numerically negligible) outside |rho| > rho_max:
+    For even X supported on (or numerically negligible outside)
+    |rho| <= rho_max = ``_LEMMA1_RHO_MAX``:
 
         int rho^2 |X(rho_alpha*rho - rho_gamma)|^2 drho
           = int rho^2 |X(rho_alpha*rho)|^2 drho
@@ -563,7 +586,7 @@ def lemma1_check(
 
     (the shift contributes its square times the energy of the scaled profile;
     the cross term vanishes by evenness). Returns (lhs, rhs, abs_error), each
-    side evaluated by its own midpoint rule with num_points cells aligned to
+    side evaluated by its own midpoint rule with ``_LEMMA1_POINTS`` cells aligned to
     the integrand's support so discontinuous profiles stay exact.
     """
     if rho_alpha == 0:
@@ -578,10 +601,10 @@ def lemma1_check(
     def scaled_energy(rho: np.ndarray) -> np.ndarray:
         return np.abs(sample_fn(rho_alpha * rho)) ** 2
 
-    lo, hi = sorted(((-rho_max + rho_gamma) / rho_alpha, (rho_max + rho_gamma) / rho_alpha))
-    lhs = _midpoint(shifted_sq, lo, hi, num_points)
-    half = rho_max / abs(rho_alpha)
-    rhs = _midpoint(scaled_sq, -half, half, num_points) + (rho_gamma / rho_alpha) ** 2 * _midpoint(
-        scaled_energy, -half, half, num_points
+    lo, hi = sorted(((-_LEMMA1_RHO_MAX + rho_gamma) / rho_alpha, (_LEMMA1_RHO_MAX + rho_gamma) / rho_alpha))
+    lhs = _midpoint(shifted_sq, lo, hi, _LEMMA1_POINTS)
+    half = _LEMMA1_RHO_MAX / abs(rho_alpha)
+    rhs = _midpoint(scaled_sq, -half, half, _LEMMA1_POINTS) + (rho_gamma / rho_alpha) ** 2 * _midpoint(
+        scaled_energy, -half, half, _LEMMA1_POINTS
     )
     return lhs, rhs, abs(lhs - rhs)

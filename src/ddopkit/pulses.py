@@ -5,11 +5,10 @@ Families:
 * ``RRC_SUBPULSE``: truncated root-raised-cosine sub-pulse on [-T_a/2, T_a/2],
   T_a = 2*Q*T/M.
 * ``BTRRC_SUBPULSE``: sub-pulse with exponential spectral rolloff, defined by
-  its closed-form spectrum and synthesized from it by Gauss-Legendre
-  quadrature of the inverse Fourier integral, one rule per spectral branch.
-  Each rule is built once per degree per process and shared by every beta
-  point, branch and sweep; a degree above a fixed cap is an input error. The
-  cosine sum runs in bounded blocks of offsets.
+  its closed-form spectrum and synthesized from it by the inverse Fourier
+  integral: exactly on the flat and exponential branches, by one
+  Clenshaw-Curtis sum on the upper branch, whose degree above a fixed cap is
+  an input error. The cosine sum runs in bounded blocks of offsets.
 * ``DDOP``: train of N sub-pulses at spacing T, sub-pulse energy 1/N.
 * ``GENERAL_DDOP``: train extended by D = ceil(2Q/M) prefix and suffix
   sub-pulses, sub-pulse energy 1/(N+2D).
@@ -258,76 +257,60 @@ def eval_btrrc_freq(spec: PulseSpec, f):
 _COS_BLOCK_ELEMENTS = 1 << 20
 
 
-# Largest Gauss-Legendre degree built: leggauss eigen-solves a dense
-# degree x degree matrix, 128 MiB of doubles at this cap.
+# Largest Clenshaw-Curtis degree of the btrrc upper branch: the cosine sum
+# costs len(tau) x degree cosines.
 _MAX_QUADRATURE_DEGREE = 4096
-# Rules kept per process, by degree; the oldest built is dropped first.
-_MAX_RULES = 128
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per degree.
-
-    The rule is a pure function of its degree, so every beta point, branch
-    and sweep in a process shares it: a miss builds it and keeps it, up to
-    ``_MAX_RULES`` rules, the oldest dropped first. A degree above
-    ``_MAX_QUADRATURE_DEGREE`` is an input error, raised before the lookup.
-    """
-    if degree > _MAX_QUADRATURE_DEGREE:
-        raise InvalidInputError(
-            f"btrrc quadrature needs a degree-{degree} Gauss-Legendre rule but the cap is "
-            f"{_MAX_QUADRATURE_DEGREE}; lower Q")
-    rule = _RULES.get(degree)
-    if rule is None:
-        nodes, weights = np.polynomial.legendre.leggauss(degree)
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        rule = nodes, weights
-        if len(_RULES) >= _MAX_RULES:
-            del _RULES[next(iter(_RULES))]
-        _RULES[degree] = rule
-    return rule
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis nodes and weights on [-1, 1]: the n + 1 Chebyshev points
+    cos(pi k/n), exact on polynomials of degree <= n. The weights are one
+    inverse FFT of the Chebyshev moments int T_m = 2/(1 - m^2), m even, and 0,
+    m odd (Waldvogel 2006), halved at the two end points."""
+    k = np.arange(n + 1)
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - k[::2] ** 2.0)
+    weights = 2.0 * np.fft.irfft(moments, 2 * n)[:n + 1]
+    weights[[0, n]] *= 0.5
+    return np.sin(0.5 * np.pi * (n - 2 * k) / n), weights
 
 
 def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
-    """Time samples of the exponential-rolloff sub-pulse by spectral quadrature.
-
-    The spectrum is real and even, so a(t) = 2 * int_0^{f_hi} A(f) cos(2 pi f t) df.
-    Each spectral branch (flat [0, f_lo], lower [f_lo, f_mid], upper
-    [f_mid, f_hi]) gets its own Gauss-Legendre rule (Golub & Welsch 1969), so
-    no rule straddles a branch edge; an empty branch (the flat one at beta = 1)
-    is skipped. The upper branch is integrated over s in [0, 1] with
-    f = f_hi - (f_hi - f_mid) s^2, which turns A's square-root endpoint at
-    f_hi into a smooth integrand. A branch's node count follows its phase span
-    (hi - lo) * max|tau| in cycles: 32 nodes plus 4 per cycle, or 8 per cycle
-    on the substituted branch, where the phase is quadratic in s. Each rule
-    is built once per degree per process (``_gauss_legendre``). The cosine
-    sum runs over blocks of tau of at most ``_COS_BLOCK_ELEMENTS`` cosines,
-    so a long sub-pulse never holds its whole len(tau) x nodes matrix.
+    """Time samples of the exponential-rolloff sub-pulse from its real, even
+    spectrum A, a(t) = 2 int_0^{f_hi} A(f) cos(2 pi f t) df, branch by branch,
+    with a = sqrt(T/M) and D = f_mid - f_lo. The flat branch gives
+    2 a f_lo sinc(2 f_lo t). Across the exponential one A = a 2^(-(f - f_lo)/(2D))
+    loses exactly half its power, giving 2 a D Re[exp(2j pi f_lo t) expm1(z)/z],
+    z = 2j pi t D - ln2/2: beta never divides, so a subnormal beta empties
+    this branch and the next rather than making NaN. The upper branch is a
+    Clenshaw-Curtis sum over s in [0, 1], f = f_hi - (f_hi - f_mid) s^2, on
+    which A = a sqrt(1 - 2^(-s^2)) is smooth; its degree is 32 plus 8 per cycle
+    of (f_hi - f_mid) max|t|, at most ``_MAX_QUADRATURE_DEGREE``, and its
+    cosines are summed over blocks of t of at most ``_COS_BLOCK_ELEMENTS``.
     """
+    amp = math.sqrt(spec.T / spec.M)
     f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
     f_mid = spec.M / (2.0 * spec.T)
     f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
-    reach = float(np.max(np.abs(tau), initial=0.0))
-    total = np.zeros(tau.shape, dtype=np.float64)
-    for lo, hi, substituted in ((0.0, f_lo, False), (f_lo, f_mid, False), (f_mid, f_hi, True)):
-        if hi <= lo:
-            continue
-        per_cycle = 8 if substituted else 4
-        nodes, weights = _gauss_legendre(32 + math.ceil(per_cycle * (hi - lo) * reach))
-        s = 0.5 * (nodes + 1.0)
-        if substituted:
-            fq = hi - (hi - lo) * s * s
-            df = (hi - lo) * s * weights  # 0.5 * weights * |df/ds|
-        else:
-            fq = lo + (hi - lo) * s
-            df = 0.5 * (hi - lo) * weights
-        amp_df = eval_btrrc_freq(spec, fq) * df
-        rows = max(1, _COS_BLOCK_ELEMENTS // fq.size)
-        for start in range(0, tau.size, rows):
-            block = slice(start, start + rows)
-            total[block] += 2.0 * np.einsum("ij,j->i", np.cos(2.0 * np.pi * np.outer(tau[block], fq)), amp_df)
+    if not f_hi < math.inf:  # a subnormal T
+        raise InvalidInputError(f"the btrrc band edge M(1+beta)/(2T) at T = {spec.T:g} lies beyond "
+                                "the float range; rescale T towards 1")
+    lower, upper = f_mid - f_lo, f_hi - f_mid
+    z = 2j * np.pi * (lower * tau) - 0.5 * math.log(2.0)
+    total = 2.0 * amp * (f_lo * np.sinc(2.0 * (f_lo * tau))
+                         + lower * (np.exp(2j * np.pi * (f_lo * tau)) * np.expm1(z) / z).real)
+    degree = 32 + math.ceil(8 * upper * float(np.max(np.abs(tau), initial=0.0)))
+    if degree > _MAX_QUADRATURE_DEGREE:
+        raise InvalidInputError(
+            f"btrrc quadrature needs a degree-{degree} rule but the cap is {_MAX_QUADRATURE_DEGREE}; lower Q")
+    nodes, weights = _clenshaw_curtis(degree)
+    s = 0.5 * (nodes + 1.0)
+    fq = f_hi - upper * s * s
+    amp_df = amp * upper * s * weights * np.sqrt(-np.expm1(-math.log(2.0) * s * s))  # A * 0.5 * |df/ds|
+    rows = max(1, _COS_BLOCK_ELEMENTS // fq.size)
+    for start in range(0, tau.size, rows):
+        block = slice(start, start + rows)
+        total[block] += 2.0 * np.einsum("ij,j->i", np.cos(2.0 * np.pi * np.outer(tau[block], fq)), amp_df)
     return total
 
 
@@ -340,12 +323,12 @@ def _btrrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float
     """Exponential-rolloff sub-pulse of energy 1/count; at beta = 0 it is the rrc sub-pulse.
 
     The profile is even and tau runs symmetrically about the centre, so the
-    quadrature runs on the half tau >= 0 and its samples are mirrored.
+    sub-pulse is evaluated on the half tau >= 0 and mirrored.
     """
     if spec.beta == 0.0:
         return _rrc_subpulse(spec, tau, count)
     half = _btrrc_profile_at(spec, tau[tau.shape[0] // 2:])
-    # the spectral quadrature already carries unit energy
+    # the inverse transform of the unit-energy spectrum already carries unit energy
     return math.sqrt(1.0 / count), np.concatenate((half[tau.shape[0] % 2:][::-1], half))
 
 

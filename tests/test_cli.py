@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, config precedence, output contracts."""
 
+import dataclasses
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -292,6 +294,22 @@ class TestMetrics:
             assert row[f"{metric}_ana"] in ("", None) and row[f"{metric}_pct"] in ("", None)
         assert row["status"] == "ok"
 
+    @pytest.mark.parametrize("beta", ["5e-324", "1e-300"])
+    def test_btrrc_at_a_vanishing_beta(self, beta, capsys):
+        """A beta that 1 - beta rounds away empties both rolloff branches: the
+        flat branch's numbers, those of the beta = 0 pulse, and no
+        RuntimeWarning, since beta never divides."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(["metrics", "--family", "btrrc", "--M", "64", "--N", "8",
+                                "--beta", beta, "--format", "json"], capsys)
+        assert rc == 0 and err == ""
+        row = json.loads(out)[0]
+        for key, value in (("ΔT_num", 0.008762942844787458), ("ΔF_num", 17.808629718669252),
+                           ("ΔA_num", 0.156056004368682), ("κ_num", 0.0004920616006520162),
+                           ("energy_capture", 0.9999997845304037)):
+            assert row[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("T", ["1e-200", "1e300", "1e-300"])
     def test_moments_outside_the_float_range(self, T):
         """One error line and exit 2, not numpy warnings, a 0/inf/nan row or a
@@ -310,6 +328,17 @@ class TestMetrics:
         the default train from its parts, the N = 8 train (m = 32) from its samples."""
         env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "metrics", *size, "--T", "1e-310"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
+
+    @pytest.mark.parametrize("pulse", [["--family", "btrrc"], ["--subpulse", "btrrc"]], ids=["single", "train"])
+    def test_btrrc_at_a_subnormal_T(self, pulse):
+        """At T = 1e-310 the btrrc band edge M(1+beta)/(2T) overflows: one error
+        line and exit 2, not a traceback or numpy warnings."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ddopkit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ddopkit.cli", "metrics", *pulse, "--M", "16", "--N", "4",
+                               "--oversample", "4", "--T", "1e-310"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "float range" in proc.stderr
@@ -366,10 +395,11 @@ class TestSweep:
         assert len(rows) == 3 and all(row.endswith(",ok") for row in rows)
 
     def test_quadrature_degree_cap(self, capsys, monkeypatch):
-        """At beta 1 the btrrc sub-pulse below needs a degree-96 rule: past the
-        cap, metrics is one exit-2 line and the sweep keeps a failed row."""
+        """At beta 1 the btrrc sub-pulse below needs a degree-96 rule on its
+        upper spectral branch: past the cap, metrics is one exit-2 line and
+        the sweep keeps a failed row."""
         monkeypatch.setattr(pulses, "_MAX_QUADRATURE_DEGREE", 64)
-        message = "btrrc quadrature needs a degree-96 Gauss-Legendre rule but the cap is 64; lower Q"
+        message = "btrrc quadrature needs a degree-96 rule but the cap is 64; lower Q"
         pulse = ["--family", "btrrc", "--M", "32", "--N", "8", "--Q", "16", "--oversample", "4"]
         assert run(["metrics", *pulse, "--beta", "1"], capsys) == (2, "", f"error: {message}\n")
         rc, out, _ = run(["sweep", "--vary", "beta", "--steps", "3", *pulse], capsys)
@@ -430,8 +460,18 @@ class TestVerify:
         lines = run(["verify", *argv], capsys)[1].splitlines()
         assert lines[1].startswith("[PASS] Parseval") and lines[2].startswith(line)
 
-    def test_negative_control(self, capsys):
-        rc, out, _ = run(["verify", "--M", "64", "--N", "16", "--corrupt-signal"], capsys)
+    def test_negative_control(self, capsys, monkeypatch):
+        """A damaged spectrum fails the Parseval check."""
+        real_power_spectrum = cli.power_spectrum
+
+        def damaged(signal, zero_pad):
+            power = real_power_spectrum(signal, zero_pad)
+            values = power.values.copy()
+            values[::2] *= 1.01
+            return dataclasses.replace(power, values=values)
+
+        monkeypatch.setattr(cli, "power_spectrum", damaged)
+        rc, out, _ = run(["verify", "--M", "64", "--N", "16"], capsys)
         assert rc == 1
         assert "[FAIL] Parseval" in out
 

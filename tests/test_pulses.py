@@ -81,6 +81,7 @@ ORACLE_GRIDS = [
     (256, 64, 0.05), (256, 64, 0.5), (256, 64, 1.0),
     (256, 256, 0.05), (256, 256, 0.5), (256, 256, 1.0),
     (4, 4, 1.0),
+    (64, 2500, 0.05),
 ]
 
 
@@ -312,7 +313,8 @@ class TestClosedFormSpectra:
     def test_btrrc_cosine_sum_in_blocks(self, M, Q, beta, monkeypatch):
         """With the block cap at 100 cosines, no block exceeds it (a rule
         longer than the cap takes one offset at a time), every offset is
-        summed once per branch, and the profile agrees with the unblocked sum."""
+        summed once, in the one branch with a quadrature, and the profile
+        agrees with the unblocked sum."""
         spec = PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
         taus = np.linspace(0.0, spec.ta / 2, 25)
         whole = _btrrc_profile_at(spec, taus)
@@ -327,10 +329,9 @@ class TestClosedFormSpectra:
         monkeypatch.setattr(np, "cos", recording_cos)
         blocked = _btrrc_profile_at(spec, taus)
         monkeypatch.undo()
-        branches = 2 if beta == 1.0 else 3
-        assert sum(rows for rows, _ in shapes) == branches * taus.size
+        assert sum(rows for rows, _ in shapes) == taus.size
         assert all(rows * nodes <= 100 or rows == 1 for rows, nodes in shapes)
-        assert len(shapes) > branches
+        assert len(shapes) > 1
         assert np.max(np.abs(blocked - whole)) <= 1e-15 * abs(whole[0])
 
     @pytest.mark.parametrize("spec,oversample", [
@@ -371,39 +372,50 @@ class TestClosedFormSpectra:
                                                        _btrrc_profile_at(spec, half))))
 
     @pytest.mark.parametrize("cap", [63, 64])
-    def test_gauss_legendre_degree_cap(self, cap, monkeypatch):
+    def test_upper_branch_degree_cap(self, cap, monkeypatch):
         """At M 32, Q 16, beta 0.5 and oversample 4 the sub-pulse's offsets reach
-        |tau| = 1/2 - 1/256. Its flat and lower branches (8 wide) need 48 nodes,
-        its substituted upper branch 64: above the cap the degree is an input
-        error, raised before any rule of that degree is built."""
-        reach = 0.5 - 1 / 256
-        flat, upper = 32 + math.ceil(4 * 8 * reach), 32 + math.ceil(8 * 8 * reach)
-        assert (flat, upper) == (48, 64)
+        |tau| = 1/2 - 1/256, and its upper branch (8 wide) needs a degree-64
+        rule: above the cap the degree is an input error, raised before the
+        rule is built."""
+        upper = 32 + math.ceil(8 * 8 * (0.5 - 1 / 256))
+        assert upper == 64
         built = []
-        real_leggauss = np.polynomial.legendre.leggauss
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda degree: built.append(degree) or real_leggauss(degree))
-        monkeypatch.setattr(pulses, "_RULES", {})
+        real_clenshaw_curtis = pulses._clenshaw_curtis
+        monkeypatch.setattr(pulses, "_clenshaw_curtis",
+                            lambda degree: built.append(degree) or real_clenshaw_curtis(degree))
         monkeypatch.setattr(pulses, "_MAX_QUADRATURE_DEGREE", cap)
         spec = PulseSpec(M=32, N=8, Q=16, beta=0.5, family=PulseFamily.BTRRC_SUBPULSE)
         if cap < upper:
             with pytest.raises(InvalidInputError, match=rf"^btrrc quadrature needs a degree-{upper} "
-                               rf"Gauss-Legendre rule but the cap is {cap}; lower Q$"):
+                               rf"rule but the cap is {cap}; lower Q$"):
                 synth_pulse(spec, oversample=4)
-            assert built == [flat]
+            assert built == []
         else:
             synth_pulse(spec, oversample=4)
-            assert built == [flat, upper]
+            assert built == [upper]
 
-    def test_gauss_legendre_rule_read_only(self):
-        nodes, weights = pulses._gauss_legendre(40)
-        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(40)
-        assert np.array_equal(nodes, expected_nodes)
-        assert np.array_equal(weights, expected_weights)
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
+
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 64])
+    def test_weights_match_the_cosine_sum(self, n):
+        """w_k = (c_k/n) (1 - sum_{j=1}^{n/2} b_j cos(2 pi j k/n)/(4j^2 - 1)),
+        c_k = 1 at the ends and 2 inside, b_j = 1 at j = n/2 and 2 below."""
+        k = np.arange(n + 1)
+        j = np.arange(1, n // 2 + 1)
+        b = np.where(2 * j == n, 1.0, 2.0)
+        c = np.where((k == 0) | (k == n), 1.0, 2.0)
+        direct = c / n * (1.0 - np.cos(2.0 * np.pi * np.outer(k, j) / n) @ (b / (4.0 * j * j - 1.0)))
+        nodes, weights = pulses._clenshaw_curtis(n)
+        assert np.allclose(nodes, np.cos(np.pi * k / n), rtol=0.0, atol=1e-15)
+        assert np.allclose(weights, direct, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 64])
+    def test_exact_on_polynomials_up_to_its_degree(self, n):
+        """int_{-1}^{1} x^p dx = 2/(p + 1) for even p and 0 for odd p, p <= n."""
+        nodes, weights = pulses._clenshaw_curtis(n)
+        for p in range(n + 1):
+            exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+            assert abs(weights @ nodes ** p - exact) <= 1e-14
 
 
 class TestTrains:

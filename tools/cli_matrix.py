@@ -44,11 +44,13 @@ its sums, and json ``sweep --vary q --steps 3`` at ``--M 64 --N 8
 spectrum layout and whose Q = 64 row fails. Then json metrics of gddop at
 ``--M 16 --N 4 --Q 256 --oversample 8`` for ``--subpulse rrc`` and
 ``btrrc``, whose sub-pulses span 32 symbol periods, so ΔT sums 3 lags of
-overlapping sub-pulses. Last, verify of ``--M 32 --N 8 --band 1e-9`` (a
+overlapping sub-pulses. Then verify of ``--M 32 --N 8 --band 1e-9`` (a
 band of one bin) and of ``--family tdm --M 16 --N 2 --oversample 1
 --zero-pad 1`` (one band bin with energy), where the sampled measurement
-rejects the band: 330 distinct cases. Every train is measured from its
-parts.
+rejects the band. Last, json metrics of the btrrc sub-pulse at ``--M 64
+--N 8``: at ``--beta 5e-324``, where both rolloff branches are empty, and
+at ``--Q 2500 --beta 0.05 --oversample 1``, a sub-pulse 78 symbol periods
+long: 332 distinct cases. Every train is measured from its parts.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ def cases() -> list[list[str]]:
                  *(["metrics", "--family", "gddop", "--subpulse", subpulse, "--M", "16", "--N", "4",
                     "--Q", "256", "--oversample", "8", "--format", "json"] for subpulse in ("rrc", "btrrc")),
                  ["verify", "--M", "32", "--N", "8", "--band", "1e-9"],
-                 ["verify", "--family", "tdm", "--M", "16", "--N", "2", "--oversample", "1", "--zero-pad", "1"]):
+                 ["verify", "--family", "tdm", "--M", "16", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
+                 ["metrics", "--family", "btrrc", "--M", "64", "--N", "8", "--beta", "5e-324", "--format", "json"],
+                 ["metrics", "--family", "btrrc", "--M", "64", "--N", "8", "--Q", "2500", "--beta", "0.05",
+                  "--oversample", "1", "--format", "json"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
