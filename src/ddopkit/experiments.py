@@ -393,6 +393,12 @@ def _turned_autocorrelation(x: np.ndarray, max_doppler_steps: int, period: int,
     return np.concatenate((np.conj(mirror[:, :0:-1]), turned), axis=1)
 
 
+# The bytes of the Doppler rows ``_doppler_correlations`` transforms at once: under
+# glibc's default 128 KiB mmap threshold, so its temporaries come from the heap
+# and are not mapped and faulted in afresh on every scan.
+_SCAN_CHUNK_BYTES = 120 * 1024
+
+
 def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, phases: int) -> np.ndarray:
     """``_turned_autocorrelation``'s columns n~ >= 0.
 
@@ -405,6 +411,8 @@ def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, ph
     ``fast_length(2W - 1)``, so no lag wraps, and multiplied by the
     conjugate transform of the unturned one; the products are summed over
     the components and each Doppler shift takes one inverse transform.
+    The shifts are turned and transformed a chunk of rows at a time, at
+    most ``_SCAN_CHUNK_BYTES`` of transforms to a chunk.
     """
     width = x.shape[0] // phases
     components = x.reshape(width, phases).T
@@ -412,6 +420,11 @@ def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, ph
     coarse = _turn_table(doppler, range(0, phases * width, phases), period)
     fine = _turn_table(doppler, range(phases), period)
     length = fast_length(2 * width - 1)
-    turned = np.fft.fft(coarse[:, None, :] * fine[:, :, None] * components, length)
-    spectra = np.einsum("npl,pl->nl", turned, np.conj(np.fft.fft(components, length)))
+    reference = np.conj(np.fft.fft(components, length))
+    spectra = np.empty((doppler.shape[0], length), dtype=np.complex128)
+    step = max(1, _SCAN_CHUNK_BYTES // (16 * phases * length))
+    for n in range(0, doppler.shape[0], step):
+        turned = coarse[n:n + step, None, :] * fine[n:n + step, :, None]
+        turned *= components
+        np.einsum("npl,pl->nl", np.fft.fft(turned, length), reference, out=spectra[n:n + step])
     return np.fft.ifft(spectra)[:, np.arange(1 - width, width)].T

@@ -8,21 +8,22 @@ fraction reported alongside). The area Delta T * Delta F is bounded below by
 
 ``measure_all`` measures a sampled signal through ``power_spectrum``; it is
 the independent oracle. ``measure_train`` measures every pulse train from
-its parts (``TrainParts``) and never builds it: its length-L DFT is the
-sub-pulse's DFT times the coefficients' comb, so the band moments are sums
-over m-point sub-pulse transforms, two spectrum rows to a transform, m a
-divisor of L that holds the sub-pulse. ΔT, the mean time and the energy
-are the sub-pulse's and the coefficients' moments plus, where sub-pulses
-overlap, lag products; the capture's total, all L bins, is the energy by
-discrete Parseval.
+its parts (``TrainParts``) and never builds it. Its length-L DFT is the
+sub-pulse's DFT times the coefficients' comb, |U|^2 = |S|^2 |C|^2, so the
+band's moments are lag products: the sub-pulse's autocorrelation over its
+2w - 1 lags against a band kernel of |C|^2, which a chirp z-transform
+evaluates at exactly those lags. ΔT, the mean time and the energy are the
+sub-pulse's and the coefficients' moments plus, where sub-pulses overlap,
+lag products; the capture's total, all L bins, is the energy by discrete
+Parseval.
 
-What that row spectrum reads besides the sub-pulse samples, (m, r), the
-band's run of bins, the rows, their turn tables and the comb's weights, is
-the train's ``SpectrumLayout`` (``spectrum_layout``). ``measure_train``
-builds one per call unless it is given one; ``experiments.run_sweep``
-keeps the last one built and passes it on to the sweep's next points while
-their trains share it, such as every point of a roll-off sweep. A layout
-also holds ``_row_power``'s buffers, so it serves one measurement at a time.
+What the band moments read besides the sub-pulse samples, L, the band's
+run of bins, the band kernel and the rows that find lit bins, is the
+train's ``SpectrumLayout`` (``spectrum_layout``). ``measure_train`` builds
+one per call unless it is given one; ``experiments.run_sweep`` keeps the
+last one built and passes it on to the sweep's next points while their
+trains share it, such as every point of a roll-off sweep. A layout is
+read-only.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "measure_time",
     "measure_freq",
     "measure_all",
-    "spectrum_rows",
     "SpectrumLayout",
     "layout_key",
     "spectrum_layout",
@@ -201,138 +201,125 @@ def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) ->
     )
 
 
-def spectrum_rows(parts: TrainParts, zero_pad: int = 4) -> tuple[int, int]:
-    """(m, r): the train's L = m*r spectrum bins as r rows of m.
-
-    L is ``power_spectrum``'s transform length for the train's grid and P the
-    samples per T (``TrainParts.per_t``). m is g = gcd(L, P) where the
-    sub-pulse's w samples fit in g, and otherwise the smallest divisor of L
-    that is at least w; L is 5-smooth, so its divisors are the products of
-    its powers of 2, 3 and 5.
-    """
-    length = fast_length(positive_int(zero_pad, "zero_pad") * parts.grid.num_samples)
-    width = parts.subpulse.shape[0]
-    m = math.gcd(length, parts.per_t)
-    if width > m:
-        divisors, rest = {1}, length
-        for prime in (2, 3, 5):
-            while rest % prime == 0:
-                rest //= prime
-                divisors |= {d * prime for d in divisors}
-        m = min(d for d in divisors if d >= width)
-    return m, length // m
-
-
-_ROW_CHUNK_ELEMENTS = 1 << 14
-
-
 class SpectrumLayout(NamedTuple):
-    """What ``measure_train`` reads of a train's row spectrum that does not
-    depend on its sub-pulse samples: all of it but the samples' FFTs.
+    """What ``measure_train`` reads of a train's band that does not depend
+    on its sub-pulse samples.
 
-    (m, r) are ``spectrum_rows``'s, freq_interval the bin spacing 1/(L dt),
-    kappas the band's run lo <= kappa < hi of signed bin indices
-    (``bins_within``) and rows the spectrum rows read: of a real train (the
-    key says whether it is) only rows 0..r/2, which stand for their mirrors
-    too. ``_row_power`` transforms the rows in pairs, the first half of them
-    with the second: coarse and fine are the first half's turn tables, fine
-    already times the pair shift, offset the first row's place in their
-    product, and rotate the per-column turn that makes each pair's transform
-    the two rows' real spectra. bin_weight is None where m = gcd(L, P),
-    each row then weighted by its comb entry |C|^2; otherwise it holds
-    every bin's |C|^2 and the rows are weighted by 1. bands lists (kappas,
-    sign, row weight), a real train's mirrored band second. key is
-    ``layout_key`` of the train it was built for. These arrays are
-    read-only, so one layout serves every point of a sweep that shares it.
-    power and buffer are ``_row_power``'s output and scratch, allocated
-    with the layout and overwritten by every measurement that reads it, so
-    a layout serves one measurement at a time.
+    length is ``power_spectrum``'s transform length L, freq_interval the bin
+    spacing 1/(L dt), kappas the band's run lo <= kappa < hi of signed bins
+    (``bins_within``) and period R = L/gcd(L, P), the comb's. kernel holds
+    the band kernel K_p[e] for p = 0, 1, 2 and the lags 0 <= e < w
+    (``_band_kernel``), doubled at e > 0 and conjugated, as pairs of floats:
+    the band's moments are kernel times the sub-pulse's autocorrelation
+    read as pairs of floats. The band's bins kappa = j + R i, 0 <= i < run,
+    fall in R rows j = lo..lo + R - 1; rows and runs list, in row order, the
+    rows whose comb weight is not zero and their runs, which
+    ``_lit_bins`` reads. key is ``layout_key`` of the train it was built
+    for. The arrays are read-only, so one layout serves every point of a
+    sweep that shares it.
     """
 
     key: tuple
-    m: int
-    r: int
+    length: int
+    period: int
     freq_interval: float
     kappas: tuple[int, int]
+    kernel: np.ndarray
     rows: np.ndarray
-    coarse: np.ndarray
-    fine: np.ndarray
-    offset: int
-    rotate: np.ndarray
-    bin_weight: np.ndarray | None
-    bands: tuple
-    power: np.ndarray
-    buffer: np.ndarray
+    runs: np.ndarray
 
 
 def layout_key(parts: TrainParts, band: AnalysisBand, zero_pad: int) -> tuple:
     """What a ``SpectrumLayout`` depends on: the grid, the sub-pulse's width,
-    P, the coefficients, whether the train is real, the band and zero_pad."""
-    real = not (parts.subpulse.imag.any() or parts.coefficients.imag.any())
-    return (parts.grid, parts.subpulse.shape[0], parts.per_t, parts.coefficients.tobytes(), real,
-            band, zero_pad)
+    P, the coefficients, the band and zero_pad."""
+    return (parts.grid, parts.subpulse.shape[0], parts.per_t, parts.coefficients.tobytes(), band, zero_pad)
 
 
 def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> SpectrumLayout:
     """The ``SpectrumLayout`` of a train measured from its parts.
 
-    Bin k is read at its signed index kappa = j + r*i, with row j and
-    centered column -(m//2) <= i < m - m//2; for even m the rows run from 0,
-    for odd m from -(r//2), so that kappa covers -(L//2)..L - L//2 - 1 once.
-    |C(kappa)|^2 is entry (kappa * P/g) mod R of the comb's table,
-    g = gcd(L, P) and R = L/g.
-
-    Row j is turned about the sub-pulse's centre h = (w - 1)/2, by
-    exp(-2j pi j (t - h)/L), an integer angle j (2t - (w - 1)) modulo 2L.
-    With d = ceil(rows/2), rows j and j + d share one transform: the fine
-    table is multiplied by the shift 1 + i exp(-2j pi d (t - h)/L), so
-    the turned sub-pulse of row j plus i times that of row j + d is the
-    product of a coarse and a fine entry, j = coarse + fine, each table
-    about sqrt(d) x w entries (``signal_core._turn_table``). rotate is
-    exp(+2j pi c h/m), the turn of column c that moves the transform's
-    time origin to h.
+    Bin k of L sits at signed index kappa = k - L//2. The coefficients'
+    comb C(kappa) = sum_n c_n exp(-2j pi kappa n P/L) repeats every
+    R = L/g bins, g = gcd(L, P): |C(kappa)|^2 is entry (kappa P/g) mod R
+    of one R-point FFT of the coefficients. With n = hi - lo = q R + rem
+    bins in the band, row lo + j holds q + 1 of them for j < rem and q
+    for the rest; a band narrower than R has only its n rows.
     """
     key = layout_key(parts, band, zero_pad)
-    m, r = spectrum_rows(parts, zero_pad)
-    length = m * r
+    length = fast_length(positive_int(zero_pad, "zero_pad") * parts.grid.num_samples)
     freq_interval = 1.0 / (length * parts.grid.sample_interval)
     bins = bins_within(-(length // 2) * freq_interval, freq_interval, length, band.half_width)
     lo, hi = bins.start - length // 2, bins.stop - length // 2
-    real = key[4]
-    if real:
-        rows = np.arange(r // 2 + 1) if m % 2 == 0 else np.arange(-(r // 2), 1)
-    else:
-        rows = np.arange(r) - (r // 2 if m % 2 else 0)
-
-    width = parts.subpulse.shape[0]
-    centred = range(1 - width, width, 2)  # 2t - (w - 1): twice the time about the centre
-    pair = (rows.shape[0] + 1) // 2
-    block = math.isqrt(pair - 1) + 1
-    first = int(rows[0]) // block
-    coarse = _turn_table(block * np.arange(first, int(rows[pair - 1]) // block + 1), centred, 2 * length)
-    fine = _turn_table(np.arange(block), centred, 2 * length)
-    fine *= 1.0 + 1j * _turn_table(np.array([pair]), centred, 2 * length)[0]  # row j + pair, as i times row j
-    rotate = _turn_table(np.array([1 - width]), range(m), 2 * m)[0]
-
     g = math.gcd(length, parts.per_t)
-    period, step = length // g, parts.per_t // g
+    period = length // g
+    full, rem = divmod(hi - lo, period)
+    rows = np.arange(min(period, hi - lo))
     comb = np.abs(np.fft.fft(parts.coefficients, period)) ** 2
-    if m == g:
-        bin_weight, weight = None, comb[rows * step % period]
-    else:
-        i = (np.arange(m) + m // 2) % m - m // 2  # centered column of each FFT-order column
-        bin_weight, weight = comb[(rows[:, None] + r * i) * step % period], np.ones(rows.shape[0])
-    # (band, sign, row weight): a real train's rows 0 < |j| < r/2 also stand for their mirrors at -kappa
-    bands = [((lo, hi), 1.0, weight)]
-    if real:
-        bands.append(((1 - hi, 1 - lo), -1.0, weight * ((rows != 0) & (2 * np.abs(rows) < r))))
-    for array in (rows, coarse, fine, rotate, bin_weight, *(w for _, _, w in bands)):
-        if array is not None:
-            array.flags.writeable = False
-    step = min(max(1, _ROW_CHUNK_ELEMENTS // (block * m)), coarse.shape[0])  # coarse turns per chunk
-    return SpectrumLayout(key, m, r, freq_interval, (lo, hi), rows, coarse, fine,
-                          int(rows[0]) - first * block, rotate, bin_weight, tuple(bands),
-                          np.empty((2 * pair, m)), np.empty((step, block, m), dtype=np.complex128))
+    weight = comb[(lo + rows) * (parts.per_t // g) % period]
+    kernel = _band_kernel(weight, (lo, hi), period, length, parts.subpulse.shape[0])
+    lit = np.flatnonzero(weight > 0.0)
+    runs = full + (lit < rem)
+    lit += lo
+    for array in (kernel, lit, runs):
+        array.flags.writeable = False
+    return SpectrumLayout(key, length, period, freq_interval, (lo, hi), kernel, lit, runs)
+
+
+def _band_kernel(weight: np.ndarray, kappas: tuple[int, int], period: int, length: int,
+                 width: int) -> np.ndarray:
+    """K_p[e] = sum_kappa (kappa - c)^p W(kappa) omega^(kappa e) over the band
+    lo <= kappa < hi, c = (lo + hi - 1)/2 its centre, W = |C|^2 the comb and
+    omega = exp(-2j pi/L), for p = 0, 1, 2 and 0 <= e < w, as a
+    ``SpectrumLayout`` holds it.
+
+    With kappa = lo + j + R i, n = q R + rem and h = (rem - 1)/2,
+    kappa - c = (j - h) + R (i - q/2), and W depends on j alone (weight[j]).
+    The rows split into two blocks, j < rem with i < q + 1 and the rest with
+    i < q. Each block's K_p is the binomial sum of
+    V_b[e] = sum_j W_j (j - h)^b omega^(j e) over the block's rows, one
+    chirp z-transform of its three rows (``_chirp_z``), and
+    T_a[e] = sum_i (R (i - q/2))^a exp(-2j pi i e/g), a g-point FFT read at
+    e mod g. The chirp and the block's turn omega^(j0 e), j0 its first
+    bin, have their angles reduced exactly, as ``_turn_table`` reduces them.
+    """
+    lo, hi = kappas
+    full, rem = divmod(hi - lo, period)
+    g = length // period
+    k = np.arange(max(weight.shape[0], width), dtype=np.int64)
+    angle = k * k % (2 * length)
+    angle[angle > length] -= 2 * length
+    chirp = np.exp(-1j * np.pi * angle / length)  # omega^(k^2/2), shared by both blocks
+    i, e, powers = np.arange(g), np.arange(width), np.arange(3)[:, None]
+    turns = _turn_table(np.array([lo, lo + rem]), range(width), length)
+    kernel = np.zeros((3, width), dtype=np.complex128)
+    for turn, start, stop, run in ((turns[0], 0, rem, full + 1), (turns[1], rem, weight.shape[0], full)):
+        if run == 0 or stop == start:
+            continue
+        v = _chirp_z(weight[start:stop] * (np.arange(start, stop) - 0.5 * (rem - 1)) ** powers, chirp, width)
+        v *= turn
+        t = np.fft.fft((i < run) * (period * (i - 0.5 * full)) ** powers)[:, e % g]
+        kernel[0] += t[0] * v[0]
+        kernel[1] += t[0] * v[1] + t[1] * v[0]
+        kernel[2] += t[0] * v[2] + 2.0 * t[1] * v[1] + t[2] * v[0]
+    kernel[:, 1:] *= 2.0  # lag -e is the conjugate of lag e
+    return np.conj(kernel).view(np.float64)
+
+
+def _chirp_z(x: np.ndarray, chirp: np.ndarray, count: int) -> np.ndarray:
+    """sum_j x[:, j] omega^(j e) for 0 <= e < count, Bluestein's chirp
+    z-transform, with chirp[k] = omega^(k^2/2) for k < max(len(x), count):
+    j e = (j^2 + e^2 - (e - j)^2)/2, so the sum is chirp(e) times the linear
+    convolution of x chirp with conj(chirp). The convolution runs at
+    ``fast_length(len(x) + count - 1)``, so no lag wraps, one row at a
+    time, so that a temporary holds one row's transform (64 KiB on the
+    256 x 8 btrrc train)."""
+    n = x.shape[-1]
+    size = fast_length(n + count - 1)
+    spread = np.zeros(size, dtype=np.complex128)
+    spread[:count] = np.conj(chirp[:count])
+    spread[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
+    spread = np.fft.fft(spread)
+    return np.stack([np.fft.ifft(np.fft.fft(row * chirp[:n], size) * spread)[:count] for row in x]) * chirp[:count]
 
 
 def _lag_products(parts: TrainParts) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -397,166 +384,90 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
     """Numeric localization metrics of the train ``parts.signal()``: those of
     ``measure_all(parts.signal(), band, zero_pad)``, to rounding.
 
-    With L bins and (m, r) = ``spectrum_rows``, bin k of the train
-    u_i = sum_n c_n s_{i - nP} is S(k) C(k): S the sub-pulse's length-L DFT and
-    C(k) = sum_n c_n exp(-2j pi k n P/L) the coefficients' comb. Row j of S,
-    the bins k = j + r*i, is an m-point FFT of s turned by exp(-2j pi j t/L),
-    which holds s because w <= m, overlapping sub-pulses or not; one FFT
-    carries two rows (``_row_power``). A real train takes rows 0..r/2 (or
-    -r/2..0 for odd m), each standing for itself and its mirror. C repeats
-    every R = L/gcd(L, P) bins, and |C|^2 is one
-    R-point FFT of the coefficients. The band's bins are ``bins_within``'s,
-    found row by row, and the moments are summed there, so neither the train
-    nor an L-long array is built. The energy, mean time and ΔT are
-    ``_train_moments``'s, and by discrete Parseval all L bins hold L times
-    that energy: the capture is the in-band sum over the larger of that
-    total and itself, so it never exceeds 1, and a band of every bin
-    captures exactly 1.
+    With L bins, bin kappa of the train u_i = sum_n c_n s_{i - nP} is
+    S(kappa) C(kappa): S the sub-pulse's length-L DFT and C the
+    coefficients' comb, so |U|^2 = |S|^2 |C|^2. |S(kappa)|^2 is
+    sum_e rho_s[e] omega^(kappa e), rho_s the sub-pulse's autocorrelation
+    over its 2w - 1 lags and omega = exp(-2j pi/L), so the band's moments
+    sum_kappa (kappa - c)^p |U(kappa)|^2, p = 0, 1, 2, are
+    Re sum_e rho_s[e] K_p[e], K_p the band kernel of the layout
+    (``_band_kernel``); rho_s is one FFT of ``fast_length(2w - 1)`` points,
+    overlapping sub-pulses or not. Neither the train nor an L-long array is
+    built. The energy, mean time and ΔT are ``_train_moments``'s, and by
+    discrete Parseval all L bins hold L times that energy: the capture is
+    the in-band sum over the larger of that total and itself, so it never
+    exceeds 1, and a band of every bin captures exactly 1. Whether the band
+    holds two bins with energy, which lags cannot tell, is ``_lit_bins``'s.
 
-    Everything above but the sub-pulse's turned FFTs and its moments is the
-    train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds it for
-    this call; a sweep builds one per run of points that share it and passes
-    it to each of them. A layout built for another train, band or zero_pad
-    (another ``layout_key``) is rejected with ``InvalidInputError``.
+    Everything above but the sub-pulse's autocorrelation and its moments is
+    the train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds
+    it for this call; a sweep builds one per run of points that share it
+    and passes it to each of them. A layout built for another train, band
+    or zero_pad (another ``layout_key``) is rejected with
+    ``InvalidInputError``.
     """
     if layout is None:
         layout = spectrum_layout(parts, band, zero_pad)
     elif layout.key != layout_key(parts, band, zero_pad):
         raise InvalidInputError("the spectrum layout was built for another train, band or zero-pad factor")
-    total, mean_time, time_var = _train_moments(parts, layout.m * layout.r)
+    total, mean_time, time_var = _train_moments(parts, layout.length)
     time_disp = _dispersion(time_var, "time")
-    mean_freq, freq_disp, capture = _train_freq(parts.subpulse, layout, band, total)
+    mean_freq, freq_disp, capture = _band_moments(parts.subpulse, layout, band, total)
     return LocalizationMetrics(mean_time=mean_time, mean_freq=mean_freq, time_dispersion=time_disp,
                                freq_dispersion=freq_disp, provenance=Provenance.NUMERIC, energy_capture=capture)
 
 
-def _train_freq(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
-                total: float) -> tuple[float, float, float]:
-    """``measure_freq`` of the train's spectrum, summed row by row over the
-    layout's bands, with ``total`` the power of all L bins
-    (``measure_train``'s Parseval sum). A band that is its own mirror is
-    summed once.
-    """
-    m, r, rows = layout.m, layout.r, layout.rows
-    (lo, hi), length, freq_interval = layout.kappas, m * r, layout.freq_interval
-    power = _row_power(sub, layout)
-    if layout.bin_weight is not None:
-        power *= layout.bin_weight
-    sums = _window_sums(power, rows, r, [kappas for kappas, _, _ in layout.bands])
-    in_band = first_moment = 0.0
-    lit = []  # (band, row index) of weighted rows with in-band energy; two prove two nonzero bins
-    for s, (kappas, sign, w) in zip(sums, layout.bands):
-        in_band += float(sum_of_products(w, s[0]))
-        lit += [(kappas, i) for i in np.flatnonzero((w > 0.0) & (s[0] > 0.0))[:2]]
-        first_moment += sign * float(sum_of_products(w, rows * s[0] + r * s[1]))
-    nonzero = len(lit) if len(lit) > 1 else sum(
-        np.count_nonzero(power[i, c0:c1]) for kappas, i in lit for c0, c1 in _column_runs(rows[i], kappas, r, m))
-    _check_band(in_band, nonzero, hi - lo, band, freq_interval)
-    mean = first_moment / in_band
-    var = 0.0
-    for s, (_, sign, w) in zip(sums, layout.bands):
-        d = rows - sign * mean
-        var += float(sum_of_products(w, d * d * s[0] + 2.0 * r * d * s[1] + r * r * s[2]))
+def _band_moments(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
+                  total: float) -> tuple[float, float, float]:
+    """``measure_freq`` of the train's spectrum from the sub-pulse's
+    autocorrelation and the layout's kernel, with ``total`` the power of
+    all L bins (``measure_train``'s Parseval sum). A band without a lit row
+    (``_lit_bins``) holds no energy."""
+    (lo, hi), freq_interval = layout.kappas, layout.freq_interval
+    width = sub.shape[0]
+    spectrum = np.fft.fft(sub, fast_length(2 * width - 1))
+    rho = np.fft.ifft(spectrum.real ** 2 + spectrum.imag ** 2)[:width]  # sum_t s_{t+e} conj(s_t)
+    in_band, first, second = (float(v) for v in np.einsum("pe,e->p", layout.kernel, rho.view(np.float64)))
+    nonzero = _lit_bins(sub, layout)
+    _check_band(in_band if nonzero else 0.0, nonzero, hi - lo, band, freq_interval)
+    mean = first / in_band  # in bins from the band's centre
     with np.errstate(all="ignore"):
-        freq_var = float(var / in_band * freq_interval * freq_interval)
-    whole = in_band if hi - lo == length else max(in_band, total)  # a band of every bin holds it all
-    return mean * freq_interval, _dispersion(freq_var, "frequency"), in_band / whole
+        freq_var = float((second / in_band - mean * mean) * freq_interval * freq_interval)
+    whole = in_band if hi - lo == layout.length else max(in_band, total)  # a band of every bin holds it all
+    return (0.5 * (lo + hi - 1) + mean) * freq_interval, _dispersion(freq_var, "frequency"), in_band / whole
 
 
-def _row_power(sub: np.ndarray, layout: SpectrumLayout) -> np.ndarray:
-    """|Y[j, c]|^2, Y[j, c] = sum_t s_t exp(-2j pi (j + r c) t/L), for the
-    layout's rows j and columns c < m in FFT order (column c is the
-    centered column c - m for c >= m - m//2): one m-point FFT per pair of
-    rows.
+# The rows ``_lit_bins`` turns at once after the first two: at most this many samples.
+_LIT_CHUNK_ELEMENTS = 1 << 13
 
-    Turned about its centre h, Y[j, c] exp(2j pi (j + r c) h/L) is
-    sum_t s_t exp(-2j pi (j + r c)(t - h)/L), which is real where s is its
-    own conjugate mirror, s_t = conj(s_{w-1-t}). Every sub-pulse is the sum
-    of such a part e = (s + conj(s[::-1]))/2 and -i times another,
-    -i o = -i (s - conj(s[::-1]))/2, so each part's transform is real and
-    |Y|^2 is the sum of their squares. For each part, row j turned goes in
-    the real part and row j + d in the imaginary part of one FFT input (the
-    layout's coarse times fine turn), and its transform times the layout's
-    rotate holds row j's real spectrum as its real part and row j + d's as
-    its imaginary part. A part that is zero is skipped: the odd part of
-    every real family's sub-pulse, which is exactly even. Row 0 is then
-    recomputed alone and unturned, as |FFT_m(s)|^2, so the exact zeros of
-    its spectrum stay exact.
 
-    The pairs are turned, transformed and squared a few coarse turns at a
-    time, in the layout's buffer of at most about _ROW_CHUNK_ELEMENTS, so
-    only the power is held whole. The returned power is a view of the
-    layout's power array: every point measured with the layout reuses both,
-    and the power is overwritten by the next call.
+def _lit_bins(sub: np.ndarray, layout: SpectrumLayout) -> int:
+    """2 where two of the band's rows are lit, else the number of the band's
+    bins with energy (0 or the lit row's).
+
+    A row j is lit if its comb weight (the layout's rows) and its in-band
+    power are > 0. S(j + R i) = sum_t s_t omega^(rt) exp(-2j pi (j//R + i) t/g)
+    with r = j mod R, so the row's bins are the g-point FFT of the
+    sub-pulse turned by omega^(rt) (``_turn_table``) and folded modulo g,
+    read from column (j//R + i) mod g for i < run. Row r = 0 is not turned,
+    so the exact zeros of its spectrum stay exact. The rows are read in row
+    order, two and then a chunk at a time, until two are lit; a row's bins
+    are counted only where fewer are.
     """
-    coarse, m, count = layout.coarse, layout.m, layout.rows.shape[0]
-    block, width, pair = layout.fine.shape[0], sub.shape[0], (count + 1) // 2
-    start, stop = layout.offset, layout.offset + pair
-    power, buffer = layout.power, layout.buffer
-    step = buffer.shape[0]
-    mirrored = np.conj(sub[::-1])
-    even_odd = [part for part in ((sub + mirrored) / 2, (sub - mirrored) * -0.5j) if part.any()]
-    for n, part in enumerate(even_odd):
-        fine = part * layout.fine
-        for c0 in range(0, coarse.shape[0], step):
-            turned = buffer[:coarse[c0:c0 + step].shape[0]]
-            turned[:, :, width:] = 0.0  # the zero padding, which the last FFT overwrote
-            np.multiply(coarse[c0:c0 + step, None, :], fine, out=turned[:, :, :width])
-            a, b = max(start, c0 * block), min(stop, (c0 + step) * block)
-            spectra = turned.reshape(-1, m)[a - c0 * block:b - c0 * block]
-            np.fft.fft(spectra, axis=1, out=spectra)
-            spectra *= layout.rotate
-            pairs = spectra.view(np.float64)  # row j's real value and row j + pair's, side by side
-            a, b = a - start, b - start
-            for rows, values in ((slice(a, b), pairs[:, 0::2]), (slice(a + pair, b + pair), pairs[:, 1::2])):
-                if n:
-                    power[rows] += values * values
-                else:
-                    np.multiply(values, values, out=power[rows])
-    zero = np.fft.fft(sub, m)  # row 0 unturned, so the exact zeros of its spectrum stay exact
-    np.add(zero.real ** 2, zero.imag ** 2, out=power[-int(layout.rows[0])])
-    return power[:count]
-
-
-def _column_runs(j: int, kappas: tuple[int, int], r: int, m: int) -> list[tuple[int, int]]:
-    """Row j's in-band columns as FFT-order slices [c0, c1): the centered run
-    -((j - lo)//r) <= i < -((j - hi)//r), split at i = 0 into at most two,
-    column c holding i = c - m for c >= m - m//2 and i = c otherwise."""
-    lo, hi = kappas
-    start = max(-((j - lo) // r), -(m // 2))
-    stop = min(-((j - hi) // r), m - m // 2)
-    return [(c0, c1) for c0, c1 in ((max(start, 0), stop), (start + m, min(stop, 0) + m)) if c0 < c1]
-
-
-def _window_sums(power: np.ndarray, rows: np.ndarray, r: int, bands: list[tuple[int, int]]) -> list[np.ndarray]:
-    """For each band lo <= kappa < hi: per row, the sums of power * i**q
-    (q = 0, 1, 2) over the in-band columns (``_column_runs``), a (3, rows)
-    array. Equal bands share one result. No out-of-band sum is taken:
-    ``measure_train`` has the total power from Parseval, and no bin is
-    counted: ``_train_freq`` counts the nonzero bins of a row only where
-    fewer than two rows carry energy.
-
-    The rows span fewer than r indices, so each end of a row's run steps at
-    most once over them: the rows split into at most three blocks that share
-    one run, each summed slice by slice.
-    """
-    m = power.shape[1]
-    i = (np.arange(m) + m // 2) % m - m // 2
-    moments = np.stack((np.ones(m), i, i * i))
-    first, count = int(rows[0]), rows.shape[0]
-    found = {}
-    for kappas in bands:
-        if kappas in found:
-            continue
-        sums = np.zeros((3, count))
-        steps = sorted({0, count, *((edge - first) % r for edge in kappas)})
-        for a, b in zip(steps, steps[1:]):
-            if b > count:
-                break
-            for c0, c1 in _column_runs(first + a, kappas, r, m):
-                sums[:, a:b] += np.einsum("jc,qc->qj", power[a:b, c0:c1], moments[:, c0:c1])
-        found[kappas] = sums
-    return [found[kappas] for kappas in bands]
+    period, width = layout.period, sub.shape[0]
+    g = layout.length // period
+    fold = -(-width // g) * g
+    lit, start, stop = [], 0, 2
+    while start < layout.rows.shape[0] and len(lit) < 2:
+        rows, runs = layout.rows[start:stop], layout.runs[start:stop]
+        turned = np.zeros((rows.shape[0], fold), dtype=np.complex128)
+        np.multiply(_turn_table(rows % period, range(width), layout.length), sub, out=turned[:, :width])
+        spectra = np.fft.fft(turned.reshape(rows.shape[0], -1, g).sum(axis=1))
+        columns = (rows[:, None] // period + np.arange(g)) % g
+        power = np.abs(np.take_along_axis(spectra, columns, axis=1)) ** 2 * (np.arange(g) < runs[:, None])
+        lit += [row for row in power if row.sum() > 0.0]
+        start, stop = stop, stop + max(2, _LIT_CHUNK_ELEMENTS // fold)
+    return 2 if len(lit) > 1 else sum(np.count_nonzero(row) for row in lit)
 
 
 def _midpoint(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> float:

@@ -15,12 +15,12 @@ Conventions used throughout the package:
   frequencies, a complex one a full FFT. ``metrics.measure_all``'s band
   moments and ``verify``'s Parseval check read it; the discrete Parseval
   identity holds to rounding for any L.
-* ``metrics.measure_train`` reads the same L bins of a pulse train, picked
-  by the same ``bins_within`` rule, from m-point transforms of its sub-pulse
-  (m a divisor of L that holds the sub-pulse), two spectrum rows to a
-  transform, and never synthesizes the train. It sums only the band's bins:
-  the energy of all L bins, the capture's total, comes from the discrete
-  Parseval identity.
+* ``metrics.measure_train`` measures the same L bins of a pulse train,
+  picked by the same ``bins_within`` rule, and never synthesizes the train
+  or transforms at length L: the band's moments are the sub-pulse's
+  autocorrelation against a band kernel of the coefficients' comb, a chirp
+  z-transform at the sub-pulse's lags. The energy of all L bins, the
+  capture's total, comes from the discrete Parseval identity.
 * Every sum of products in the package (energies, moments, the btrrc
   cosine sum) runs in numpy's own ``einsum`` loop (``sum_of_products``),
   never in BLAS. A threaded BLAS splits a long sum between its threads, so

@@ -138,7 +138,7 @@ class TestSharedLayouts:
 
         def counting(parts, band, zero_pad=4):
             layout = real(parts, band, zero_pad)
-            built.append(weakref.ref(layout.rows))
+            built.append(weakref.ref(layout.kernel))
             return layout
 
         monkeypatch.setattr(experiments, "spectrum_layout", counting)
@@ -488,6 +488,19 @@ class TestOrthogonalityScan:
 
 class TestTurnedAutocorrelation:
     """``_turned_autocorrelation`` against the double sum it is defined by."""
+
+    @pytest.mark.parametrize("spec", [
+        PulseSpec(M=32, N=8, beta=0.3),
+        PulseSpec(M=8, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=3, otfs_n=1),
+        PulseSpec(M=8, N=4, Q=32, beta=0.6, family=PulseFamily.GENERAL_DDOP, subpulse="btrrc"),
+    ], ids=["ddop", "otfs", "gddop-btrrc"])
+    def test_chunks_of_one_row_give_the_same_bits(self, spec, monkeypatch):
+        """The Doppler rows transformed one at a time give the scan of one
+        chunk of them all, bit for bit."""
+        monkeypatch.setattr(experiments, "_SCAN_CHUNK_BYTES", 1 << 40)
+        whole = orthogonality_scan(spec, 3, 9, oversample=4)
+        monkeypatch.setattr(experiments, "_SCAN_CHUNK_BYTES", 1)
+        assert np.array_equal(orthogonality_scan(spec, 3, 9, oversample=4), whole)
 
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("phases", [1, 4])

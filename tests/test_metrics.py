@@ -17,7 +17,6 @@ from ddopkit.metrics import (
     measure_freq,
     measure_time,
     measure_train,
-    spectrum_rows,
 )
 from ddopkit import metrics, pulses
 from ddopkit.experiments import measure_point
@@ -349,7 +348,7 @@ def assert_same_metrics(got, want, rel=1e-12):
 class TestMeasureTrain:
     """The train measured from its parts against ``measure_all`` of its samples."""
 
-    @pytest.mark.parametrize("spec,oversample,zero_pad,rows", [
+    @pytest.mark.parametrize("spec,oversample,zero_pad,comb", [
         *((replace(DEFAULT, beta=beta, subpulse=shape), 16, 4, (512, 2025))
           for shape in ("rrc", "btrrc") for beta in (0.0, 0.35, 1.0)),
         (PulseSpec(M=64, N=8, family=PulseFamily.FDM), 8, 4, (512, 32)),
@@ -363,12 +362,14 @@ class TestMeasureTrain:
     ], ids=["rrc-0", "rrc-0.35", "rrc-1", "btrrc-0", "btrrc-0.35", "btrrc-1", "fdm",
             "fdm-comb-at-row-r/2", "otfs-m0", "otfs-m5", "otfs-m31", "real-odd-m-odd-r", "real-odd-m-even-r",
             "complex-odd-m-even-r", "complex-odd-m-odd-r"])
-    def test_matches_the_sampled_spectrum(self, spec, oversample, zero_pad, rows):
-        """Every parity of m and r, real and complex, against measure_all to 1e-12."""
+    def test_matches_the_sampled_spectrum(self, spec, oversample, zero_pad, comb):
+        """Odd and even g = gcd(L, P) and R = L/g, real and complex, against
+        measure_all to 1e-12."""
         parts = train_parts(spec, oversample)
-        assert spectrum_rows(parts, zero_pad) == rows
-        assert parts.subpulse.shape[0] <= min(rows[0], parts.per_t)
         band = AnalysisBand.default_for(spec)
+        layout = metrics.spectrum_layout(parts, band, zero_pad)
+        assert (layout.length // layout.period, layout.period) == comb
+        assert parts.subpulse.shape[0] <= min(comb[0], parts.per_t)
         assert_same_metrics(measure_train(parts, band, zero_pad),
                             measure_all(synth_pulse(spec, oversample), band, zero_pad))
 
@@ -380,8 +381,7 @@ class TestMeasureTrain:
         rounding of about 1e-16 * (L/2) bins, so it is the reference there
         only to 1e-9."""
         parts = train_parts(DEFAULT)
-        m, r = spectrum_rows(parts)
-        length = m * r
+        length = fast_length(4 * parts.grid.num_samples)
         spectrum = power_spectrum(parts.signal())
         assert spectrum.values.shape[0] == length == 1_036_800
         default = AnalysisBand.default_for(DEFAULT)
@@ -396,23 +396,24 @@ class TestMeasureTrain:
                 assert_same_metrics(measure_train(parts, band), measure_all(parts.signal(), band), rel=rel)
         assert (-1, 3) in picked and (-2, 3) in picked  # both sides of a one-bin asymmetry
 
-    @pytest.mark.parametrize("spec,oversample,zero_pad,rows", [
-        (PulseSpec(M=256, N=8, beta=0.35, subpulse="btrrc"), 16, 4, (432, 270)),
-        (PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP), 8, 4, (75, 125)),
-        (PulseSpec(M=12, N=4), 8, 4, (25, 50)),
-        (PulseSpec(M=33, N=7, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2), 5, 4, (192, 25)),
-        (PulseSpec(M=12, N=7, family=PulseFamily.OTFS_BASIS, otfs_m=1, otfs_n=1), 8, 2, (135, 10)),
-        (PulseSpec(M=16, N=4, Q=40, family=PulseFamily.TDM), 8, 4, (640, 4)),
+    @pytest.mark.parametrize("spec,oversample,zero_pad,comb", [
+        (PulseSpec(M=256, N=8, beta=0.35, subpulse="btrrc"), 16, 4, (32, 3645)),
+        (PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP), 8, 4, (1, 9375)),
+        (PulseSpec(M=12, N=4), 8, 4, (2, 625)),
+        (PulseSpec(M=33, N=7, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2), 5, 4, (15, 320)),
+        (PulseSpec(M=12, N=7, family=PulseFamily.OTFS_BASIS, otfs_m=1, otfs_n=1), 8, 2, (6, 225)),
+        (PulseSpec(M=16, N=4, Q=40, family=PulseFamily.TDM), 8, 4, (128, 20)),
     ], ids=["ddop-256x8", "gddop-odd-m-odd-r", "ddop-odd-m-even-r", "otfs-toned", "otfs-odd-m",
             "tdm-one-subpulse-wider-than-P"])
-    def test_rows_wider_than_the_comb_period(self, spec, oversample, zero_pad, rows):
-        """Where gcd(L, P) < w, the rows are m >= w bins, m the smallest divisor
-        of L that holds the sub-pulse, and each bin is weighted by its own
-        comb entry; the result is measure_all's to 1e-12."""
+    def test_rows_wider_than_the_comb_period(self, spec, oversample, zero_pad, comb):
+        """Where g = gcd(L, P) < w, the lags outrun the g-point sums T_a,
+        which the band kernel reads at e mod g, and the rows that find lit
+        bins fold the sub-pulse modulo g; the result is measure_all's to
+        1e-12."""
         parts = train_parts(spec, oversample)
-        m, r = spectrum_rows(parts, zero_pad)
-        assert (m, r) == rows and math.gcd(m * r, parts.per_t) < parts.subpulse.shape[0] <= m
         band = AnalysisBand.default_for(spec)
+        layout = metrics.spectrum_layout(parts, band, zero_pad)
+        assert (layout.length // layout.period, layout.period) == comb and comb[0] < parts.subpulse.shape[0]
         assert_same_metrics(measure_train(parts, band, zero_pad),
                             measure_all(synth_pulse(spec, oversample), band, zero_pad))
 
@@ -423,7 +424,7 @@ class TestMeasureTrain:
     ], ids=["gddop-16x4", "gddop-64x8-btrrc", "gddop-16x4-q256"])
     def test_overlapping_subpulses_add_lag_terms(self, spec, overlap):
         """Where the sub-pulses overlap (w > P), the row spectrum still holds
-        the sub-pulse and ΔT adds the lag products: measure_all's to 1e-12."""
+        the sub-pulse's autocorrelation over its 2w - 1 lags and ΔT adds the lag products: measure_all's to 1e-12."""
         parts = train_parts(spec, 8)
         assert parts.subpulse.shape[0] == overlap * parts.per_t
         band = AnalysisBand.default_for(spec)
@@ -450,21 +451,6 @@ class TestMeasureTrain:
         lag0 = math.sqrt(np.cov(tau, aweights=np.abs(sub) ** 2, ddof=0)
                          + period ** 2 * np.cov(k, aweights=np.abs(coefficients) ** 2, ddof=0))
         assert abs(lag0 / got.time_dispersion - 1.0) > 0.01
-
-    def test_row_size_rule(self):
-        """m = gcd(L, P) where the sub-pulse fits in it, else the smallest
-        divisor of L that is at least w, against a search over every divisor."""
-        for num_samples in (2, 7, 29, 96, 1000, 4801):
-            for zero_pad in (1, 4):
-                length = fast_length(zero_pad * num_samples)
-                for per_t in (1, 12, 45, 128, 165):
-                    for width in {1, 2, 5, 16, 31, per_t, num_samples}:
-                        if width > num_samples:
-                            continue
-                        parts = TrainParts(TimeGrid(0.0, 1.0, num_samples), np.ones(width), 1.0, np.ones(1), per_t)
-                        g = math.gcd(length, per_t)
-                        m = g if width <= g else min(d for d in range(width, length + 1) if length % d == 0)
-                        assert spectrum_rows(parts, zero_pad) == (m, length // m)
 
     @pytest.mark.parametrize("spec", [replace(DEFAULT, beta=0.5, subpulse="btrrc"),
                                       PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc"),
@@ -516,50 +502,6 @@ class TestMeasureTrain:
                 measure_train(parts, band)
             assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("m,r,first", [(16, 7, -3), (16, 7, 0), (15, 8, -4), (9, 5, 0)])
-    def test_window_sums_match_a_mask(self, m, r, first):
-        """Each row's in-band sums, and its nonzero count over its column runs,
-        against a mask over every bin kappa = j + r*(c - m//2) of a centered
-        power array with exact zeros, handed over in FFT order, for bands
-        inside, across and past the rows' span. Each band is asked for twice,
-        as a band that is its own mirror is, and both answers are the one
-        result."""
-        rows = np.arange(first, first + r)
-        rng = np.random.default_rng(m * r)
-        power = rng.random((r, m)) * (rng.random((r, m)) < 0.7)
-        i = np.arange(m) - m // 2
-        kappa = rows[:, None] + r * i
-        span = (int(kappa.min()), int(kappa.max()) + 1)
-        bands = [(lo, hi) for lo in range(span[0] - 2, span[1] + 2, 3)
-                 for hi in range(lo + 1, span[1] + 3, 4)]
-        fft_order = np.fft.ifftshift(power, axes=1)
-        got = metrics._window_sums(fft_order, rows, r, [band for band in bands for _ in range(2)])
-        for (lo, hi), sums, again in zip(bands, got[::2], got[1::2]):
-            inside = (kappa >= lo) & (kappa < hi)
-            held = np.where(inside, power, 0.0)
-            np.testing.assert_allclose(sums, [held.sum(axis=1), held @ i, held @ (i * i)], rtol=1e-13, atol=1e-13)
-            nonzero = [sum(np.count_nonzero(fft_order[n, c0:c1]) for c0, c1 in metrics._column_runs(j, (lo, hi), r, m))
-                       for n, j in enumerate(rows)]
-            assert np.array_equal(nonzero, np.count_nonzero(held, axis=1))
-            assert again is sums
-
-    def test_symmetric_band_is_summed_once(self, monkeypatch):
-        """The default band, kappa in [-324000, 324001), is its own mirror
-        (1 - hi, 1 - lo): one set of window sums serves both row weightings,
-        and the result is still measure_all's."""
-        seen = []
-        window_sums = metrics._window_sums
-
-        def spy(power, rows, r, bands):
-            seen.append((bands, window_sums(power, rows, r, bands)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(metrics, "_window_sums", spy)
-        band = AnalysisBand.default_for(DEFAULT)
-        assert_same_metrics(measure_train(train_parts(DEFAULT), band), measure_all(synth_pulse(DEFAULT), band))
-        [(bands, sums)] = seen
-        assert bands == [(-324_000, 324_001)] * 2 and sums[0] is sums[1]
-
     def test_capture_from_parseval(self):
         """The capture's total is L * sum|c_k|^2 * sum|s_t|^2, every bin's energy
         by discrete Parseval: a band holding every bin captures exactly 1, and
@@ -597,89 +539,153 @@ def _parts(num_samples, per_t, sub, coefficients=(1.0, 1.0, 1.0)):
     return TrainParts(TimeGrid(0.0, 1.0, num_samples), np.asarray(sub), 1.0, np.asarray(coefficients), per_t)
 
 
-_X20, _X21 = np.arange(20) + 0.5, np.arange(21) + 0.5
-_ROW_CASES = {
-    # id: (parts, zero_pad, (m, r), rows read); m = gcd(L, P) unless the sub-pulse is wider
-    "even-w": (_parts(96, 32, np.sin(np.pi * _X20 / 20) ** 2), 4, (32, 12), 7),
-    "odd-w": (_parts(96, 32, np.sin(np.pi * _X21 / 21) ** 2), 4, (32, 12), 7),
-    "odd-m-even-w": (_parts(45, 15, np.hanning(10)), 1, (15, 3), 2),
-    "odd-m-odd-w": (_parts(45, 15, np.hanning(9)), 1, (15, 3), 2),
-    "asymmetric-real": (_parts(96, 32, np.random.default_rng(3).random(20)), 4, (32, 12), 7),
-    "complex-coefficients": (_parts(96, 32, np.hanning(20), np.exp(0.6j * np.pi * np.arange(3))), 4, (32, 12), 12),
-    "one-row": (_parts(16, 16, np.hanning(11)), 1, (16, 1), 1),
-    "two-rows": (_parts(16, 16, np.hanning(11)), 2, (16, 2), 2),
-    "bin-weights": (_parts(96, 32, np.hanning(40)), 4, (48, 8), 5),
-    "otfs-window": (train_parts(PulseSpec(M=16, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=1), 4),
-                    4, (64, 16), 16),
+_KERNEL_CASES = {
+    # id: (parts, zero_pad, (g, R, w)), g = gcd(L, P) and R = L/g
+    "w-wider-than-g": (_parts(104, 32, np.hanning(40)), 4, (16, 27, 40)),
+    "odd-L": (_parts(45, 15, np.hanning(9)), 1, (15, 3, 9)),
+    "complex-otfs": (train_parts(PulseSpec(M=16, N=4, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=1), 4),
+                     4, (64, 16, 64)),
+    "overlapping-gddop": (train_parts(PulseSpec(M=8, N=2, Q=8, family=PulseFamily.GENERAL_DDOP), 2),
+                          4, (2, 225, 32)),
 }
 
 
-class TestRowPower:
-    """``_row_power`` transforms two rows per FFT, the conjugate-even and
-    -odd parts of the sub-pulse apart; against a direct DFT of every row."""
+def _direct_kernel(parts, kappas, length):
+    """sum over lo <= kappa < hi of (kappa - c)^p |C(kappa)|^2 omega^(kappa e), every
+    comb entry and every power of omega = exp(-2j pi/L) summed directly."""
+    lo, hi = kappas
+    kappa, e = np.arange(lo, hi), np.arange(parts.subpulse.shape[0])
+    n = np.arange(parts.coefficients.shape[0])
+    comb = np.exp(-2j * np.pi * (np.outer(kappa, n * parts.per_t) % length) / length) @ parts.coefficients
+    weighted = np.abs(comb) ** 2 * np.exp(-2j * np.pi * (np.outer(kappa, e) % length) / length).T
+    return np.stack([weighted @ (kappa - 0.5 * (lo + hi - 1)) ** p for p in range(3)])
 
-    @pytest.mark.parametrize("case", sorted(_ROW_CASES))
-    def test_matches_a_direct_dft(self, case):
-        """|sum_t s_t exp(-2j pi (j + r c) t/L)|^2 for each row j read and each
-        FFT-order column c, to 1e-12 of the peak; row 0 bit for bit the
-        unturned |FFT_m(s)|^2."""
-        parts, zero_pad, shape, count = _ROW_CASES[case]
+
+def _layout_kernel(layout):
+    """The layout's K_p[e], undoing its conjugate and its doubled lags."""
+    kernel = np.conj(layout.kernel.view(np.complex128))
+    kernel[:, 1:] /= 2.0
+    return kernel
+
+
+class TestBandKernel:
+    """The band kernel K_p (``_band_kernel``), from one chirp z-transform and
+    g-point sums, against the sums it stands for, and the lit rows that
+    reject a band whose energy sits in one bin."""
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_matches_a_direct_sum(self, case):
+        """Every lag's K_p to 1e-12 of its largest magnitude, for bands that
+        hold every bin, about half of them, a run across the comb's period,
+        fewer bins than one period, two bins, and none."""
+        parts, zero_pad, (g, period, width) = _KERNEL_CASES[case]
+        length = fast_length(zero_pad * parts.grid.num_samples)
+        assert (math.gcd(length, parts.per_t), length // g, parts.subpulse.shape[0]) == (g, period, width)
+        half = length // 2
+        for kappas in ((-half, length - half), (-half // 2, half // 2 + 1), (-period - 2, period + 1),
+                       (3, period), (-1, 1), (5, 7), (2, 2)):
+            lo, hi = kappas = max(kappas[0], -half), min(kappas[1], length - half)
+            rows = np.arange(min(period, hi - lo))
+            comb = np.abs(np.fft.fft(parts.coefficients, period)) ** 2
+            weight = comb[(lo + rows) * (parts.per_t // g) % period]
+            got = metrics._band_kernel(weight, kappas, period, length, width)
+            want = _direct_kernel(parts, kappas, length)
+            want[:, 1:] *= 2.0
+            scale = np.abs(want).max(axis=1, keepdims=True) if hi > lo else 1.0
+            np.testing.assert_allclose(np.conj(got.view(np.complex128)) / scale, want / scale, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_moments_match_the_train_dft(self, case):
+        """kernel times the sub-pulse's autocorrelation is
+        sum (kappa - c)^p |U(kappa)|^2 over the default band, U the length-L DFT
+        of the train added from its parts, to 1e-12 of the p-th sum of |U|^2 |kappa - c|^p."""
+        parts, zero_pad, _ = _KERNEL_CASES[case]
+        spec_band = AnalysisBand(half_width=0.3 / parts.grid.sample_interval)
+        layout = metrics.spectrum_layout(parts, spec_band, zero_pad)
+        (lo, hi), length = layout.kappas, layout.length
+        np.testing.assert_allclose(_layout_kernel(layout), _direct_kernel(parts, (lo, hi), length), rtol=0,
+                                   atol=1e-12 * np.abs(_layout_kernel(layout)).max())
+        u = np.zeros(parts.grid.num_samples, dtype=np.complex128)
+        for offset, coefficient in zip(parts.offsets, parts.coefficients):
+            u[offset:offset + parts.subpulse.shape[0]] += coefficient * parts.subpulse
+        power = np.abs(np.fft.fft(u, length)[np.arange(lo, hi) % length]) ** 2
+        offsets = np.arange(lo, hi) - 0.5 * (lo + hi - 1)
+        width = parts.subpulse.shape[0]
+        rho = np.array([np.sum(parts.subpulse[e:] * np.conj(parts.subpulse[:width - e])) for e in range(width)],
+                       dtype=np.complex128)
+        got = np.einsum("pe,e->p", layout.kernel, rho.view(np.float64))
+        for p in range(3):
+            assert abs(got[p] - power @ offsets ** p) <= 1e-12 * (power @ np.abs(offsets) ** p)
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_band_wider_than_every_bin(self, case):
+        """A band wider than the L bins holds all of them: capture exactly 1,
+        and measure_all's numbers to 1e-12."""
+        parts, zero_pad, _ = _KERNEL_CASES[case]
+        band = AnalysisBand(half_width=1e9)
+        got = measure_train(parts, band, zero_pad)
+        assert got.energy_capture == 1.0
+        assert_same_metrics(got, measure_all(parts.signal(), band, zero_pad))
+
+    @pytest.mark.parametrize("case,message", [
+        (dict(spec=PulseSpec(M=45, N=2, family=PulseFamily.FDM), oversample=1, zero_pad=1), "only one of the 90 bins"),
+        (dict(spec=PulseSpec(M=16, N=2, family=PulseFamily.TDM), oversample=1, zero_pad=1), "only one of the"),
+        (dict(spec=PulseSpec(M=16, N=4, family=PulseFamily.FDM), oversample=4, zero_pad=1, half_width=1e4),
+         "only one of the 256 bins"),
+    ], ids=["fdm-45x2", "tdm-16x2", "fdm-16x4-every-bin"])
+    def test_one_bin_with_energy_rejected(self, case, message):
+        """Row 0 of the comb is not turned, so the exact zeros of its spectrum
+        stay exact: where it is the only row the comb keeps, its one nonzero
+        bin is counted and the band rejected with the zero-pad advice."""
+        spec = case["spec"]
+        band = AnalysisBand(half_width=case.get("half_width", AnalysisBand.default_for(spec).half_width))
+        with pytest.raises(DegenerateInputError, match=message + ".*raise the zero-pad factor"):
+            measure_train(train_parts(spec, case["oversample"]), band, case["zero_pad"])
+
+    def test_rows_read_in_order_until_two_are_lit(self, monkeypatch):
+        """Two lit rows end the search after the first two rows. A sub-pulse
+        with no energy lights none, and every row with comb weight is read
+        once, in row order, in chunks of the set size."""
+        parts, zero_pad, (g, period, width) = _KERNEL_CASES["w-wider-than-g"]
         layout = metrics.spectrum_layout(parts, AnalysisBand(half_width=1e9), zero_pad)
-        m, r = shape
-        assert (layout.m, layout.r) == shape and layout.rows.shape[0] == count
-        assert (layout.bin_weight is not None) == (case == "bin-weights")
-        sub = parts.subpulse
-        mirrored = np.conj(sub[::-1])
-        if case in ("asymmetric-real", "otfs-window"):
-            assert np.any(sub + mirrored) and np.any(sub - mirrored)  # both parts are transformed
-        got = metrics._row_power(sub, layout)
-        t = np.arange(sub.shape[0])
-        want = np.array([[abs(np.sum(sub * np.exp(-2j * np.pi * ((j + r * c) * t % (m * r)) / (m * r)))) ** 2
-                          for c in range(m)] for j in layout.rows])
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
-        zero = np.fft.fft(sub, m)
-        assert np.array_equal(got[list(layout.rows).index(0)], zero.real ** 2 + zero.imag ** 2)
+        turned = []
+        turn_table = metrics._turn_table
 
-    def test_even_subpulses_take_one_part(self, monkeypatch):
-        """Every real family's sub-pulse is its own mirror, so its conjugate-odd
-        part is zero and only the even part is transformed: half as many
-        FFT rows as rows read, plus row 0."""
-        spec = PulseSpec(M=64, N=8)
-        parts = train_parts(spec, 8)
-        assert np.array_equal(parts.subpulse, parts.subpulse[::-1])
-        layout = metrics.spectrum_layout(parts, AnalysisBand.default_for(spec))
-        transformed = []
-        fft = np.fft.fft
+        def noting(k, t, period_):
+            turned.append(k.copy())
+            return turn_table(k, t, period_)
 
-        def counting(a, n=None, axis=-1, norm=None, out=None):
-            transformed.append(a.shape[0] if a.ndim == 2 else 1)
-            return fft(a, n, axis, norm, out)
-
-        monkeypatch.setattr(np.fft, "fft", counting)
-        metrics._row_power(parts.subpulse, layout)
-        assert sum(transformed) == (layout.rows.shape[0] + 1) // 2 + 1
+        monkeypatch.setattr(metrics, "_turn_table", noting)
+        assert metrics._lit_bins(parts.subpulse, layout) == 2
+        assert [list(k) for k in turned] == [list(layout.rows[:2] % period)]
+        turned.clear()
+        monkeypatch.setattr(metrics, "_LIT_CHUNK_ELEMENTS", 3 * -(-width // g) * g)  # 3 rows, folded
+        assert metrics._lit_bins(np.zeros(width), layout) == 0
+        assert [len(k) for k in turned] == [2] + [3] * ((layout.rows.shape[0] - 2) // 3) + (
+            [(layout.rows.shape[0] - 2) % 3] if (layout.rows.shape[0] - 2) % 3 else [])
+        assert np.array_equal(np.concatenate(turned), layout.rows % period)
 
 
 class TestSpectrumLayout:
-    """A layout holds what a train's row spectrum reads besides its sub-pulse
+    """A layout holds what a train's band moments read besides its sub-pulse
     samples; it serves only the trains, band and zero_pad it was built for."""
 
-    @pytest.mark.parametrize("spec,oversample,row_weights", [
+    @pytest.mark.parametrize("spec,oversample,fits_g", [
         (PulseSpec(M=16, N=4, beta=0.2), 16, True),
         (PulseSpec(M=16, N=4, beta=0.2, subpulse="btrrc"), 16, True),
         (PulseSpec(M=32, N=8, beta=0.2, subpulse="btrrc"), 8, False),
         (PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.GENERAL_DDOP), 8, False),
         (PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2), 8, True),
     ], ids=["rrc", "btrrc", "btrrc-bin-weights", "gddop-bin-weights", "otfs-complex"])
-    def test_another_beta_shares_the_layout(self, spec, oversample, row_weights):
+    def test_another_beta_shares_the_layout(self, spec, oversample, fits_g):
         """Another roll-off changes only the sub-pulse samples: the first
-        point's layout measures the second to the same bits as its own, with
-        the comb as row weights (m = gcd(L, P)) or as per-bin weights."""
+        point's layout measures the second to the same bits as its own,
+        whether the sub-pulse fits in g = gcd(L, P) or not."""
         band = AnalysisBand.default_for(spec)
         layout = metrics.spectrum_layout(train_parts(spec, oversample), band)
         other = train_parts(replace(spec, beta=0.7), oversample)
         assert layout.key == metrics.layout_key(other, band, 4)
-        assert (layout.bin_weight is None) == row_weights
+        assert (other.subpulse.shape[0] <= layout.length // layout.period) == fits_g
         assert measure_train(other, band, 4, layout) == measure_train(other, band, 4)
 
     @pytest.mark.parametrize("other", ["band", "zero_pad", "Q", "otfs_n"])
@@ -704,56 +710,26 @@ class TestSpectrumLayout:
         with pytest.raises(InvalidInputError, match="spectrum layout was built for another train"):
             measure_train(parts, band, zero_pad, layout)
 
-    def test_points_write_the_layouts_power(self):
-        """Two roll-offs measured with one layout each write the power array
-        built with it, and still get the numbers they get alone."""
+    def test_measurements_leave_the_layout_as_built(self):
+        """Two roll-offs measured with one layout read it and write nothing:
+        its arrays keep their bits, and each point gets the numbers it gets
+        alone."""
         spec = PulseSpec(M=16, N=4, subpulse="btrrc")
         band = AnalysisBand.default_for(spec)
         layout = metrics.spectrum_layout(train_parts(spec, 16), band)
-        rows = layout.rows.shape[0]
+        before = [array.copy() for array in (layout.kernel, layout.rows, layout.runs)]
         found = []
         for beta in (0.3, 0.7):
             parts = train_parts(replace(spec, beta=beta), 16)
-            layout.power.fill(np.nan)
             found.append(measure_train(parts, band, 4, layout))
-            assert np.isfinite(layout.power[:rows]).all()
             assert found[-1] == measure_train(parts, band)
         assert found[0] != found[1]
-
-    @pytest.mark.parametrize("spec", [
-        PulseSpec(M=16, N=4, beta=0.2),
-        PulseSpec(M=16, N=4, beta=0.2, subpulse="btrrc"),
-        PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.GENERAL_DDOP),
-        PulseSpec(M=32, N=8, beta=0.2, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2),
-    ], ids=["rrc", "btrrc", "gddop-bin-weights", "otfs-complex"])
-    def test_row_power_reuses_the_layouts_arrays(self, spec, monkeypatch):
-        """Every in-place FFT of the row spectrum runs in the layout's buffer
-        and the power returned is a view of its power array, for each of two
-        roll-offs measured with the one layout."""
-        band = AnalysisBand.default_for(spec)
-        layout = metrics.spectrum_layout(train_parts(spec, 8), band)
-        targets = []
-        fft = np.fft.fft
-
-        def noting_out(a, n=None, axis=-1, norm=None, out=None):
-            if out is not None:
-                targets.append(out)
-            return fft(a, n, axis, norm, out)
-
-        monkeypatch.setattr(np.fft, "fft", noting_out)
-        for beta in (0.3, 0.7):
-            targets.clear()
-            power = metrics._row_power(train_parts(replace(spec, beta=beta), 8).subpulse, layout)
-            assert np.shares_memory(power, layout.power)
-            assert targets and all(np.shares_memory(out, layout.buffer) for out in targets)
+        assert all(np.array_equal(a, b) for a, b in zip(before, (layout.kernel, layout.rows, layout.runs)))
 
     def test_arrays_are_read_only(self):
         spec = PulseSpec(M=32, N=8, family=PulseFamily.GENERAL_DDOP)
         layout = metrics.spectrum_layout(train_parts(spec, 8), AnalysisBand.default_for(spec))
-        arrays = [layout.rows, layout.coarse, layout.fine, layout.rotate, layout.bin_weight,
-                  *(w for _, _, w in layout.bands)]
-        assert len(layout.bands) == 2
-        for array in arrays:
+        for array in (layout.kernel, layout.rows, layout.runs):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -31,13 +31,13 @@ for otfs): 28 more. Then verify of gddop at ``--M 16 --N 4 --Q 40
 --oversample 8`` for ``--subpulse rrc`` and ``btrrc``, whose sub-pulses span
 2Q/M = 5 symbol periods, so the orthogonality scan sums many lags per delay
 row. Then json metrics of the default 256 x 64 ddop train, whose sub-pulse
-fits one spectrum row: rrc at beta 0, 0.5 and 1, btrrc at beta 0.5, and rrc
-at ``--T 0.37``; and of the otfs family at ``--M 32 --N 8 --oversample 8
---otfs-m 5 --otfs-n 2``, a complex pulse measured from every spectrum row;
-and two trains whose sub-pulse is wider than gcd(L, P), so their rows are
-longer than the comb's period: the btrrc ``--N 8`` train at the default
-M = 256 (rows of m = 432) and gddop at ``--M 32 --N 8 --oversample 8`` (odd
-rows, m = 75). Then the benchmark's 11-point btrrc beta sweep of the
+of w = 416 samples fits in g = gcd(L, P) = 512: rrc at beta 0, 0.5 and 1,
+btrrc at beta 0.5, and rrc at ``--T 0.37``; and of the otfs family at
+``--M 32 --N 8 --oversample 8 --otfs-m 5 --otfs-n 2``, a complex pulse;
+and two trains whose sub-pulse is wider than g, so their band kernel reads
+its g-point sums at lags past g: the btrrc ``--N 8`` train at the default
+M = 256 (g = 32, w = 416) and gddop at ``--M 32 --N 8 --oversample 8``
+(g = 1, an odd L). Then the benchmark's 11-point btrrc beta sweep of the
 default M = 256, N = 8 train, long enough that a threaded BLAS would split
 its sums, and json ``sweep --vary q --steps 3`` at ``--M 64 --N 8
 --oversample 8`` (Q 1, 8 and 64), whose points each read their own
@@ -47,10 +47,15 @@ spectrum layout and whose Q = 64 row fails. Then json metrics of gddop at
 overlapping sub-pulses. Then verify of ``--M 32 --N 8 --band 1e-9`` (a
 band of one bin) and of ``--family tdm --M 16 --N 2 --oversample 1
 --zero-pad 1`` (one band bin with energy), where the sampled measurement
-rejects the band. Last, json metrics of the btrrc sub-pulse at ``--M 64
+rejects the band. Then json metrics of the btrrc sub-pulse at ``--M 64
 --N 8``: at ``--beta 5e-324``, where both rolloff branches are empty, and
 at ``--Q 2500 --beta 0.05 --oversample 1``, a sub-pulse 78 symbol periods
-long: 332 distinct cases. Every train is measured from its parts.
+long. Last, metrics of two fdm trains whose band holds one bin with energy,
+the rest exact zeros of the spectrum: ``--M 45 --N 2 --oversample 1
+--zero-pad 1``, and ``--M 16 --N 4 --oversample 4 --zero-pad 1 --band
+10000``, a band wider than every bin; and json metrics of ``--M 251 --N
+16``, whose g = gcd(L, P) is 16, so its comb repeats only every R = L/g
+bins: 335 distinct cases. Every train is measured from its parts.
 """
 
 from __future__ import annotations
@@ -113,7 +118,11 @@ def cases() -> list[list[str]]:
                  ["verify", "--family", "tdm", "--M", "16", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
                  ["metrics", "--family", "btrrc", "--M", "64", "--N", "8", "--beta", "5e-324", "--format", "json"],
                  ["metrics", "--family", "btrrc", "--M", "64", "--N", "8", "--Q", "2500", "--beta", "0.05",
-                  "--oversample", "1", "--format", "json"]):
+                  "--oversample", "1", "--format", "json"],
+                 ["metrics", "--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
+                 ["metrics", "--family", "fdm", "--M", "16", "--N", "4", "--oversample", "4", "--zero-pad", "1",
+                  "--band", "10000"],
+                 ["metrics", "--M", "251", "--N", "16", "--format", "json"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
