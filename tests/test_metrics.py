@@ -594,6 +594,22 @@ class TestBandKernel:
             scale = np.abs(want).max(axis=1, keepdims=True) if hi > lo else 1.0
             np.testing.assert_allclose(np.conj(got.view(np.complex128)) / scale, want / scale, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("length,n,count", [(45, 30, 40), (1024, 200, 17), (16, 1, 1), (1_036_800, 300, 500)],
+                             ids=["odd-L", "fewer-lags-than-samples", "one-sample", "large-L"])
+    def test_chirp_z_matches_a_direct_sum(self, length, n, count):
+        """sum_j x[:, j] omega^(j e) for e < count against every power of
+        omega = exp(-2j pi/L) taken directly, to 1e-12 of sum_j |x[:, j]|, with
+        the chirp's angles k^2 reduced mod 2L as the band kernel reduces them."""
+        rng = np.random.default_rng(length + n)
+        x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        k = np.arange(max(n, count), dtype=np.int64)
+        angle = k * k % (2 * length)
+        angle[angle > length] -= 2 * length
+        got = metrics._chirp_z(x, np.exp(-1j * np.pi * angle / length), count)
+        want = x @ np.exp(-2j * np.pi * (np.outer(np.arange(n), np.arange(count)) % length) / length)
+        assert got.shape == (3, count)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(x).sum(axis=1).max())
+
     @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
     def test_moments_match_the_train_dft(self, case):
         """kernel times the sub-pulse's autocorrelation is
@@ -709,6 +725,32 @@ class TestSpectrumLayout:
         layout = metrics.spectrum_layout(*built_for)
         with pytest.raises(InvalidInputError, match="spectrum layout was built for another train"):
             measure_train(parts, band, zero_pad, layout)
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_rows_and_runs_match_a_mask(self, case):
+        """The lit rows, in row order, and each one's run against a mask over
+        every bin kappa of the band, kappa in row lo + (kappa - lo) mod R, for
+        bands of every bin, about half of them, a run across the comb's
+        period, fewer bins than one period and one bin. The comb weight
+        read from one R-point FFT is the directly summed |C(kappa)|^2 to 1e-12
+        of its bound (sum |c_n|)^2."""
+        parts, zero_pad, (g, period, _) = _KERNEL_CASES[case]
+        length = fast_length(zero_pad * parts.grid.num_samples)
+        freq_interval = 1.0 / (length * parts.grid.sample_interval)
+        n = np.arange(parts.coefficients.shape[0])
+        for bins in (1e9, length // 4 + 0.5, period + 1.5, (period - 1) // 2 - 0.5, 0.5):
+            layout = metrics.spectrum_layout(parts, AnalysisBand(half_width=bins * freq_interval), zero_pad)
+            lo, hi = layout.kappas
+            assert layout.period == period and (hi - lo) == min(length, 2 * math.floor(bins) + 1)
+            kappa = np.arange(lo, hi)
+            weight = np.abs(np.fft.fft(parts.coefficients, period)[kappa * (parts.per_t // g) % period]) ** 2
+            direct = np.abs(np.exp(-2j * np.pi * (np.outer(kappa, n * parts.per_t) % length) / length)
+                            @ parts.coefficients) ** 2
+            np.testing.assert_allclose(weight, direct, rtol=0, atol=1e-12 * np.sum(np.abs(parts.coefficients)) ** 2)
+            row = lo + (kappa - lo) % period
+            lit = np.unique(row[weight > 0.0])
+            assert np.array_equal(layout.rows, lit)
+            assert np.array_equal(layout.runs, [np.count_nonzero(row == j) for j in lit])
 
     def test_measurements_leave_the_layout_as_built(self):
         """Two roll-offs measured with one layout read it and write nothing:
