@@ -38,7 +38,7 @@ from .metrics import (
     AnalysisBand,
     LocalizationMetrics,
     SpectrumLayout,
-    _train_energy,
+    _train_moments,
     layout_key,
     measure_train,
     spectrum_layout,
@@ -348,10 +348,10 @@ def orthogonality_scan(
     exp(-2j pi n~ t0/(NT)) of the grid's start t0 has unit modulus and the
     scan reports magnitudes, so it is left out; dt cancels. The energy
     ||u||^2 = sum_q (sum_k c_k conj(c_{k-q})) (sum_j s_j conj(s_{j+qP})) is
-    ``metrics._train_energy``, over ``measure_train``'s lag products, in the
-    time domain, not read from the transforms, so the origin (1 for every
-    pulse) compares two independent computations. A zero energy raises
-    ``DegenerateInputError``.
+    the energy of ``metrics._train_moments``, the lag sum ``measure_train``
+    reads too, in the time domain, not read from the transforms, so the
+    origin (1 for every pulse) compares two independent computations. A
+    zero energy raises ``DegenerateInputError``.
     """
     max_delay_steps = non_negative_int(max_delay_steps, "max_delay_steps")
     max_doppler_steps = non_negative_int(max_doppler_steps, "max_doppler_steps")
@@ -359,7 +359,7 @@ def orthogonality_scan(
     parts = train_parts(spec, oversample)
     sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
     count = coefficients.shape[0]
-    energy = _train_energy(parts)
+    energy = _train_moments(parts, 1)[0]
     a = _turned_autocorrelation(coefficients, max_doppler_steps, spec.N)
     b = _turned_autocorrelation(sub, max_doppler_steps, spec.N * per_t, oversample)
 

@@ -14,7 +14,9 @@ band's moments are lag products: the sub-pulse's autocorrelation over its
 2w - 1 lags against a band kernel of |C|^2, which a chirp z-transform
 evaluates at exactly those lags. ΔT, the mean time and the energy are the
 sub-pulse's and the coefficients' moments plus, where sub-pulses overlap,
-lag products; the capture's total, all L bins, is the energy by discrete
+lag products, all summed in the time domain by ``_train_moments``, the
+package's one such sum, whose energy ``experiments.orthogonality_scan``
+divides by too; the capture's total, all L bins, is the energy by discrete
 Parseval.
 
 What the band moments read besides the sub-pulse samples, L, the band's
@@ -33,7 +35,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,10 +45,10 @@ from .signal_core import (
     InvalidInputError,
     PowerSpectrum,
     SampledSignal,
+    _transform_grid,
     _turn_table,
     bins_within,
     fast_length,
-    positive_int,
     power_spectrum,
     sum_of_products,
 )
@@ -246,9 +248,8 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     for the rest; a band narrower than R has only its n rows.
     """
     key = layout_key(parts, band, zero_pad)
-    length = fast_length(positive_int(zero_pad, "zero_pad") * parts.grid.num_samples)
-    freq_interval = 1.0 / (length * parts.grid.sample_interval)
-    bins = bins_within(-(length // 2) * freq_interval, freq_interval, length, band.half_width)
+    length, start_freq, freq_interval = _transform_grid(parts.grid, zero_pad)
+    bins = bins_within(start_freq, freq_interval, length, band.half_width)
     lo, hi = bins.start - length // 2, bins.stop - length // 2
     g = math.gcd(length, parts.per_t)
     period = length // g
@@ -322,55 +323,41 @@ def _chirp_z(x: np.ndarray, chirp: np.ndarray, count: int) -> np.ndarray:
     return np.stack([np.fft.ifft(np.fft.fft(row * chirp[:n], size) * spread)[:count] for row in x]) * chirp[:count]
 
 
-def _lag_products(parts: TrainParts) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Lag q and the products of the train u_i = sum_k c_k s_{i-kP} at it:
-    |c_k|^2 and |s_x|^2 at lag 0 (a zero energy is degenerate), then
-    c_k conj(c_{k-q}) and s_x conj(s_{x+qP}) at each lag q >= 1 at which
-    sub-pulses k and k - q share d = w - qP > 0 samples."""
-    sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
-    count, width = coefficients.shape[0], sub.shape[0]
-    coef_power, sub_power = np.abs(coefficients) ** 2, np.abs(sub) ** 2
-    if not float(np.sum(sub_power)) * float(np.sum(coef_power)) > 0.0:
-        raise DegenerateInputError("pulse has zero energy on its grid")
-    yield 0, coef_power, sub_power
-    for q in range(1, min(count, -(-width // per_t))):
-        d = width - q * per_t
-        yield q, coefficients[q:] * coefficients[:count - q].conj(), sub[:d] * sub[width - d:].conj()
-
-
-def _train_energy(parts: TrainParts) -> float:
-    """The train's energy sum_i |u_i|^2 in the time domain: the sums of lag 0's
-    products multiplied, plus 2 Re of each overlapping lag's (``_lag_products``)."""
-    products = _lag_products(parts)
-    _, coef_power, sub_power = next(products)
-    return float(np.sum(sub_power)) * float(np.sum(coef_power)) + 2.0 * sum(
-        float((np.sum(pair) * np.sum(shared)).real) for _, pair, shared in products)
-
-
 def _train_moments(parts: TrainParts, bins: int) -> tuple[float, float, float]:
     """bins times the energy of the train u_i = sum_k c_k s_{i-kP} (with
     bins = L, by discrete Parseval, the power of its L DFT bins), its mean
-    time and its time variance, from its ``_lag_products``. Sample i = kP + x
-    lies at tau_x + kT, T = P dt. Lag 0 gives the moments of |s_x|^2 and
-    |c_k|^2; each overlapping lag q adds 2 Re of sum_k c_k conj(c_{k-q}) kappa_k^a
-    times sum_x s_x conj(s_{x+qP}) sigma_x^b, a + b <= 2, kappa_k and sigma_x
-    the times kT and tau_x about their lag-0 means: exactly 0.0 without overlap."""
-    products = _lag_products(parts)
-    _, coef_power, sub_power = next(products)
+    time and its time variance, summed in the time domain; a zero energy is
+    degenerate. Sample i = kP + x lies at tau_x + kT, T = P dt. Lag 0 gives
+    the moments of |s_x|^2 and |c_k|^2; each lag q >= 1 at which sub-pulses
+    k and k - q share d = w - qP > 0 samples adds 2 Re of
+    sum_k c_k conj(c_{k-q}) kappa_k^a times sum_x s_x conj(s_{x+qP}) sigma_x^b,
+    a + b <= 2, kappa_k and sigma_x the times kT and tau_x about their lag-0
+    means: exactly 0.0 without overlap. The rows (1, kappa, kappa^2) over
+    every k and (1, sigma, sigma^2) over every x are built once, and lag q
+    reads them from k = q and up to x = d."""
+    sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
+    count, width, dt = coefficients.shape[0], sub.shape[0], parts.grid.sample_interval
+    coef_power, sub_power = np.abs(coefficients) ** 2, np.abs(sub) ** 2
     sub_energy, coef_energy = float(np.sum(sub_power)), float(np.sum(coef_power))
     single = sub_energy * coef_energy  # lag 0's energy
-    count, width, dt = coef_power.shape[0], sub_power.shape[0], parts.grid.sample_interval
+    if not single > 0.0:
+        raise DegenerateInputError("pulse has zero energy on its grid")
     tau, index = parts.grid.start_time + (np.arange(width) + 0.5) * dt, np.arange(count)
     sub_mean, sub_var = _moments(tau, sub_power, sub_energy)
     index_mean, index_var = _moments(index, coef_power, coef_energy)
-    period = parts.per_t * dt
+    period = per_t * dt
     mean, var = sub_mean + period * index_mean, sub_var + period * period * index_var
     lags = np.zeros((3, 3), dtype=np.complex128)  # [a, b]: the two sums' product, summed over q
+    overlapping = range(1, min(count, -(-width // per_t)))
     with np.errstate(all="ignore"):
-        for q, pair, shared in products:
+        if overlapping:
             kappa, sigma = (np.stack((np.ones_like(v), v, v * v))
-                            for v in (period * (index[q:] - index_mean), tau[:shared.shape[0]] - sub_mean))
-            lags += np.outer(np.einsum("ak,k->a", kappa, pair), np.einsum("bx,x->b", sigma, shared))
+                            for v in (period * (index - index_mean), tau - sub_mean))
+        for q in overlapping:
+            d = width - q * per_t
+            pair = coefficients[q:] * coefficients[:count - q].conj()
+            shared = sub[:d] * sub[width - d:].conj()
+            lags += np.outer(np.einsum("ak,k->a", kappa[:, q:], pair), np.einsum("bx,x->b", sigma[:, :d], shared))
         x0, x1 = 2.0 * float(lags[0, 0].real), 2.0 * float((lags[0, 1] + lags[1, 0]).real)
         x2 = 2.0 * float((lags[0, 2] + 2.0 * lags[1, 1] + lags[2, 0]).real)
         energy = single + x0

@@ -181,10 +181,7 @@ class PulseSpec:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidInputError(f"unknown PulseSpec fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "family" in kwargs:
-            kwargs["family"] = parse_family(kwargs["family"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def _is_real(value) -> bool:

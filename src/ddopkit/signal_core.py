@@ -236,6 +236,15 @@ def fast_length(minimum: int) -> int:
     return best
 
 
+def _transform_grid(grid: TimeGrid, zero_pad: int) -> tuple[int, float, float]:
+    """The transform length L = ``fast_length(zero_pad * num_samples)``, the
+    first bin's frequency -(L//2)/(L dt) and the bin spacing 1/(L dt): the
+    bins ``power_spectrum`` returns and ``metrics.spectrum_layout`` reads."""
+    length = fast_length(positive_int(zero_pad, "zero_pad") * grid.num_samples)
+    freq_interval = 1.0 / (length * grid.sample_interval)
+    return length, -(length // 2) * freq_interval, freq_interval
+
+
 def power_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> PowerSpectrum:
     """|G(f)|^2, G(f) = integral g(t) exp(-2j*pi*f*t) dt, on L fftshifted bins.
 
@@ -249,7 +258,7 @@ def power_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> PowerSpec
     interval before squaring keeps the power in the float range.
     """
     dt = signal.grid.sample_interval
-    length = fast_length(positive_int(zero_pad_factor, "zero_pad") * signal.grid.num_samples)
+    length, start_freq, freq_interval = _transform_grid(signal.grid, zero_pad_factor)
     samples = signal.samples
     real = not samples.imag.any()
     values = np.fft.rfft(samples.real, length) if real else np.fft.fft(samples, length)
@@ -260,5 +269,4 @@ def power_spectrum(signal: SampledSignal, zero_pad_factor: int = 4) -> PowerSpec
         power = np.concatenate((power[length // 2:0:-1], power[:length - length // 2]))
     else:
         power = np.fft.fftshift(power)
-    freq_interval = 1.0 / (length * dt)
-    return PowerSpectrum(start_freq=-(length // 2) * freq_interval, freq_interval=freq_interval, values=power)
+    return PowerSpectrum(start_freq=start_freq, freq_interval=freq_interval, values=power)

@@ -55,7 +55,11 @@ the rest exact zeros of the spectrum: ``--M 45 --N 2 --oversample 1
 --zero-pad 1``, and ``--M 16 --N 4 --oversample 4 --zero-pad 1 --band
 10000``, a band wider than every bin; and json metrics of ``--M 251 --N
 16``, whose g = gcd(L, P) is 16, so its comb repeats only every R = L/g
-bins: 335 distinct cases. Every train is measured from its parts.
+bins. Then json metrics and verify of gddop at ``--M 4 --N 4 --Q 256
+--oversample 16``, whose sub-pulses span 128 symbol periods, so ΔT and
+the scan's energy sum 127 lags of overlapping sub-pulses and the scan's
+delay rows 257: 337 distinct cases. Every train is measured from
+its parts.
 """
 
 from __future__ import annotations
@@ -122,7 +126,10 @@ def cases() -> list[list[str]]:
                  ["metrics", "--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
                  ["metrics", "--family", "fdm", "--M", "16", "--N", "4", "--oversample", "4", "--zero-pad", "1",
                   "--band", "10000"],
-                 ["metrics", "--M", "251", "--N", "16", "--format", "json"]):
+                 ["metrics", "--M", "251", "--N", "16", "--format", "json"],
+                 ["metrics", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16",
+                  "--format", "json"],
+                 ["verify", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
