@@ -46,6 +46,7 @@ from .metrics import (
 from .pulses import PulseFamily, PulseSpec, default_q, train_parts
 from .signal_core import (
     InvalidInputError,
+    _chunk_rows,
     _turn_table,
     fast_length,
     non_negative_int,
@@ -393,12 +394,6 @@ def _turned_autocorrelation(x: np.ndarray, max_doppler_steps: int, period: int,
     return np.concatenate((np.conj(mirror[:, :0:-1]), turned), axis=1)
 
 
-# The bytes of the Doppler rows ``_doppler_correlations`` transforms at once: under
-# glibc's default 128 KiB mmap threshold, so its temporaries come from the heap
-# and are not mapped and faulted in afresh on every scan.
-_SCAN_CHUNK_BYTES = 120 * 1024
-
-
 def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, phases: int) -> np.ndarray:
     """``_turned_autocorrelation``'s columns n~ >= 0.
 
@@ -412,7 +407,8 @@ def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, ph
     conjugate transform of the unturned one; the products are summed over
     the components and each Doppler shift takes one inverse transform.
     The shifts are turned and transformed a chunk of rows at a time, at
-    most ``_SCAN_CHUNK_BYTES`` of transforms to a chunk.
+    most ``signal_core._HEAP_CHUNK_BYTES`` of transforms to a chunk
+    (``_chunk_rows``).
     """
     width = x.shape[0] // phases
     components = x.reshape(width, phases).T
@@ -422,7 +418,7 @@ def _doppler_correlations(x: np.ndarray, max_doppler_steps: int, period: int, ph
     length = fast_length(2 * width - 1)
     reference = np.conj(np.fft.fft(components, length))
     spectra = np.empty((doppler.shape[0], length), dtype=np.complex128)
-    step = max(1, _SCAN_CHUNK_BYTES // (16 * phases * length))
+    step = _chunk_rows(16 * phases * length)
     for n in range(0, doppler.shape[0], step):
         turned = coarse[n:n + step, None, :] * fine[n:n + step, :, None]
         turned *= components

@@ -17,7 +17,10 @@ sub-pulse's and the coefficients' moments plus, where sub-pulses overlap,
 lag products, all summed in the time domain by ``_train_moments``, the
 package's one such sum, whose energy ``experiments.orthogonality_scan``
 divides by too; the capture's total, all L bins, is the energy by discrete
-Parseval.
+Parseval. S is a nonzero polynomial of degree at most w - 1 in
+omega^kappa, so a band holding more than w bins of positive comb weight
+has two with energy; only a band of at most w such bins is left to the
+rows that find lit bins (``_lit_bins``).
 
 What the band moments read besides the sub-pulse samples, L, the band's
 run of bins, the band kernel and the rows that find lit bins, is the
@@ -45,6 +48,7 @@ from .signal_core import (
     InvalidInputError,
     PowerSpectrum,
     SampledSignal,
+    _chunk_rows,
     _transform_grid,
     _turn_table,
     bins_within,
@@ -280,8 +284,9 @@ def _band_kernel(weight: np.ndarray, kappas: tuple[int, int], period: int, lengt
     V_b[e] = sum_j W_j (j - h)^b omega^(j e) over the block's rows, one
     chirp z-transform of its three rows (``_chirp_z``), and
     T_a[e] = sum_i (R (i - q/2))^a exp(-2j pi i e/g), a g-point FFT read at
-    e mod g. The chirp and the block's turn omega^(j0 e), j0 its first
-    bin, have their angles reduced exactly, as ``_turn_table`` reduces them.
+    e mod g, both blocks' in one transform. The chirp and the block's turn
+    omega^(j0 e), j0 its first bin, have their angles reduced exactly, as
+    ``_turn_table`` reduces them.
     """
     lo, hi = kappas
     full, rem = divmod(hi - lo, period)
@@ -290,15 +295,19 @@ def _band_kernel(weight: np.ndarray, kappas: tuple[int, int], period: int, lengt
     angle = k * k % (2 * length)
     angle[angle > length] -= 2 * length
     chirp = np.exp(-1j * np.pi * angle / length)  # omega^(k^2/2), shared by both blocks
-    i, e, powers = np.arange(g), np.arange(width), np.arange(3)[:, None]
+    i, e = np.arange(g), np.arange(width)
+    steps = period * (i - 0.5 * full)
+    sums = np.fft.fft([(i < run) * np.stack((np.ones(g), steps, steps * steps)) for run in (full + 1, full)])
     turns = _turn_table(np.array([lo, lo + rem]), range(width), length)
+    offsets = np.arange(weight.shape[0]) - 0.5 * (rem - 1)
     kernel = np.zeros((3, width), dtype=np.complex128)
-    for turn, start, stop, run in ((turns[0], 0, rem, full + 1), (turns[1], rem, weight.shape[0], full)):
+    for block, start, stop, run in ((0, 0, rem, full + 1), (1, rem, weight.shape[0], full)):
         if run == 0 or stop == start:
             continue
-        v = _chirp_z(weight[start:stop] * (np.arange(start, stop) - 0.5 * (rem - 1)) ** powers, chirp, width)
-        v *= turn
-        t = np.fft.fft((i < run) * (period * (i - 0.5 * full)) ** powers)[:, e % g]
+        w, j = weight[start:stop], offsets[start:stop]
+        v = _chirp_z(np.stack((w, w * j, w * (j * j))), chirp, width)
+        v *= turns[block]
+        t = sums[block][:, e % g]
         kernel[0] += t[0] * v[0]
         kernel[1] += t[0] * v[1] + t[1] * v[0]
         kernel[2] += t[0] * v[2] + 2.0 * t[1] * v[1] + t[2] * v[0]
@@ -311,16 +320,24 @@ def _chirp_z(x: np.ndarray, chirp: np.ndarray, count: int) -> np.ndarray:
     z-transform, with chirp[k] = omega^(k^2/2) for k < max(len(x), count):
     j e = (j^2 + e^2 - (e - j)^2)/2, so the sum is chirp(e) times the linear
     convolution of x chirp with conj(chirp). The convolution runs at
-    ``fast_length(len(x) + count - 1)``, so no lag wraps, one row at a
-    time, so that a temporary holds one row's transform (64 KiB on the
-    256 x 8 btrrc train)."""
+    ``fast_length(len(x) + count - 1)``, so no lag wraps, on as many rows
+    at once as ``_chunk_rows`` fits in ``signal_core._HEAP_CHUNK_BYTES`` of
+    transforms: one at a time on the 256 x 8 btrrc train (64 KiB a row),
+    all three on the default 256 x 64 train."""
     n = x.shape[-1]
     size = fast_length(n + count - 1)
     spread = np.zeros(size, dtype=np.complex128)
     spread[:count] = np.conj(chirp[:count])
     spread[size - n + 1:] = np.conj(chirp[n - 1:0:-1])
     spread = np.fft.fft(spread)
-    return np.stack([np.fft.ifft(np.fft.fft(row * chirp[:n], size) * spread)[:count] for row in x]) * chirp[:count]
+    out = np.empty((x.shape[0], count), dtype=np.complex128)
+    step = _chunk_rows(16 * size)
+    for start in range(0, x.shape[0], step):
+        spectra = np.fft.fft(x[start:start + step] * chirp[:n], size)
+        spectra *= spread
+        out[start:start + step] = np.fft.ifft(spectra)[:, :count]
+    out *= chirp[:count]
+    return out
 
 
 def _train_moments(parts: TrainParts, bins: int) -> tuple[float, float, float]:
@@ -384,7 +401,9 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
     discrete Parseval all L bins hold L times that energy: the capture is
     the in-band sum over the larger of that total and itself, so it never
     exceeds 1, and a band of every bin captures exactly 1. Whether the band
-    holds two bins with energy, which lags cannot tell, is ``_lit_bins``'s.
+    holds two bins with energy, which lags cannot tell, is counted
+    (``_band_moments``) or, in a band of at most w bins of positive comb
+    weight, ``_lit_bins``'s.
 
     Everything above but the sub-pulse's autocorrelation and its moments is
     the train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds
@@ -408,14 +427,19 @@ def _band_moments(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
                   total: float) -> tuple[float, float, float]:
     """``measure_freq`` of the train's spectrum from the sub-pulse's
     autocorrelation and the layout's kernel, with ``total`` the power of
-    all L bins (``measure_train``'s Parseval sum). A band without a lit row
-    (``_lit_bins``) holds no energy."""
+    all L bins (``measure_train``'s Parseval sum). The band's bins of
+    positive comb weight number B, the layout's runs summed. S(kappa), a
+    polynomial of degree at most w - 1 in omega^kappa and not zero, as
+    ``_train_moments`` has rejected a sub-pulse of zero energy, vanishes on
+    at most w - 1 of the B distinct omega^kappa, so where B > w two bins
+    carry energy and no spectrum is read. Where B <= w, ``_lit_bins``
+    decides, and a band without a lit row holds no energy."""
     (lo, hi), freq_interval = layout.kappas, layout.freq_interval
     width = sub.shape[0]
     spectrum = np.fft.fft(sub, fast_length(2 * width - 1))
     rho = np.fft.ifft(spectrum.real ** 2 + spectrum.imag ** 2)[:width]  # sum_t s_{t+e} conj(s_t)
     in_band, first, second = (float(v) for v in np.einsum("pe,e->p", layout.kernel, rho.view(np.float64)))
-    nonzero = _lit_bins(sub, layout)
+    nonzero = 2 if int(layout.runs.sum()) > width else _lit_bins(sub, layout)
     _check_band(in_band if nonzero else 0.0, nonzero, hi - lo, band, freq_interval)
     mean = first / in_band  # in bins from the band's centre
     with np.errstate(all="ignore"):

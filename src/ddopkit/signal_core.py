@@ -182,9 +182,13 @@ def non_negative_int(value, name: str) -> int:
     return _whole_number(value, name, 0, "a non-negative integer")
 
 
+# The largest whole number ``positive_int`` and ``non_negative_int`` accept.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _whole_number(value, name: str, minimum: int, what: str) -> int:
     try:
-        if not isinstance(value, bool) and int(value) == value and minimum <= value <= np.iinfo(np.int64).max:
+        if not isinstance(value, bool) and int(value) == value and minimum <= value <= _INT64_MAX:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -215,6 +219,18 @@ def _turn_table(k: np.ndarray, t: range, period: int) -> np.ndarray:
     fine = turn(t.step * np.arange(block, dtype=np.int64))
     table = (coarse[:, :, None] * fine[:, None, :]).reshape(k.shape[0], -1)
     return np.ascontiguousarray(table[:, :len(t)])
+
+
+# The bytes of rows a chunked transform holds at once (``_chunk_rows``): under
+# glibc's default 128 KiB mmap threshold, so its temporaries come from the heap
+# and are not mapped and faulted in afresh on every call.
+_HEAP_CHUNK_BYTES = 120 * 1024
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """The rows of row_bytes each that a chunk of at most ``_HEAP_CHUNK_BYTES``
+    holds; at least one."""
+    return max(1, _HEAP_CHUNK_BYTES // row_bytes)
 
 
 def fast_length(minimum: int) -> int:

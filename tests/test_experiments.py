@@ -23,7 +23,7 @@ from ddopkit.experiments import (
     orthogonality_scan,
     run_sweep,
 )
-from ddopkit import experiments, metrics, pulses
+from ddopkit import experiments, metrics, pulses, signal_core
 from ddopkit.analytic import analytic_for
 from ddopkit.metrics import AnalysisBand, LocalizationMetrics, Provenance
 from ddopkit.pulses import PulseFamily, PulseSpec, pulse_grid, synth_pulse
@@ -497,9 +497,9 @@ class TestTurnedAutocorrelation:
     def test_chunks_of_one_row_give_the_same_bits(self, spec, monkeypatch):
         """The Doppler rows transformed one at a time give the scan of one
         chunk of them all, bit for bit."""
-        monkeypatch.setattr(experiments, "_SCAN_CHUNK_BYTES", 1 << 40)
+        monkeypatch.setattr(signal_core, "_HEAP_CHUNK_BYTES", 1 << 40)
         whole = orthogonality_scan(spec, 3, 9, oversample=4)
-        monkeypatch.setattr(experiments, "_SCAN_CHUNK_BYTES", 1)
+        monkeypatch.setattr(signal_core, "_HEAP_CHUNK_BYTES", 1)
         assert np.array_equal(orthogonality_scan(spec, 3, 9, oversample=4), whole)
 
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])

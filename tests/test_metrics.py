@@ -18,7 +18,7 @@ from ddopkit.metrics import (
     measure_time,
     measure_train,
 )
-from ddopkit import metrics, pulses
+from ddopkit import metrics, pulses, signal_core
 from ddopkit.experiments import measure_point
 from ddopkit.pulses import PulseFamily, PulseSpec, TrainParts, synth_pulse, train_parts
 from ddopkit.signal_core import (
@@ -551,6 +551,19 @@ _KERNEL_CASES = {
 }
 
 
+def _band_case(case):
+    """(parts, band, zero_pad): the default train or the 256 x 8 btrrc train
+    at its default band, or "name@band", a ``_KERNEL_CASES`` train at the
+    band |f| <= 0.3/dt or at a band of every bin."""
+    if case in ("default", "btrrc-256x8"):
+        spec = DEFAULT if case == "default" else PulseSpec(M=256, N=8, subpulse="btrrc")
+        return train_parts(spec), AnalysisBand.default_for(spec), 4
+    name, band = case.split("@")
+    parts, zero_pad, _ = _KERNEL_CASES[name]
+    half_width = 0.3 / parts.grid.sample_interval if band == "0.3/dt" else 1e9
+    return parts, AnalysisBand(half_width=half_width), zero_pad
+
+
 def _direct_kernel(parts, kappas, length):
     """sum over lo <= kappa < hi of (kappa - c)^p |C(kappa)|^2 omega^(kappa e), every
     comb entry and every power of omega = exp(-2j pi/L) summed directly."""
@@ -653,11 +666,69 @@ class TestBandKernel:
     def test_one_bin_with_energy_rejected(self, case, message):
         """Row 0 of the comb is not turned, so the exact zeros of its spectrum
         stay exact: where it is the only row the comb keeps, its one nonzero
-        bin is counted and the band rejected with the zero-pad advice."""
+        bin is counted and the band rejected with the zero-pad advice. Each
+        band holds exactly w bins of positive comb weight, the most that the
+        count leaves to ``_lit_bins``."""
         spec = case["spec"]
         band = AnalysisBand(half_width=case.get("half_width", AnalysisBand.default_for(spec).half_width))
+        parts = train_parts(spec, case["oversample"])
+        layout = metrics.spectrum_layout(parts, band, case["zero_pad"])
+        assert int(layout.runs.sum()) == parts.subpulse.shape[0]
         with pytest.raises(DegenerateInputError, match=message + ".*raise the zero-pad factor"):
-            measure_train(train_parts(spec, case["oversample"]), band, case["zero_pad"])
+            measure_train(parts, band, case["zero_pad"])
+
+    @pytest.mark.parametrize("case", [
+        "default", "btrrc-256x8",
+        *(f"{name}@{band}" for name in sorted(_KERNEL_CASES) for band in ("0.3/dt", "every-bin")
+          if (name, band) != ("odd-L", "0.3/dt"))])
+    def test_more_comb_bins_than_samples_skip_the_lit_rows(self, case, monkeypatch):
+        """Where the band holds B > w bins of positive comb weight, S(kappa),
+        a nonzero polynomial of degree <= w - 1 in omega^kappa, vanishes on
+        at most w - 1 of them, so two carry energy: measure_train never
+        calls ``_lit_bins``, which finds two lit rows too, or on odd-L's
+        every-bin band one row of 15 lit bins."""
+        parts, band, zero_pad = _band_case(case)
+        layout = metrics.spectrum_layout(parts, band, zero_pad)
+        assert int(layout.runs.sum()) > parts.subpulse.shape[0]
+        assert metrics._lit_bins(parts.subpulse, layout) == (15 if case == "odd-L@every-bin" else 2)
+
+        def refuse(sub, layout_):
+            raise AssertionError("_lit_bins called")
+
+        monkeypatch.setattr(metrics, "_lit_bins", refuse)
+        measure_train(parts, band, zero_pad)
+        measure_train(parts, band, zero_pad, layout)
+
+    def test_as_many_comb_bins_as_samples_read_the_lit_rows(self, monkeypatch):
+        """odd-L's 0.3/dt band holds B = w = 9 bins of positive comb weight,
+        too few to prove two lit by counting: ``_lit_bins`` runs, finds all 9
+        lit, and the band is measured as measure_all measures it."""
+        parts, band, zero_pad = _band_case("odd-L@0.3/dt")
+        layout = metrics.spectrum_layout(parts, band, zero_pad)
+        assert int(layout.runs.sum()) == parts.subpulse.shape[0] == 9
+        found = []
+        lit_bins = metrics._lit_bins
+
+        def noting(sub, layout_):
+            found.append(lit_bins(sub, layout_))
+            return found[-1]
+
+        monkeypatch.setattr(metrics, "_lit_bins", noting)
+        got = measure_train(parts, band, zero_pad)
+        assert found == [9]
+        assert_same_metrics(got, measure_all(parts.signal(), band, zero_pad))
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_chunks_of_one_row_give_the_same_bits(self, case, monkeypatch):
+        """The chirp z-transform's rows transformed one at a time give the
+        band kernel of one chunk of them all, bit for bit."""
+        parts, zero_pad, _ = _KERNEL_CASES[case]
+        bands = [_band_case(f"{case}@{band}")[1] for band in ("0.3/dt", "every-bin")]
+        monkeypatch.setattr(signal_core, "_HEAP_CHUNK_BYTES", 1 << 40)
+        whole = [metrics.spectrum_layout(parts, band, zero_pad).kernel for band in bands]
+        monkeypatch.setattr(signal_core, "_HEAP_CHUNK_BYTES", 1)
+        for band, kernel in zip(bands, whole):
+            assert np.array_equal(metrics.spectrum_layout(parts, band, zero_pad).kernel, kernel)
 
     def test_rows_read_in_order_until_two_are_lit(self, monkeypatch):
         """Two lit rows end the search after the first two rows. A sub-pulse

@@ -58,8 +58,11 @@ the rest exact zeros of the spectrum: ``--M 45 --N 2 --oversample 1
 bins. Then json metrics and verify of gddop at ``--M 4 --N 4 --Q 256
 --oversample 16``, whose sub-pulses span 128 symbol periods, so ΔT and
 the scan's energy sum 127 lags of overlapping sub-pulses and the scan's
-delay rows 257: 337 distinct cases. Every train is measured from
-its parts.
+delay rows 257. Last, json metrics of the default train at ``--band
+0.5``, whose 253 band bins are fewer than its w = 416 sub-pulse samples,
+so the rows that find lit bins, not the count of bins with comb weight,
+show that two bins carry energy: 338 distinct cases. Every train is
+measured from its parts.
 """
 
 from __future__ import annotations
@@ -129,7 +132,8 @@ def cases() -> list[list[str]]:
                  ["metrics", "--M", "251", "--N", "16", "--format", "json"],
                  ["metrics", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16",
                   "--format", "json"],
-                 ["verify", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16"]):
+                 ["verify", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16"],
+                 ["metrics", "--band", "0.5", "--format", "json"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
