@@ -21,12 +21,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analytic import analytic_for, gabor_limit
+from .analytic import gabor_limit
 from .experiments import (
     SweepPlan,
     SweepReport,
     SweepRow,
     SweptParameter,
+    _fmt,
     compare_families,
     default_mn_values,
     default_q_values,
@@ -34,8 +35,8 @@ from .experiments import (
     orthogonality_scan,
     run_sweep,
 )
-from .metrics import AnalysisBand, lemma1_check, measure_all, measure_train
-from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, synth_pulse, train_parts
+from .metrics import AnalysisBand, lemma1_check, measure_all, measure_freq, measure_time
+from .pulses import FAMILY_ALIASES, SUBPULSE_SHAPES, PulseFamily, PulseSpec, synth_pulse
 from .signal_core import (
     InvalidInputError,
     SampledSignal,
@@ -196,10 +197,6 @@ def _emit(text: str, path: str | None) -> int:
     return 0
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def cmd_synth(cfg: RunConfig) -> int:
     signal = synth_pulse(cfg.pulse, oversample=cfg.oversample)
     t = signal.grid.times()
@@ -292,34 +289,32 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
     checks = _Checks()
     spec = cfg.pulse
     band = cfg.band if cfg.band is not None else AnalysisBand.default_for(spec)
-    parts = train_parts(spec, cfg.oversample)
-    signal = parts.signal()
+    signal = synth_pulse(spec, cfg.oversample)
 
     e = energy(signal)
     checks.report(abs(e - 1.0) <= 1e-9, "unit energy", f"energy = {e:.12f}")
 
-    se = spectral_energy(power_spectrum(signal, cfg.zero_pad))
+    spectrum = power_spectrum(signal, cfg.zero_pad)
+    se = spectral_energy(spectrum)
     checks.report(abs(se - e) <= 1e-9 * max(e, 1.0), "Parseval",
                   f"time {e:.12f} vs frequency {se:.12f}")
 
-    unsampled = "it reads the sampled metrics, which were not measured"
+    unmeasured = "it reads the metrics, which were not measured"
     try:
-        numeric = measure_all(signal, band, zero_pad=cfg.zero_pad)
+        numeric, analytic = measure_point(spec, cfg.band, cfg.zero_pad, cfg.oversample)
     except ValueError as exc:
         numeric = None
-        checks.report(False, "sampled metrics", f"not measured: {exc}")
-        checks.skip("spectrum from parts", unsampled)
-        checks.skip("uncertainty floor", unsampled)
+        checks.report(False, "metrics", f"not measured: {exc}")
+        checks.skip("spectrum from parts", unmeasured)
+        checks.skip("uncertainty floor", unmeasured)
     else:
         try:
-            parted = measure_train(parts, band, cfg.zero_pad)
+            sampled = (measure_time(signal)[1], *measure_freq(spectrum, band)[1:])
         except ValueError as exc:
-            checks.report(False, "spectrum from parts", f"not measured from parts: {exc}")
+            checks.report(False, "spectrum from parts", f"sampled spectrum not measured: {exc}")
         else:
-            worst = max(abs(a - b) / b for a, b in (
-                (parted.time_dispersion, numeric.time_dispersion),
-                (parted.freq_dispersion, numeric.freq_dispersion),
-                (parted.energy_capture, numeric.energy_capture)))
+            parted = (numeric.time_dispersion, numeric.freq_dispersion, numeric.energy_capture)
+            worst = max(abs(a - b) / b for a, b in zip(parted, sampled))
             checks.report(worst <= 1e-12, "spectrum from parts",
                           f"ΔT, ΔF and capture within {worst:.2g} of the sampled spectrum's")
         floor = gabor_limit() - 1e-6
@@ -330,18 +325,15 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
     checks.report(abs(gauss.tf_area - gabor_limit()) <= 1e-4, "Gaussian floor attainment",
                   f"ΔA = {gauss.tf_area:.10f} vs {gabor_limit():.10f}")
 
-    lhs, rhs, err = lemma1_check(
-        lambda r: np.exp(-np.pi * r * r), rho_alpha=1.5, rho_gamma=0.5)
-    rel = err / abs(rhs)
-    checks.report(rel <= 1e-8, "moment-shift identity (Gaussian)", f"relative error {rel:.3g}")
-    lhs, rhs, err = lemma1_check(
-        lambda r: np.where(np.abs(r) <= 0.5, 1.0, 0.0), rho_alpha=2.0, rho_gamma=1.0)
-    rel = err / abs(rhs)
-    checks.report(rel <= 1e-6, "moment-shift identity (rectangle)", f"relative error {rel:.3g}")
+    for name, profile, alpha, gamma, bound in (
+            ("Gaussian", lambda r: np.exp(-np.pi * r * r), 1.5, 0.5, 1e-8),
+            ("rectangle", lambda r: np.where(np.abs(r) <= 0.5, 1.0, 0.0), 2.0, 1.0, 1e-6)):
+        _, rhs, err = lemma1_check(profile, rho_alpha=alpha, rho_gamma=gamma)
+        rel = err / abs(rhs)
+        checks.report(rel <= bound, f"moment-shift identity ({name})", f"relative error {rel:.3g}")
 
-    analytic = analytic_for(spec, band, cfg.oversample)
     if numeric is None:
-        checks.skip("closed-form agreement", unsampled)
+        checks.skip("closed-form agreement", unmeasured)
     elif analytic is None:
         checks.skip("closed-form agreement",
                     f"no closed form applies to {spec.family.value} with these parameters")
@@ -358,10 +350,8 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
 
     if spec.family in (PulseFamily.DDOP, PulseFamily.GENERAL_DDOP):
         scan = orthogonality_scan(spec, 3, 3, oversample=cfg.oversample)
-        origin = scan[3, 3]
-        off = scan.copy()
-        off[3, 3] = 0.0
-        worst = float(off.max())
+        origin, scan[3, 3] = scan[3, 3], 0.0
+        worst = float(scan.max())
         checks.report(abs(origin - 1.0) <= 1e-6 and worst <= 5e-3, "fine-shift orthogonality",
                       f"origin {origin:.8f}, worst off-origin {worst:.3g}")
     else:

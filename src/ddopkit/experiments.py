@@ -81,9 +81,12 @@ class SweptParameter(enum.Enum):
 
 def default_q_values(M: int, lo: int | None = None, hi: int | None = None, steps: int = 13) -> list[int]:
     """The distinct integers nearest steps log-spaced half-lengths from lo
-    (default ceil(0.01*M)) up to hi (default M)."""
+    (default ceil(0.01*M)) up to hi (default M); lo above hi is an error."""
     lo = max(1, math.ceil(0.01 * M)) if lo is None else lo
     hi = M if hi is None else hi
+    if lo > hi:
+        raise InvalidInputError(f"the half-length range runs from {lo} down to {hi}; "
+                                "the first bound must not exceed the last")
     return sorted({int(round(v)) for v in np.geomspace(lo, hi, num=steps)})
 
 
@@ -360,7 +363,7 @@ def orthogonality_scan(
     parts = train_parts(spec, oversample)
     sub, coefficients, per_t = parts.subpulse, parts.coefficients, parts.per_t
     count = coefficients.shape[0]
-    energy = _train_moments(parts, 1)[0]
+    energy = _train_moments(parts).energy
     a = _turned_autocorrelation(coefficients, max_doppler_steps, spec.N)
     b = _turned_autocorrelation(sub, max_doppler_steps, spec.N * per_t, oversample)
 

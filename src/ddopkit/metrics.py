@@ -197,14 +197,8 @@ def measure_all(signal: SampledSignal, band: AnalysisBand, zero_pad: int = 4) ->
     """Numeric localization metrics of a sampled signal."""
     mean_time, time_disp = measure_time(signal)
     mean_freq, freq_disp, capture = measure_freq(power_spectrum(signal, zero_pad), band)
-    return LocalizationMetrics(
-        mean_time=mean_time,
-        mean_freq=mean_freq,
-        time_dispersion=time_disp,
-        freq_dispersion=freq_disp,
-        provenance=Provenance.NUMERIC,
-        energy_capture=capture,
-    )
+    return LocalizationMetrics(mean_time=mean_time, mean_freq=mean_freq, time_dispersion=time_disp,
+                               freq_dispersion=freq_disp, provenance=Provenance.NUMERIC, energy_capture=capture)
 
 
 class SpectrumLayout(NamedTuple):
@@ -340,11 +334,25 @@ def _chirp_z(x: np.ndarray, chirp: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _train_moments(parts: TrainParts, bins: int) -> tuple[float, float, float]:
-    """bins times the energy of the train u_i = sum_k c_k s_{i-kP} (with
-    bins = L, by discrete Parseval, the power of its L DFT bins), its mean
-    time and its time variance, summed in the time domain; a zero energy is
-    degenerate. Sample i = kP + x lies at tau_x + kT, T = P dt. Lag 0 gives
+class _TrainMoments(NamedTuple):
+    """The terms ``_train_moments`` sums: lag 0's energy is
+    sub_energy * coef_energy, and overlap is the overlapping lags'."""
+
+    sub_energy: float
+    coef_energy: float
+    overlap: float
+    mean_time: float
+    time_var: float
+
+    @property
+    def energy(self) -> float:
+        return self.sub_energy * self.coef_energy + self.overlap
+
+
+def _train_moments(parts: TrainParts) -> _TrainMoments:
+    """The terms of the energy, the mean time and the time variance of the
+    train u_i = sum_k c_k s_{i-kP}, summed in the time domain; a zero energy
+    is degenerate. Sample i = kP + x lies at tau_x + kT, T = P dt. Lag 0 gives
     the moments of |s_x|^2 and |c_k|^2; each lag q >= 1 at which sub-pulses
     k and k - q share d = w - qP > 0 samples adds 2 Re of
     sum_k c_k conj(c_{k-q}) kappa_k^a times sum_x s_x conj(s_{x+qP}) sigma_x^b,
@@ -380,7 +388,7 @@ def _train_moments(parts: TrainParts, bins: int) -> tuple[float, float, float]:
         energy = single + x0
         shift = x1 / energy
         var = var * (single / energy) + x2 / energy - shift * shift
-    return bins * sub_energy * coef_energy + bins * x0, mean + shift, var
+    return _TrainMoments(sub_energy, coef_energy, x0, mean + shift, var)
 
 
 def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
@@ -416,10 +424,11 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
         layout = spectrum_layout(parts, band, zero_pad)
     elif layout.key != layout_key(parts, band, zero_pad):
         raise InvalidInputError("the spectrum layout was built for another train, band or zero-pad factor")
-    total, mean_time, time_var = _train_moments(parts, layout.length)
-    time_disp = _dispersion(time_var, "time")
+    moments = _train_moments(parts)
+    time_disp = _dispersion(moments.time_var, "time")
+    total = layout.length * moments.sub_energy * moments.coef_energy + layout.length * moments.overlap
     mean_freq, freq_disp, capture = _band_moments(parts.subpulse, layout, band, total)
-    return LocalizationMetrics(mean_time=mean_time, mean_freq=mean_freq, time_dispersion=time_disp,
+    return LocalizationMetrics(mean_time=moments.mean_time, mean_freq=mean_freq, time_dispersion=time_disp,
                                freq_dispersion=freq_disp, provenance=Provenance.NUMERIC, energy_capture=capture)
 
 
@@ -448,10 +457,6 @@ def _band_moments(sub: np.ndarray, layout: SpectrumLayout, band: AnalysisBand,
     return (0.5 * (lo + hi - 1) + mean) * freq_interval, _dispersion(freq_var, "frequency"), in_band / whole
 
 
-# The rows ``_lit_bins`` turns at once after the first two: at most this many samples.
-_LIT_CHUNK_ELEMENTS = 1 << 13
-
-
 def _lit_bins(sub: np.ndarray, layout: SpectrumLayout) -> int:
     """2 where two of the band's rows are lit, else the number of the band's
     bins with energy (0 or the lit row's).
@@ -462,8 +467,9 @@ def _lit_bins(sub: np.ndarray, layout: SpectrumLayout) -> int:
     sub-pulse turned by omega^(rt) (``_turn_table``) and folded modulo g,
     read from column (j//R + i) mod g for i < run. Row r = 0 is not turned,
     so the exact zeros of its spectrum stay exact. The rows are read in row
-    order, two and then a chunk at a time, until two are lit; a row's bins
-    are counted only where fewer are.
+    order, two and then as many as ``_chunk_rows`` fits in
+    ``signal_core._HEAP_CHUNK_BYTES`` of folded rows, at least two, at a
+    time, until two are lit; a row's bins are counted only where fewer are.
     """
     period, width = layout.period, sub.shape[0]
     g = layout.length // period
@@ -477,7 +483,7 @@ def _lit_bins(sub: np.ndarray, layout: SpectrumLayout) -> int:
         columns = (rows[:, None] // period + np.arange(g)) % g
         power = np.abs(np.take_along_axis(spectra, columns, axis=1)) ** 2 * (np.arange(g) < runs[:, None])
         lit += [row for row in power if row.sum() > 0.0]
-        start, stop = stop, stop + max(2, _LIT_CHUNK_ELEMENTS // fold)
+        start, stop = stop, stop + max(2, _chunk_rows(16 * fold))
     return 2 if len(lit) > 1 else sum(np.count_nonzero(row) for row in lit)
 
 

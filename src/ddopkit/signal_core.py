@@ -12,7 +12,7 @@ Conventions used throughout the package:
   see ``fast_length``) of at least zero_pad * num_samples, scales the FFT by
   the sample interval and puts bin 0 at -(L//2) times the bin spacing
   (fftshifted). A real signal takes one ``rfft`` mirrored over the negative
-  frequencies, a complex one a full FFT. ``metrics.measure_all``'s band
+  frequencies, a complex one a full FFT. ``metrics.measure_freq``'s band
   moments and ``verify``'s Parseval check read it; the discrete Parseval
   identity holds to rounding for any L.
 * ``metrics.measure_train`` measures the same L bins of a pulse train,

@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ddopkit
-from ddopkit import cli, pulses
+from ddopkit import cli, metrics, pulses, signal_core
 from ddopkit.cli import main
 from ddopkit.experiments import REPORT_HEADER
 from ddopkit.pulses import FAMILY_ALIASES
+from ddopkit.signal_core import DegenerateInputError
 
 
 def run(argv, capsys):
@@ -415,6 +416,17 @@ class TestSweep:
         explicit = run(base + ["--from", "2", "--to", "128", "--steps", "13"], capsys)
         assert default == explicit and default[0] == 0
 
+    @pytest.mark.parametrize("bounds,first", [(["--from", "3", "--to", "2"], 3), (["--to", "1"], 2)],
+                             ids=["both-given", "first-from-M"])
+    def test_reversed_q_range_rejected(self, bounds, first, capsys):
+        """A first half-length above the last is one error line naming both
+        resolved bounds, as a reversed roll-off range is an error; at M 128
+        the default first bound is 2."""
+        argv = ["sweep", "--vary", "q", "--M", "128", "--N", "4", "--oversample", "4", *bounds]
+        last = int(bounds[-1])
+        assert run(argv, capsys) == (2, "", f"error: the half-length range runs from {first} down to {last}; "
+                                            "the first bound must not exceed the last\n")
+
     def test_mn_axis(self, capsys):
         rc, out, _ = run(["sweep", "--vary", "mn", "--oversample", "4"], capsys)
         assert rc == 0
@@ -501,23 +513,23 @@ class TestVerify:
         assert "raise the zero-pad factor" in out
 
     def test_parts_path_rejecting_the_band_fails_its_check(self, capsys):
-        """On the FDM rectangle's sinc zeros the row spectrum holds exact zeros
-        in all but one band bin, while the sampled spectrum holds rounding
-        there: the parts path rejects the band, and verify reports that as one
-        failed check and runs the rest. metrics, on the parts path alone,
-        stays a usage error."""
+        """On the FDM rectangle's sinc zeros the train's spectrum holds exact
+        zeros in all but one band bin, while the sampled spectrum holds
+        rounding there: the metrics reject the band, and verify reports that
+        as its one failed check, with the reason metrics exits 2 with, and
+        runs the rest."""
         pulse = ["--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"]
+        reason = ("only one of the 90 bins in the analysis band |f| <= 225 carries energy; the rest are "
+                  "exact zeros of the spectrum at bin spacing 0.5, so raise the zero-pad factor")
         rc, out, err = run(["verify", *pulse], capsys)
         lines = out.splitlines()
         assert rc == 1 and err == ""
-        assert lines[2] == ("[FAIL] spectrum from parts: not measured from parts: only one of the 90 "
-                            "bins in the analysis band |f| <= 225 carries energy; the rest are exact "
-                            "zeros of the spectrum at bin spacing 0.5, so raise the zero-pad factor")
+        assert lines[2] == f"[FAIL] metrics: not measured: {reason}"
         assert any(line.startswith("[PASS] Gaussian floor attainment") for line in lines[3:])
-        assert lines[-2].startswith("[SKIP] family orderings") and lines[-1].endswith("check(s) failed")
+        assert lines[-2].startswith("[SKIP] family orderings") and lines[-1] == "1 check(s) failed"
         rc, out, err = run(["metrics", *pulse], capsys)
         assert rc == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error: only one of the 90 bins")
+        assert err == f"error: {reason}\n"
 
     @pytest.mark.parametrize("pulse,reason", [
         (["--M", "32", "--N", "8", "--band", "1e-9"],
@@ -526,21 +538,69 @@ class TestVerify:
          "only one of the 2 bins in the analysis band |f| <= 80 carries energy"),
     ], ids=["one-bin-band", "one-bin-with-energy"])
     def test_sampled_path_rejecting_the_band_fails_its_check(self, pulse, reason, capsys):
-        """A band the sampled measurement rejects is one failed check; the
-        three checks that read its numbers are skipped, saying why, and every
-        other check still prints its line. metrics stays a usage error."""
+        """A band that both the metrics and the sampled spectrum reject is
+        one failed check, with the reason metrics exits 2 with; the three
+        checks that read the metrics are skipped, saying why, and every
+        other check still prints its line."""
         rc, out, err = run(["verify", *pulse], capsys)
         lines = out.splitlines()
         assert rc == 1 and err == "" and len(lines) == 12
-        assert lines[2].startswith(f"[FAIL] sampled metrics: not measured: {reason}")
-        assert [line for line in lines if "sampled metrics, which" in line] == [
-            f"[SKIP] {name}: it reads the sampled metrics, which were not measured"
+        assert lines[2].startswith(f"[FAIL] metrics: not measured: {reason}")
+        assert [line for line in lines if "metrics, which" in line] == [
+            f"[SKIP] {name}: it reads the metrics, which were not measured"
             for name in ("spectrum from parts", "uncertainty floor", "closed-form agreement")]
         assert any(line.startswith("[PASS] Gaussian floor attainment") for line in lines[3:])
         assert lines[-1].endswith("check(s) failed")
         rc, out, err = run(["metrics", *pulse], capsys)
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {reason}")
+
+    def test_sampled_spectrum_rejecting_the_band_fails_only_its_check(self, capsys, monkeypatch):
+        """Where only the sampled spectrum rejects the band, the check that
+        reads it fails, and the floor and closed-form checks still judge the
+        metrics."""
+        def rejecting(spectrum, band):
+            raise DegenerateInputError("no spectral energy inside the analysis band")
+
+        monkeypatch.setattr(cli, "measure_freq", rejecting)
+        rc, out, _ = run(["verify", "--M", "64", "--N", "16", "--Q", "16"], capsys)
+        lines = out.splitlines()
+        assert lines[2] == ("[FAIL] spectrum from parts: sampled spectrum not measured: "
+                            "no spectral energy inside the analysis band")
+        assert lines[3].startswith("[PASS] uncertainty floor")
+        assert any(line.startswith("[PASS] ΔF closed form") for line in lines)
+        assert rc == 1 and lines[-1] == "1 check(s) failed"
+
+    @pytest.mark.parametrize("pulse", [
+        [], ["--family", "gddop", "--M", "16", "--N", "4", "--Q", "40", "--oversample", "8"],
+    ], ids=["default", "gddop-overlapping"])
+    def test_closed_form_deviations_are_the_metrics_rows(self, pulse, capsys):
+        """verify judges the row metrics prints: its closed-form deviations
+        are metrics' ΔT_pct and ΔF_pct."""
+        out = run(["verify", *pulse], capsys)[1]
+        rc, report, _ = run(["metrics", *pulse, "--format", "json"], capsys)
+        row = json.loads(report)[0]
+        assert rc == 0
+        for name, key in (("ΔT", "ΔT_pct"), ("ΔF", "ΔF_pct")):
+            assert f"[PASS] {name} closed form: deviation {row[key]:.4g}%" in out.splitlines()
+
+    def test_configured_pulse_transformed_once(self, capsys, monkeypatch):
+        """The sampled spectrum that Parseval checks is the one the check of
+        the spectrum from parts reads: the configured pulse is transformed
+        once, the Gaussian reference once."""
+        lengths = []
+
+        def noting(signal, zero_pad):
+            lengths.append(signal.grid.num_samples)
+            return signal_core.power_spectrum(signal, zero_pad)
+
+        for module in (cli, metrics):
+            monkeypatch.setattr(module, "power_spectrum", noting)
+        pulse = ["--M", "64", "--N", "16", "--Q", "16"]
+        rc, out, _ = run(["verify", *pulse], capsys)
+        assert rc == 0 and "[PASS] spectrum from parts" in out
+        configured = pulses.synth_pulse(pulses.PulseSpec(M=64, N=16, Q=16))
+        assert lengths.count(configured.grid.num_samples) == 1 and len(lengths) == 2
 
     def test_interior_index_checked(self, capsys):
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",

@@ -44,6 +44,13 @@ class TestDefaultGrids:
         assert default_q_values(64, hi=8, steps=4) == [1, 2, 4, 8]
         assert default_q_values(256, lo=3, hi=256, steps=13) == default_q_values(256)
 
+    def test_reversed_q_bounds_rejected(self):
+        with pytest.raises(InvalidInputError, match="from 3 down to 2;"):
+            default_q_values(256, hi=2)  # the default first bound, ceil(0.01 * 256)
+        with pytest.raises(InvalidInputError, match="from 8 down to 4;"):
+            default_q_values(64, lo=8, hi=4)
+        assert default_q_values(64, lo=4, hi=4) == [4]
+
     def test_mn_values(self):
         pairs = default_mn_values()
         assert len(pairs) == 35

@@ -532,7 +532,7 @@ class TestMeasureTrain:
         u = np.zeros(parts.grid.num_samples, dtype=np.complex128)
         for offset, coefficient in zip(parts.offsets, parts.coefficients):
             u[offset:offset + parts.subpulse.shape[0]] += coefficient * parts.subpulse
-        energy = metrics._train_moments(parts, 1)[0]
+        energy = metrics._train_moments(parts).energy
         assert energy == pytest.approx(float(np.sum(np.abs(u) ** 2)), rel=1e-13, abs=0.0)
 
 
@@ -747,7 +747,7 @@ class TestBandKernel:
         assert metrics._lit_bins(parts.subpulse, layout) == 2
         assert [list(k) for k in turned] == [list(layout.rows[:2] % period)]
         turned.clear()
-        monkeypatch.setattr(metrics, "_LIT_CHUNK_ELEMENTS", 3 * -(-width // g) * g)  # 3 rows, folded
+        monkeypatch.setattr(signal_core, "_HEAP_CHUNK_BYTES", 3 * 16 * -(-width // g) * g)  # 3 rows, folded
         assert metrics._lit_bins(np.zeros(width), layout) == 0
         assert [len(k) for k in turned] == [2] + [3] * ((layout.rows.shape[0] - 2) // 3) + (
             [(layout.rows.shape[0] - 2) % 3] if (layout.rows.shape[0] - 2) % 3 else [])

@@ -46,8 +46,8 @@ spectrum layout and whose Q = 64 row fails. Then json metrics of gddop at
 ``btrrc``, whose sub-pulses span 32 symbol periods, so ΔT sums 3 lags of
 overlapping sub-pulses. Then verify of ``--M 32 --N 8 --band 1e-9`` (a
 band of one bin) and of ``--family tdm --M 16 --N 2 --oversample 1
---zero-pad 1`` (one band bin with energy), where the sampled measurement
-rejects the band. Then json metrics of the btrrc sub-pulse at ``--M 64
+--zero-pad 1`` (one band bin with energy), where the metrics and the
+sampled measurement both reject the band. Then json metrics of the btrrc sub-pulse at ``--M 64
 --N 8``: at ``--beta 5e-324``, where both rolloff branches are empty, and
 at ``--Q 2500 --beta 0.05 --oversample 1``, a sub-pulse 78 symbol periods
 long. Last, metrics of two fdm trains whose band holds one bin with energy,
@@ -61,8 +61,12 @@ the scan's energy sum 127 lags of overlapping sub-pulses and the scan's
 delay rows 257. Last, json metrics of the default train at ``--band
 0.5``, whose 253 band bins are fewer than its w = 416 sub-pulse samples,
 so the rows that find lit bins, not the count of bins with comb weight,
-show that two bins carry energy: 338 distinct cases. Every train is
-measured from its parts.
+show that two bins carry energy. Then verify of ``--family fdm --M 45
+--N 2 --oversample 1 --zero-pad 1``, whose band the metrics reject while
+the sampled spectrum, holding rounding where the train's spectrum holds
+exact zeros, accepts it; and of ``--M 32 --N 8 --band 40``, a configured
+band that measures, while the family orderings keep their default bands:
+340 distinct cases. Every train is measured from its parts.
 """
 
 from __future__ import annotations
@@ -133,7 +137,9 @@ def cases() -> list[list[str]]:
                  ["metrics", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16",
                   "--format", "json"],
                  ["verify", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16"],
-                 ["metrics", "--band", "0.5", "--format", "json"]):
+                 ["metrics", "--band", "0.5", "--format", "json"],
+                 ["verify", "--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
+                 ["verify", "--M", "32", "--N", "8", "--band", "40"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
