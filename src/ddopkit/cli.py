@@ -301,13 +301,14 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
 
     unmeasured = "it reads the metrics, which were not measured"
     try:
-        numeric, analytic = measure_point(spec, cfg.band, cfg.zero_pad, cfg.oversample)
+        measured = SweepRow(spec.family.value, *measure_point(spec, cfg.band, cfg.zero_pad, cfg.oversample))
     except ValueError as exc:
-        numeric = None
+        measured = SweepRow(spec.family.value, None, None, status=f"failed: {exc}")
         checks.report(False, "metrics", f"not measured: {exc}")
         checks.skip("spectrum from parts", unmeasured)
         checks.skip("uncertainty floor", unmeasured)
-    else:
+    numeric, analytic = measured.numeric, measured.analytic
+    if numeric is not None:
         try:
             sampled = (measure_time(signal)[1], *measure_freq(spectrum, band)[1:])
         except ValueError as exc:
@@ -338,8 +339,7 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
         checks.skip("closed-form agreement",
                     f"no closed form applies to {spec.family.value} with these parameters")
     else:
-        row = SweepRow(parameter=spec.family.value, numeric=numeric, analytic=analytic)
-        pct, failed = row.percent_diff, row.tolerance_failures(tolerance)
+        pct, failed = measured.percent_diff, measured.tolerance_failures(tolerance)
         if analytic.time_dispersion_is_bound:
             checks.report("dT" not in failed, "ΔT bound",
                           f"numeric {numeric.time_dispersion:.6g} <= "
@@ -359,16 +359,19 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
                     f"scan applies to the pulse-train families, not {spec.family.value}")
 
     if spec.family is PulseFamily.DDOP:
+        # the orderings measure each family at its default band: at the
+        # default band the configured train's row is the one measured above
         trio = [replace(spec, family=fam) for fam in
                 (PulseFamily.DDOP, PulseFamily.TDM, PulseFamily.FDM)]
-        rep = compare_families(trio, band=None, zero_pad=cfg.zero_pad,
-                               oversample=cfg.oversample)
-        unmeasured = [r for r in rep.rows if r.numeric is None]
+        first = [measured] if cfg.band is None else []
+        rows = first + list(compare_families(trio[len(first):], band=None, zero_pad=cfg.zero_pad,
+                                             oversample=cfg.oversample).rows)
+        unmeasured = [r for r in rows if r.numeric is None]
         if unmeasured:
             checks.report(False, "family orderings",
                           f"{unmeasured[0].parameter} not measured: {unmeasured[0].status}")
         else:
-            ddop, tdm, fdm = (r.numeric for r in rep.rows)
+            ddop, tdm, fdm = (r.numeric for r in rows)
             ok = (ddop.tf_area > tdm.tf_area and ddop.tf_area > fdm.tf_area
                   and tdm.direction < ddop.direction < fdm.direction)
             checks.report(ok, "family orderings",

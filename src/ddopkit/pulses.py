@@ -8,7 +8,9 @@ Families:
   its closed-form spectrum and synthesized from it by the inverse Fourier
   integral: exactly on the flat and exponential branches, by one
   Clenshaw-Curtis sum on the upper branch, whose degree above a fixed cap is
-  an input error. The cosine sum runs in bounded blocks of offsets.
+  an input error. That sum reads its phases from cosine and sine tables of
+  coarse and fine steps of the offset grid, built and summed in bounded
+  blocks.
 * ``DDOP``: train of N sub-pulses at spacing T, sub-pulse energy 1/N.
 * ``GENERAL_DDOP``: train extended by D = ceil(2Q/M) prefix and suffix
   sub-pulses, sub-pulse energy 1/(N+2D).
@@ -249,13 +251,14 @@ def eval_btrrc_freq(spec: PulseSpec, f):
     return out if out.ndim else float(out)
 
 
-# Cap on the elements of one cos(2 pi tau f) block of the btrrc quadrature
-# (8 MiB of doubles); longer offset vectors are summed in row blocks.
+# Cap on the elements of each cos/sin table of the btrrc quadrature and of
+# each block of its product (8 MiB of doubles); longer tables are built and
+# summed in row blocks.
 _COS_BLOCK_ELEMENTS = 1 << 20
 
 
-# Largest Clenshaw-Curtis degree of the btrrc upper branch: the cosine sum
-# costs len(tau) x degree cosines.
+# Largest Clenshaw-Curtis degree of the btrrc upper branch: its tables cost
+# about 2 sqrt(len(tau)) x degree cosines and as many sines.
 _MAX_QUADRATURE_DEGREE = 4096
 
 
@@ -272,18 +275,27 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(0.5 * np.pi * (n - 2 * k) / n), weights
 
 
-def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
-    """Time samples of the exponential-rolloff sub-pulse from its real, even
-    spectrum A, a(t) = 2 int_0^{f_hi} A(f) cos(2 pi f t) df, branch by branch,
-    with a = sqrt(T/M) and D = f_mid - f_lo. The flat branch gives
+def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray, step: float) -> np.ndarray:
+    """Time samples of the exponential-rolloff sub-pulse at the offsets tau, a
+    uniform grid tau[n] = tau[0] + n*step, from its real, even spectrum A,
+    a(t) = 2 int_0^{f_hi} A(f) cos(2 pi f t) df, branch by branch, with
+    a = sqrt(T/M) and D = f_mid - f_lo. The flat branch gives
     2 a f_lo sinc(2 f_lo t). Across the exponential one A = a 2^(-(f - f_lo)/(2D))
     loses exactly half its power, giving 2 a D Re[exp(2j pi f_lo t) expm1(z)/z],
     z = 2j pi t D - ln2/2: beta never divides, so a subnormal beta empties
     this branch and the next rather than making NaN. The upper branch is a
     Clenshaw-Curtis sum over s in [0, 1], f = f_hi - (f_hi - f_mid) s^2, on
     which A = a sqrt(1 - 2^(-s^2)) is smooth; its degree is 32 plus 8 per cycle
-    of (f_hi - f_mid) max|t|, at most ``_MAX_QUADRATURE_DEGREE``, and its
-    cosines are summed over blocks of t of at most ``_COS_BLOCK_ELEMENTS``.
+    of (f_hi - f_mid) max|t|, at most ``_MAX_QUADRATURE_DEGREE``.
+
+    The upper branch reads its phases from two tables. With n = B c + b and
+    B about sqrt(len(tau)), cos(2 pi tau_n f) = cos(x + y) = cos x cos y -
+    sin x sin y, x = 2 pi f (tau[0] + B c step) down the coarse rows c and
+    y = 2 pi f b step down the fine rows b: about 2 sqrt(len(tau)) cosines
+    and as many sines per node instead of len(tau) cosines. The step is the
+    grid's own, never a difference of two offsets, whose error would grow
+    with n. No table and no block of coarse rows holds more than
+    ``_COS_BLOCK_ELEMENTS`` elements, unless one node row alone does.
     """
     amp = math.sqrt(spec.T / spec.M)
     f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
@@ -302,34 +314,41 @@ def _btrrc_profile_at(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
             f"btrrc quadrature needs a degree-{degree} rule but the cap is {_MAX_QUADRATURE_DEGREE}; lower Q")
     nodes, weights = _clenshaw_curtis(degree)
     s = 0.5 * (nodes + 1.0)
-    fq = f_hi - upper * s * s
+    omega = 2.0 * np.pi * (f_hi - upper * s * s)
     amp_df = amp * upper * s * weights * np.sqrt(-np.expm1(-math.log(2.0) * s * s))  # A * 0.5 * |df/ds|
-    rows = max(1, _COS_BLOCK_ELEMENTS // fq.size)
-    for start in range(0, tau.size, rows):
-        block = slice(start, start + rows)
-        total[block] += 2.0 * np.einsum("ij,j->i", np.cos(2.0 * np.pi * np.outer(tau[block], fq)), amp_df)
-    return total
+    fine_rows = min(math.isqrt(max(tau.size - 1, 0)) + 1, max(1, _COS_BLOCK_ELEMENTS // omega.size))
+    fine = np.outer(step * np.arange(fine_rows), omega)
+    cos_fine, sin_fine = np.cos(fine), np.sin(fine)
+    coarse_rows = -(-tau.size // fine_rows)
+    rows = max(1, _COS_BLOCK_ELEMENTS // max(omega.size, fine_rows))
+    summed = np.empty((coarse_rows, fine_rows))
+    for start in range(0, coarse_rows, rows):
+        coarse_steps = fine_rows * np.arange(start, min(start + rows, coarse_rows))
+        coarse = np.outer(tau[0] + step * coarse_steps, omega)
+        summed[start:start + rows] = (np.einsum("cj,bj->cb", np.cos(coarse) * amp_df, cos_fine)
+                                      - np.einsum("cj,bj->cb", np.sin(coarse) * amp_df, sin_fine))
+    return total + 2.0 * summed.reshape(-1)[:tau.size]
 
 
-def _rrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+def _rrc_subpulse(spec: PulseSpec, tau: np.ndarray, step: float, count: int) -> tuple[float, np.ndarray]:
     """Root-raised-cosine sub-pulse of energy 1/count: its amplitude and profile at tau."""
     return math.sqrt(spec.M * (1.0 / count) / spec.T), _rrc_profile(spec.M * tau / spec.T, spec.beta)
 
 
-def _btrrc_subpulse(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+def _btrrc_subpulse(spec: PulseSpec, tau: np.ndarray, step: float, count: int) -> tuple[float, np.ndarray]:
     """Exponential-rolloff sub-pulse of energy 1/count; at beta = 0 it is the rrc sub-pulse.
 
     The profile is even and tau runs symmetrically about the centre, so the
     sub-pulse is evaluated on the half tau >= 0 and mirrored.
     """
     if spec.beta == 0.0:
-        return _rrc_subpulse(spec, tau, count)
-    half = _btrrc_profile_at(spec, tau[tau.shape[0] // 2:])
+        return _rrc_subpulse(spec, tau, step, count)
+    half = _btrrc_profile_at(spec, tau[tau.shape[0] // 2:], step)
     # the inverse transform of the unit-energy spectrum already carries unit energy
     return math.sqrt(1.0 / count), np.concatenate((half[tau.shape[0] % 2:][::-1], half))
 
 
-def _rect_window(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+def _rect_window(spec: PulseSpec, tau: np.ndarray, step: float, count: int) -> tuple[float, np.ndarray]:
     """One length-T window of the unit-energy rectangle on [0, count*T]."""
     return 1.0 / math.sqrt(count * spec.T), np.ones(tau.shape)
 
@@ -346,7 +365,7 @@ def _dirichlet(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _otfs_window(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+def _otfs_window(spec: PulseSpec, tau: np.ndarray, step: float, count: int) -> tuple[float, np.ndarray]:
     """One length-T window of the multicarrier basis function phi_{m,n}:
     (1/sqrt(count*M)) * b(tau - m*T/M) * g(tau), with b the Dirichlet kernel of
     order M and g the unit-energy rectangle of duration T."""
@@ -354,8 +373,9 @@ def _otfs_window(spec: PulseSpec, tau: np.ndarray, count: int) -> tuple[float, n
     return amp, _dirichlet(spec, tau - spec.otfs_m * spec.T / spec.M)
 
 
-# The sub-pulse of each Train shape: (spec, tau, count) -> (amplitude, profile at tau).
-_SUBPULSES: dict[str, Callable[[PulseSpec, np.ndarray, int], tuple[float, np.ndarray]]] = {
+# The sub-pulse of each Train shape: (spec, tau, step, count) -> (amplitude,
+# profile at tau), tau the uniform grid of offsets, step the grid's spacing.
+_SUBPULSES: dict[str, Callable[[PulseSpec, np.ndarray, float, int], tuple[float, np.ndarray]]] = {
     "rrc": _rrc_subpulse,
     "btrrc": _btrrc_subpulse,
     "rect": _rect_window,
@@ -459,7 +479,7 @@ def train_parts(spec: PulseSpec, oversample: int = 16) -> TrainParts:
     train = train_layout(spec)
     k = np.arange(train.width * oversample)
     tau = grid.start_time + (k + 0.5) * grid.sample_interval - train.first_step * spec.T / spec.M
-    amp, profile = _SUBPULSES[train.shape](spec, tau, train.count)
+    amp, profile = _SUBPULSES[train.shape](spec, tau, grid.sample_interval, train.count)
     peak = float(np.max(np.abs(profile), initial=0.0))
     power = math.frexp(peak)[1] if 0.0 < peak < math.inf else 0
     if train.tone:

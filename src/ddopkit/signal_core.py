@@ -29,6 +29,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -239,7 +240,12 @@ def fast_length(minimum: int) -> int:
     FFT lengths with no prime factor above 5 run at full speed; a large prime
     factor can make the transform several times slower.
     """
-    minimum = positive_int(minimum, "FFT length")
+    return _fast_length(positive_int(minimum, "FFT length"))
+
+
+# Every point of a sweep asks for the same few lengths.
+@functools.lru_cache(maxsize=256)
+def _fast_length(minimum: int) -> int:
     best = 1 << (minimum - 1).bit_length()
     odd5 = 1
     while odd5 < best:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ddopkit
-from ddopkit import cli, metrics, pulses, signal_core
+from ddopkit import cli, experiments, metrics, pulses, signal_core
 from ddopkit.cli import main
 from ddopkit.experiments import REPORT_HEADER
 from ddopkit.pulses import FAMILY_ALIASES
@@ -601,6 +601,24 @@ class TestVerify:
         assert rc == 0 and "[PASS] spectrum from parts" in out
         configured = pulses.synth_pulse(pulses.PulseSpec(M=64, N=16, Q=16))
         assert lengths.count(configured.grid.num_samples) == 1 and len(lengths) == 2
+
+    @pytest.mark.parametrize("band,measured", [([], 1), (["--band", "40"], 2)], ids=["default", "configured"])
+    def test_configured_train_measured_once_at_its_default_band(self, band, measured, capsys, monkeypatch):
+        """The family orderings measure each family at its default band, so
+        there the configured ddop train's row is the one the closed-form
+        checks judged; a configured band needs a second measurement."""
+        families = []
+        measure_point = experiments.measure_point
+
+        def noting(spec, *args, **kwargs):
+            families.append(spec.family)
+            return measure_point(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "measure_point", noting)
+        monkeypatch.setattr(experiments, "measure_point", noting)
+        rc, out, _ = run(["verify", "--M", "64", "--N", "16", "--Q", "16", *band], capsys)
+        assert rc == 0 and "[PASS] family orderings" in out
+        assert families.count(pulses.PulseFamily.DDOP) == measured and len(families) == measured + 2
 
     def test_interior_index_checked(self, capsys):
         rc, out, _ = run(["verify", "--family", "otfs", "--M", "32", "--N", "8",

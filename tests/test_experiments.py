@@ -478,7 +478,7 @@ class TestOrthogonalityScan:
 
     def test_zero_subpulse_is_degenerate(self, monkeypatch):
         monkeypatch.setitem(pulses._SUBPULSES, "rrc",
-                            lambda spec, tau, count: (1.0, np.zeros(tau.shape)))
+                            lambda spec, tau, step, count: (1.0, np.zeros(tau.shape)))
         with pytest.raises(DegenerateInputError, match="pulse has zero energy on its grid"):
             orthogonality_scan(SMALL, 2, 2, oversample=8)
 

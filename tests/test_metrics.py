@@ -460,9 +460,9 @@ class TestMeasureTrain:
     def test_quadrature_runs_once_per_point(self, spec, monkeypatch):
         calls = []
 
-        def counting(spec, tau):
+        def counting(spec, tau, step):
             calls.append(tau.shape)
-            return btrrc_profile(spec, tau)
+            return btrrc_profile(spec, tau, step)
 
         btrrc_profile = pulses._btrrc_profile_at
         monkeypatch.setattr(pulses, "_btrrc_profile_at", counting)
@@ -486,7 +486,7 @@ class TestMeasureTrain:
             assert energy(parts.signal()) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_subpulse_is_degenerate(self, monkeypatch):
-        monkeypatch.setitem(pulses._SUBPULSES, "rrc", lambda spec, tau, count: (1.0, np.zeros(tau.shape)))
+        monkeypatch.setitem(pulses._SUBPULSES, "rrc", lambda spec, tau, step, count: (1.0, np.zeros(tau.shape)))
         with pytest.raises(DegenerateInputError, match="pulse has zero energy on its grid"):
             measure_train(train_parts(DEFAULT), AnalysisBand.default_for(DEFAULT))
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,29 @@ ORACLE_GRIDS = [
     (4, 4, 1.0),
     (64, 2500, 0.05),
 ]
+
+
+def per_offset_profile(spec: PulseSpec, tau: np.ndarray) -> np.ndarray:
+    """The btrrc profile with the upper branch summed directly: one
+    cos(2 pi tau f) per offset and Clenshaw-Curtis node, at any offsets."""
+    amp = math.sqrt(spec.T / spec.M)
+    f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
+    f_mid = spec.M / (2.0 * spec.T)
+    f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
+    lower, upper = f_mid - f_lo, f_hi - f_mid
+    z = 2j * np.pi * (lower * tau) - 0.5 * math.log(2.0)
+    total = 2.0 * amp * (f_lo * np.sinc(2.0 * (f_lo * tau))
+                         + lower * (np.exp(2j * np.pi * (f_lo * tau)) * np.expm1(z) / z).real)
+    nodes, weights = pulses._clenshaw_curtis(32 + math.ceil(8 * upper * np.max(np.abs(tau))))
+    s = 0.5 * (nodes + 1.0)
+    amp_df = amp * upper * s * weights * np.sqrt(-np.expm1(-math.log(2.0) * s * s))
+    return total + 2.0 * np.einsum("ij,j->i", np.cos(2.0 * np.pi * np.outer(tau, f_hi - upper * s * s)), amp_df)
+
+
+def span(spec: PulseSpec, count: int) -> tuple[np.ndarray, float]:
+    """count offsets step * n across [0, T_a/2], and their step."""
+    step = spec.ta / 2 / max(count - 1, 1)
+    return step * np.arange(count), step
 
 
 def end_time(grid):
@@ -283,9 +307,9 @@ class TestClosedFormSpectra:
     def test_btrrc_time_profile_quadrature_values(self):
         """Spot values of the synthesized profile against adaptive quadrature."""
         spec = PulseSpec(M=256, N=64, beta=0.5, Q=13, family=PulseFamily.BTRRC_SUBPULSE)
-        taus = np.array([0.0, 0.001, 0.01, 0.03, 0.0507])
+        taus = 1e-4 * np.arange(508)  # through 0, 0.001, 0.01, 0.03 and 0.0507
         expected = [18.78351176, 15.62335358, -0.8409167163, -0.08997242472, -0.04098150563]
-        got = _btrrc_profile_at(spec, taus)
+        got = _btrrc_profile_at(spec, taus, 1e-4)[[0, 10, 100, 300, 507]]
         assert np.allclose(got, expected, rtol=2e-6)
 
     @pytest.mark.parametrize("M,Q,beta", ORACLE_GRIDS)
@@ -298,7 +322,7 @@ class TestClosedFormSpectra:
         spec = PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
         edges = [M * (1 - beta) / 2, M / 2, M * (1 + beta) / 2]
         branches = [(lo, hi) for lo, hi in zip([0.0] + edges, edges) if hi > lo]
-        taus = np.linspace(0.0, spec.ta / 2, 25)
+        taus, step = span(spec, 25)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             expected = np.array([
@@ -306,32 +330,58 @@ class TestClosedFormSpectra:
                                wvar=2 * np.pi * tau, epsabs=0.0, epsrel=1e-13, limit=500)[0]
                     for lo, hi in branches)
                 for tau in taus])
-        got = _btrrc_profile_at(spec, taus)
+        got = _btrrc_profile_at(spec, taus, step)
         assert np.max(np.abs(got - expected)) <= 1e-12 * abs(expected[0])
+
+    @pytest.mark.parametrize("spec,tau,step", [
+        *((spec, *span(spec, 25)) for spec in (PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
+                                               for M, Q, beta in ORACLE_GRIDS)),
+        (PulseSpec(M=33, N=7, T=0.37, beta=0.5, subpulse="btrrc"), 0.37 / 165 * (np.arange(6) + 0.5), 0.37 / 165),
+        (PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc"), np.array([0.03]), 1e-4),
+        (PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc"), 0.01 + 3e-4 * np.arange(2), 3e-4),
+        (PulseSpec(M=256, N=8, beta=0.5, subpulse="btrrc"), -0.0507 + 0.1014 / 210 * np.arange(211), 0.1014 / 210),
+        (PulseSpec(M=64, N=8, Q=2500, beta=0.05, family=PulseFamily.BTRRC_SUBPULSE),
+         (np.arange(2500) + 0.5) / 64, 1 / 64),
+    ], ids=[*(f"{M}-{Q}-{beta}" for M, Q, beta in ORACLE_GRIDS), "odd-grid", "count-1", "count-2",
+            "count-211", "M64-Q2500"])
+    def test_phase_tables_match_the_per_offset_sum(self, spec, tau, step):
+        """The upper branch summed from its coarse and fine phase tables
+        agrees with one cosine per offset and node, on grids that do and do
+        not start at 0, of 1, 2 and a prime count of offsets, and on the
+        78-period sub-pulse of M 64, Q 2500 at oversample 1."""
+        want = per_offset_profile(spec, tau)
+        got = _btrrc_profile_at(spec, tau, step)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("M,Q,beta", ORACLE_GRIDS)
     def test_btrrc_cosine_sum_in_blocks(self, M, Q, beta, monkeypatch):
-        """With the block cap at 100 cosines, no block exceeds it (a rule
-        longer than the cap takes one offset at a time), every offset is
-        summed once, in the one branch with a quadrature, and the profile
-        agrees with the unblocked sum."""
+        """With the block cap at 100 elements, no cosine or sine table holds
+        more (a rule longer than the cap takes one row at a time), the fine
+        table is built once and the coarse blocks cover every offset once,
+        and the profile agrees with the unblocked sum."""
         spec = PulseSpec(M=M, N=8, beta=beta, Q=Q, family=PulseFamily.BTRRC_SUBPULSE)
-        taus = np.linspace(0.0, spec.ta / 2, 25)
-        whole = _btrrc_profile_at(spec, taus)
-        shapes = []
-        real_cos = np.cos
+        taus, step = span(spec, 25)
+        whole = _btrrc_profile_at(spec, taus, step)
+        shapes = {"cos": [], "sin": []}
+        real = {name: getattr(np, name) for name in shapes}
 
-        def recording_cos(x, *args, **kwargs):
-            shapes.append(x.shape)
-            return real_cos(x, *args, **kwargs)
+        def recording(name):
+            def trig(x, *args, **kwargs):
+                if np.ndim(x) == 2:  # a table, not the rule's nodes
+                    shapes[name].append(x.shape)
+                return real[name](x, *args, **kwargs)
+            return trig
 
         monkeypatch.setattr(pulses, "_COS_BLOCK_ELEMENTS", 100)
-        monkeypatch.setattr(np, "cos", recording_cos)
-        blocked = _btrrc_profile_at(spec, taus)
+        for name in shapes:
+            monkeypatch.setattr(np, name, recording(name))
+        blocked = _btrrc_profile_at(spec, taus, step)
         monkeypatch.undo()
-        assert sum(rows for rows, _ in shapes) == taus.size
-        assert all(rows * nodes <= 100 or rows == 1 for rows, nodes in shapes)
-        assert len(shapes) > 1
+        assert shapes["cos"] == shapes["sin"]
+        (fine, nodes), *coarse = shapes["cos"]
+        assert all(rows * nodes <= 100 or rows == 1 for rows, nodes in shapes["cos"])
+        assert sum(rows for rows, _ in coarse) == -(-taus.size // fine)
+        assert len(coarse) > 1
         assert np.max(np.abs(blocked - whole)) <= 1e-15 * abs(whole[0])
 
     @pytest.mark.parametrize("spec,oversample", [
@@ -343,33 +393,41 @@ class TestClosedFormSpectra:
     ], ids=["ddop-256x8", "gddop", "ddop-33x7", "single", "gddop-T0.37"])
     def test_btrrc_subpulse_mirrored_from_its_half(self, spec, oversample):
         """The sub-pulse is the quadrature on tau >= 0, mirrored: exactly
-        symmetric, and the quadrature's own values on the grid mirrored from
-        that half. Against the quadrature on the grid's tau, which is
-        symmetric only to within delta = max|tau_k + tau_{n-1-k}|, it moves
-        by at most 1e-15 of the peak plus slope times delta, the slope of
-        a(t) = 2 int A cos(2 pi f t) df being at most 2 pi f_hi a(0)."""
+        symmetric. Against the quadrature on the whole grid, run on the
+        grid's tau and on the half's mirror image, it moves by at most 1e-15
+        of the peak plus slope times delta, the slope of
+        a(t) = 2 int A cos(2 pi f t) df being at most 2 pi f_hi a(0). delta
+        is the largest distance between the points the two evaluate: the
+        closed-form branches read the whole grid's tau, symmetric only to
+        within max|tau_k + tau_{n-1-k}|, and the upper branch its first
+        offset plus n steps, against +-(half[0] + m steps) mirrored."""
         parts = train_parts(spec, oversample)
         train = train_layout(spec)
         k = np.arange(train.width * oversample)
-        tau = parts.grid.start_time + (k + 0.5) * parts.grid.sample_interval - train.first_step * spec.T / spec.M
+        step = parts.grid.sample_interval
+        tau = parts.grid.start_time + (k + 0.5) * step - train.first_step * spec.T / spec.M
         half = tau[tau.shape[0] // 2:]
-        _, mirrored = pulses._btrrc_subpulse(spec, tau, train.count)
+        assert tau.shape[0] == 2 * half.shape[0]
+        _, mirrored = pulses._btrrc_subpulse(spec, tau, step, train.count)
         assert np.array_equal(parts.subpulse, parts.subpulse[::-1])
         assert np.array_equal(parts.subpulse, mirrored * 2.0 ** -math.frexp(np.max(np.abs(mirrored)))[1])
-        assert np.array_equal(mirrored, _btrrc_profile_at(spec, np.concatenate((-half[::-1], half))))
-        full = _btrrc_profile_at(spec, tau)
-        peak = np.max(np.abs(full))
-        delta = np.max(np.abs(tau + tau[::-1]))
         f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
-        assert np.max(np.abs(mirrored - full)) <= peak * (1e-15 + 2.0 * np.pi * f_hi * delta)
+        first, dt, width = Fraction(half[0]), Fraction(step), half.shape[0]
+        for full_tau in (np.concatenate((-half[::-1], half)), tau):
+            full = _btrrc_profile_at(spec, full_tau, step)
+            peak = np.max(np.abs(full))
+            start = Fraction(full_tau[0])
+            delta = max(np.max(np.abs(full_tau + full_tau[::-1])),
+                        abs(start + width * dt - first), abs(start + (width - 1) * dt + first))
+            assert np.max(np.abs(mirrored - full)) <= peak * (1e-15 + 2.0 * np.pi * f_hi * float(delta))
 
     def test_btrrc_subpulse_on_an_odd_grid(self):
         """An odd count of offsets has its centre at tau = 0, taken once."""
         spec = PulseSpec(M=64, N=8, beta=0.5, subpulse="btrrc")
-        half = np.linspace(0.0, spec.ta / 2, 13)
-        _, profile = pulses._btrrc_subpulse(spec, np.concatenate((-half[:0:-1], half)), 1)
-        assert np.array_equal(profile, np.concatenate((_btrrc_profile_at(spec, half)[:0:-1],
-                                                       _btrrc_profile_at(spec, half))))
+        half, step = span(spec, 13)
+        _, profile = pulses._btrrc_subpulse(spec, np.concatenate((-half[:0:-1], half)), step, 1)
+        assert np.array_equal(profile, np.concatenate((_btrrc_profile_at(spec, half, step)[:0:-1],
+                                                       _btrrc_profile_at(spec, half, step))))
 
     @pytest.mark.parametrize("cap", [63, 64])
     def test_upper_branch_degree_cap(self, cap, monkeypatch):
@@ -485,9 +543,9 @@ class TestTrains:
         the btrrc quadrature runs once per synthesis."""
         calls = []
 
-        def counting(spec, tau):
+        def counting(spec, tau, step):
             calls.append(tau.shape)
-            return _btrrc_profile_at(spec, tau)
+            return _btrrc_profile_at(spec, tau, step)
 
         monkeypatch.setattr(pulses, "_btrrc_profile_at", counting)
         spec = PulseSpec(M=64, N=8, T=0.37, beta=0.3, subpulse="btrrc")
@@ -562,7 +620,9 @@ def reference_train(spec: PulseSpec, oversample: int):
         if shape == "rrc" or spec.beta == 0.0:
             sub = math.sqrt(spec.M * (1.0 / count) / spec.T) * _rrc_profile(spec.M * tau / spec.T, spec.beta)
         else:
-            sub = math.sqrt(1.0 / count) * _btrrc_profile_at(spec, tau)
+            # the profile is even: summed on tau > 0 and mirrored
+            half = _btrrc_profile_at(spec, tau[tau > 0], grid.sample_interval)
+            sub = math.sqrt(1.0 / count) * np.concatenate((half[::-1], half))
         out[near] += sub
     return _unit_energy(grid, out)
 

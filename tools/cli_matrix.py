@@ -65,8 +65,10 @@ show that two bins carry energy. Then verify of ``--family fdm --M 45
 --N 2 --oversample 1 --zero-pad 1``, whose band the metrics reject while
 the sampled spectrum, holding rounding where the train's spectrum holds
 exact zeros, accepts it; and of ``--M 32 --N 8 --band 40``, a configured
-band that measures, while the family orderings keep their default bands:
-340 distinct cases. Every train is measured from its parts.
+band that measures, while the family orderings keep their default bands.
+Last, metrics of the btrrc sub-pulse at ``--M 32 --Q 16 --beta 0.5
+--oversample 4``, whose upper branch needs a degree-64 rule: 341 distinct
+cases. Every train is measured from its parts.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ def cases() -> list[list[str]]:
                  ["verify", "--family", "gddop", "--M", "4", "--N", "4", "--Q", "256", "--oversample", "16"],
                  ["metrics", "--band", "0.5", "--format", "json"],
                  ["verify", "--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
-                 ["verify", "--M", "32", "--N", "8", "--band", "40"]):
+                 ["verify", "--M", "32", "--N", "8", "--band", "40"],
+                 ["metrics", "--family", "btrrc", "--M", "32", "--Q", "16", "--beta", "0.5", "--oversample", "4"]):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
