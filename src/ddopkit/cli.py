@@ -23,6 +23,7 @@ import numpy as np
 
 from .analytic import gabor_limit
 from .experiments import (
+    QUANTITIES,
     SweepPlan,
     SweepReport,
     SweepRow,
@@ -49,6 +50,8 @@ from .signal_core import (
 
 __all__ = ["RunConfig", "main"]
 
+_FORMATS = ("csv", "json")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -69,12 +72,13 @@ class RunConfig:
         object.__setattr__(self, "zero_pad", positive_int(self.zero_pad, "zero_pad"))
         if not (self.output_path is None or isinstance(self.output_path, str)):
             raise InvalidInputError(f"output path must be a string, got {self.output_path!r}")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidInputError(f"output format must be csv or json, got {self.output_format!r}")
+        if self.output_format not in _FORMATS:
+            raise InvalidInputError(f"output format must be {' or '.join(_FORMATS)}, got {self.output_format!r}")
 
 
 # The run settings a config file may set: RunConfig's fields, with the band given
-# by its half-width. "subpulse" sets the pulse's sub-pulse shape.
+# by its half-width. "subpulse" sets the pulse's sub-pulse shape. Each setting
+# and each PulseSpec field is also the dest of the flag that sets it.
 _SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name not in ("pulse", "band")) + ("band_half_width",)
 _CONFIG_KEYS = {"pulse", "subpulse", *_SETTINGS}
 
@@ -89,7 +93,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
+    """The CLI's parser, built once per process: parsing leaves it unchanged.
+    Each flag's dest is the field or setting it sets; a metavar keeps its help."""
     parser = _Parser(
         prog="ddopkit",
         description="Synthesize delay-Doppler pulse trains and measure their "
@@ -98,13 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("run settings")
     g.add_argument("--config", help="JSON config file (flags override its fields)")
-    g.add_argument("--out", help="output file path (default: stdout)")
-    g.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    g.add_argument("--out", dest="output_path", metavar="OUT", help="output file path (default: stdout)")
+    g.add_argument("--format", dest="output_format", choices=_FORMATS, help="output format (default csv)")
     g.add_argument("--oversample", type=int, help="samples per T/M step (default 16)")
     g.add_argument("--zero-pad", type=int,
                    help="minimum spectrum zero-padding factor; the transform length is "
                         "rounded up to a 5-smooth length (default 4)")
-    g.add_argument("--band", type=float, help="analysis band half-width in Hz (default 5M/T)")
+    g.add_argument("--band", dest="band_half_width", metavar="BAND", type=float,
+                   help="analysis band half-width in Hz (default 5M/T)")
     g.add_argument("--tolerance", type=float, default=2.0,
                    help="percent tolerance for metric comparisons, finite and >= 0 (default 2)")
     p = common.add_argument_group("pulse parameters")
@@ -124,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("metrics", parents=[common],
                    help="measure a pulse and compare against its closed form")
     sw = sub.add_parser("sweep", parents=[common], help="sweep one parameter axis")
-    sw.add_argument("--vary", choices=("beta", "q", "mn"), required=True,
+    sw.add_argument("--vary", choices=[axis.value for axis in SweptParameter], required=True,
                     help="swept axis: roll-off, half-length, or the (M, N) grid")
     sw.add_argument("--from", dest="sweep_from", type=float, help="first swept value")
     sw.add_argument("--to", dest="sweep_to", type=float, help="last swept value")
     sw.add_argument("--steps", type=int, help="number of swept points")
-    sw.add_argument("--metric", choices=("dT", "dF", "dA", "k"),
+    sw.add_argument("--metric", choices=[key for key, _, _ in QUANTITIES],
                     help="also print the max percent difference for this metric")
     sub.add_parser("verify", parents=[common], help="run the invariant check suite")
     return parser
@@ -152,6 +158,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     The top-level "subpulse" config key sets the pulse's sub-pulse shape, as
     "pulse": {"subpulse": ...} does; the top-level key wins if both are given.
     """
+    flags = vars(args)
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     pulse_kwargs = {"M": 256, "N": 64}
@@ -161,12 +168,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     pulse_kwargs.update(file_pulse)
     if "subpulse" in file_cfg:
         pulse_kwargs["subpulse"] = file_cfg["subpulse"]
-    flag_fields = {"family": args.family, "M": args.M, "N": args.N, "T": args.T,
-                   "beta": args.beta, "Q": args.Q, "otfs_m": args.otfs_m,
-                   "otfs_n": args.otfs_n, "subpulse": args.subpulse}
-    for key, val in flag_fields.items():
-        if val is not None:
-            pulse_kwargs[key] = val
+    pulse_kwargs.update((f.name, flags[f.name]) for f in fields(PulseSpec) if flags.get(f.name) is not None)
     try:
         pulse = PulseSpec.from_json_dict(pulse_kwargs)
     except TypeError as exc:
@@ -174,10 +176,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     # only the settings the file or a flag set; RunConfig holds the defaults
     settings = {key: file_cfg[key] for key in _SETTINGS if key in file_cfg}
-    flag_settings = {"oversample": args.oversample, "zero_pad": args.zero_pad,
-                     "band_half_width": args.band, "output_path": args.out,
-                     "output_format": args.format}
-    settings.update({key: val for key, val in flag_settings.items() if val is not None})
+    settings.update((key, flags[key]) for key in _SETTINGS if flags.get(key) is not None)
     half_width = settings.pop("band_half_width", None)
     band = None if half_width is None else AnalysisBand(half_width=half_width)
     return RunConfig(pulse=pulse, band=band, **settings)
@@ -228,8 +227,7 @@ def cmd_metrics(cfg: RunConfig, tolerance: float) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
-    axis = {"beta": SweptParameter.BETA, "q": SweptParameter.Q,
-            "mn": SweptParameter.M_N_PAIR}[args.vary]
+    axis = SweptParameter(args.vary)
     bounds = (args.sweep_from, args.sweep_to, args.steps)
     if axis is SweptParameter.M_N_PAIR and bounds != (None, None, None):
         raise InvalidInputError("--vary mn sweeps a fixed (M, N) grid; it takes no --from, --to or --steps")
@@ -364,8 +362,7 @@ def cmd_verify(cfg: RunConfig, tolerance: float) -> int:
         trio = [replace(spec, family=fam) for fam in
                 (PulseFamily.DDOP, PulseFamily.TDM, PulseFamily.FDM)]
         first = [measured] if cfg.band is None else []
-        rows = first + list(compare_families(trio[len(first):], band=None, zero_pad=cfg.zero_pad,
-                                             oversample=cfg.oversample).rows)
+        rows = first + list(compare_families(trio[len(first):], cfg.zero_pad, cfg.oversample).rows)
         unmeasured = [r for r in rows if r.numeric is None]
         if unmeasured:
             checks.report(False, "family orderings",

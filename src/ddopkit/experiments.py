@@ -8,11 +8,12 @@ empty. ``SweepRow`` judges a measurement against its closed form
 (``percent_diff``, ``tolerance_failures``), also for the CLI's metrics and
 verify commands. Sweeps run serially in plan order, and a point whose spec
 is illegal becomes a "failed: ..." row instead of aborting the sweep. Every
-point is measured from its train's parts (``metrics.measure_train``);
-consecutive points whose trains share a spectrum layout
-(``metrics.SpectrumLayout``) read one.
+point is measured from its train's parts as ``metrics.measure_train``
+measures it; consecutive points of one ``metrics.layout_key`` read one
+spectrum layout (``metrics.SpectrumLayout``).
 
-Report serialization is fixed: a CSV with the header
+The rows of ``QUANTITIES`` name ΔT, ΔF, ΔA and κ once each. Report
+serialization is fixed: a CSV with the header ``REPORT_HEADER``,
 
     parameter,ΔT_num,ΔT_ana,ΔT_pct,ΔF_num,ΔF_ana,ΔF_pct,
     ΔA_num,ΔA_ana,ΔA_pct,κ_num,κ_ana,κ_pct,energy_capture,status
@@ -38,9 +39,9 @@ from .metrics import (
     AnalysisBand,
     LocalizationMetrics,
     SpectrumLayout,
+    _measure_on,
     _train_moments,
     layout_key,
-    measure_train,
     spectrum_layout,
 )
 from .pulses import PulseFamily, PulseSpec, default_q, train_parts
@@ -58,6 +59,7 @@ __all__ = [
     "SweepPlan",
     "SweepRow",
     "SweepReport",
+    "QUANTITIES",
     "REPORT_HEADER",
     "default_q_values",
     "default_mn_values",
@@ -67,10 +69,17 @@ __all__ = [
     "orthogonality_scan",
 ]
 
-REPORT_HEADER = (
-    "parameter,ΔT_num,ΔT_ana,ΔT_pct,ΔF_num,ΔF_ana,ΔF_pct,"
-    "ΔA_num,ΔA_ana,ΔA_pct,κ_num,κ_ana,κ_pct,energy_capture,status"
+# The compared quantities, in report order: (key, as ``percent_diff`` and the
+# CLI's --metric name it; report column prefix; LocalizationMetrics attribute).
+QUANTITIES = (
+    ("dT", "ΔT", "time_dispersion"),
+    ("dF", "ΔF", "freq_dispersion"),
+    ("dA", "ΔA", "tf_area"),
+    ("k", "κ", "direction"),
 )
+
+REPORT_HEADER = ",".join(("parameter", *(f"{column}_{part}" for _, column, _ in QUANTITIES
+                                         for part in ("num", "ana", "pct")), "energy_capture", "status"))
 
 
 class SweptParameter(enum.Enum):
@@ -149,17 +158,12 @@ class SweepRow:
 
     @property
     def percent_diff(self) -> dict:
-        """Per-metric 100*|num-ana|/ana; ΔT becomes 'numeric <= bound' when bounded."""
+        """Per-quantity 100*|num-ana|/ana, by key; ΔT becomes 'numeric <= bound' when bounded."""
         if self.numeric is None or self.analytic is None:
-            return {"dT": None, "dF": None, "dA": None, "k": None}
-        pairs = {
-            "dT": (self.numeric.time_dispersion, self.analytic.time_dispersion),
-            "dF": (self.numeric.freq_dispersion, self.analytic.freq_dispersion),
-            "dA": (self.numeric.tf_area, self.analytic.tf_area),
-            "k": (self.numeric.direction, self.analytic.direction),
-        }
+            return dict.fromkeys(key for key, _, _ in QUANTITIES)
         out = {}
-        for key, (num, ana) in pairs.items():
+        for key, _, attribute in QUANTITIES:
+            num, ana = getattr(self.numeric, attribute), getattr(self.analytic, attribute)
             if key == "dT" and self.analytic.time_dispersion_is_bound:
                 out[key] = bool(num <= ana)
             else:
@@ -182,30 +186,17 @@ class SweepRow:
                 out[key] = f"{key}: {val:.4g}% > {tolerance:g}%"
         return out
 
-    @property
-    def energy_capture(self) -> float | None:
-        return None if self.numeric is None else self.numeric.energy_capture
-
     def to_json_dict(self) -> dict:
-        pct = self.percent_diff
-        num, ana = self.numeric, self.analytic
-        return {
-            "parameter": self.parameter,
-            "ΔT_num": None if num is None else num.time_dispersion,
-            "ΔT_ana": None if ana is None else ana.time_dispersion,
-            "ΔT_pct": pct["dT"],
-            "ΔF_num": None if num is None else num.freq_dispersion,
-            "ΔF_ana": None if ana is None else ana.freq_dispersion,
-            "ΔF_pct": pct["dF"],
-            "ΔA_num": None if num is None else num.tf_area,
-            "ΔA_ana": None if ana is None else ana.tf_area,
-            "ΔA_pct": pct["dA"],
-            "κ_num": None if num is None else num.direction,
-            "κ_ana": None if ana is None else ana.direction,
-            "κ_pct": pct["k"],
-            "energy_capture": self.energy_capture,
-            "status": self.status,
-        }
+        """The row by ``REPORT_HEADER``'s columns, in its order."""
+        pct, num, ana = self.percent_diff, self.numeric, self.analytic
+        out = {"parameter": self.parameter}
+        for key, column, attribute in QUANTITIES:
+            out[f"{column}_num"] = None if num is None else getattr(num, attribute)
+            out[f"{column}_ana"] = None if ana is None else getattr(ana, attribute)
+            out[f"{column}_pct"] = pct[key]
+        out["energy_capture"] = None if num is None else num.energy_capture
+        out["status"] = self.status
+        return out
 
 
 def _fmt(value) -> str:
@@ -224,7 +215,7 @@ class SweepReport:
         object.__setattr__(self, "rows", tuple(self.rows))
 
     def max_percent_diff(self, key: str) -> float:
-        """Largest percent difference for one of dT/dF/dA/k across ok rows."""
+        """Largest percent difference for one quantity's key across ok rows."""
         vals = [
             r.percent_diff[key]
             for r in self.rows
@@ -237,11 +228,8 @@ class SweepReport:
     def to_csv(self) -> str:
         lines = [REPORT_HEADER]
         for row in self.rows:
-            d = row.to_json_dict()
-            cells = [d["parameter"]]
-            cells += [_fmt(d[k]) for k in REPORT_HEADER.split(",")[1:-1]]
-            cells.append(d["status"])
-            lines.append(",".join(cells))
+            parameter, *values, status = row.to_json_dict().values()
+            lines.append(",".join((parameter, *map(_fmt, values), status)))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -255,26 +243,23 @@ def measure_point(
     oversample: int,
     layouts: dict[tuple, SpectrumLayout] | None = None,
 ) -> tuple[LocalizationMetrics, LocalizationMetrics | None]:
-    """Numeric metrics of the pulse, measured from its train's parts
-    (``measure_train``), and its closed form (None where no closed form applies).
+    """Numeric metrics of the pulse, measured from its train's parts as
+    ``measure_train`` measures them, and its closed form (None where no
+    closed form applies).
 
     band=None means the spec's default band +-5M/T. ``run_sweep`` passes its
     sweep's layouts, ``{layout_key: SpectrumLayout}``: a point reads the
-    layout held there if it is this train's, and otherwise empties the dict
+    layout held there under its train's key, and otherwise empties the dict
     and builds its own into it, so the dict never holds more than one.
-    Without them ``measure_train`` builds the layout for this point.
     """
     resolved = band if band is not None else AnalysisBand.default_for(spec)
     parts = train_parts(spec, oversample)
-    layout = None
-    if layouts is not None:
-        key = layout_key(parts, resolved, zero_pad)
-        layout = layouts.get(key)
-        if layout is None:
-            layouts.clear()
-            layout = layouts[key] = spectrum_layout(parts, resolved, zero_pad)
-    numeric = measure_train(parts, resolved, zero_pad, layout)
-    return numeric, analytic_for(spec, resolved, oversample)
+    layouts = {} if layouts is None else layouts
+    key = layout_key(parts, resolved, zero_pad)
+    if key not in layouts:
+        layouts.clear()
+        layouts[key] = spectrum_layout(parts, resolved, zero_pad)
+    return _measure_on(parts, resolved, layouts[key]), analytic_for(spec, resolved, oversample)
 
 
 def _row(label: str, point) -> SweepRow:
@@ -304,15 +289,11 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
     return SweepReport(rows=tuple(map(one, plan.values)))
 
 
-def compare_families(
-    specs: list[PulseSpec],
-    band: AnalysisBand | None = None,
-    zero_pad: int = 4,
-    oversample: int = 16,
-) -> SweepReport:
-    """One row per spec, labeled by family, for side-by-side comparison."""
+def compare_families(specs: list[PulseSpec], zero_pad: int = 4, oversample: int = 16) -> SweepReport:
+    """One row per spec, labeled by family, each measured at its own
+    default band, for side-by-side comparison."""
     return SweepReport(rows=tuple(
-        _row(spec.family.value, partial(measure_point, spec, band, zero_pad, oversample))
+        _row(spec.family.value, partial(measure_point, spec, None, zero_pad, oversample))
         for spec in specs))
 
 

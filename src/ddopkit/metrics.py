@@ -25,9 +25,9 @@ rows that find lit bins (``_lit_bins``).
 What the band moments read besides the sub-pulse samples, L, the band's
 run of bins, the band kernel and the rows that find lit bins, is the
 train's ``SpectrumLayout`` (``spectrum_layout``). ``measure_train`` builds
-one per call unless it is given one; ``experiments.run_sweep`` keeps the
-last one built and passes it on to the sweep's next points while their
-trains share it, such as every point of a roll-off sweep. A layout is
+one per call; ``experiments.run_sweep`` keeps the last one built, under its
+train's ``layout_key``, and measures the sweep's next points with it while
+their keys match, such as every point of a roll-off sweep. A layout is
 read-only.
 """
 
@@ -214,12 +214,11 @@ class SpectrumLayout(NamedTuple):
     read as pairs of floats. The band's bins kappa = j + R i, 0 <= i < run,
     fall in R rows j = lo..lo + R - 1; rows and runs list, in row order, the
     rows whose comb weight is not zero and their runs, which
-    ``_lit_bins`` reads. key is ``layout_key`` of the train it was built
-    for. The arrays are read-only, so one layout serves every point of a
-    sweep that shares it.
+    ``_lit_bins`` reads. The arrays are read-only, so one layout serves
+    every train of one ``layout_key``, such as every point of a roll-off
+    sweep.
     """
 
-    key: tuple
     length: int
     period: int
     freq_interval: float
@@ -245,7 +244,6 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     bins in the band, row lo + j holds q + 1 of them for j < rem and q
     for the rest; a band narrower than R has only its n rows.
     """
-    key = layout_key(parts, band, zero_pad)
     length, start_freq, freq_interval = _transform_grid(parts.grid, zero_pad)
     bins = bins_within(start_freq, freq_interval, length, band.half_width)
     lo, hi = bins.start - length // 2, bins.stop - length // 2
@@ -261,7 +259,7 @@ def spectrum_layout(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) ->
     lit += lo
     for array in (kernel, lit, runs):
         array.flags.writeable = False
-    return SpectrumLayout(key, length, period, freq_interval, (lo, hi), kernel, lit, runs)
+    return SpectrumLayout(length, period, freq_interval, (lo, hi), kernel, lit, runs)
 
 
 def _band_kernel(weight: np.ndarray, kappas: tuple[int, int], period: int, length: int,
@@ -391,8 +389,7 @@ def _train_moments(parts: TrainParts) -> _TrainMoments:
     return _TrainMoments(sub_energy, coef_energy, x0, mean + shift, var)
 
 
-def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
-                  layout: SpectrumLayout | None = None) -> LocalizationMetrics:
+def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4) -> LocalizationMetrics:
     """Numeric localization metrics of the train ``parts.signal()``: those of
     ``measure_all(parts.signal(), band, zero_pad)``, to rounding.
 
@@ -414,16 +411,16 @@ def measure_train(parts: TrainParts, band: AnalysisBand, zero_pad: int = 4,
     weight, ``_lit_bins``'s.
 
     Everything above but the sub-pulse's autocorrelation and its moments is
-    the train's ``SpectrumLayout``. Without one, ``spectrum_layout`` builds
-    it for this call; a sweep builds one per run of points that share it
-    and passes it to each of them. A layout built for another train, band
-    or zero_pad (another ``layout_key``) is rejected with
-    ``InvalidInputError``.
+    the train's ``SpectrumLayout``, which ``spectrum_layout`` builds for this
+    call (``_measure_on``).
     """
-    if layout is None:
-        layout = spectrum_layout(parts, band, zero_pad)
-    elif layout.key != layout_key(parts, band, zero_pad):
-        raise InvalidInputError("the spectrum layout was built for another train, band or zero-pad factor")
+    return _measure_on(parts, band, spectrum_layout(parts, band, zero_pad))
+
+
+def _measure_on(parts: TrainParts, band: AnalysisBand, layout: SpectrumLayout) -> LocalizationMetrics:
+    """``measure_train`` on the train's layout, which the caller found by the
+    train's ``layout_key(parts, band, zero_pad)``, as
+    ``experiments.measure_point`` does."""
     moments = _train_moments(parts)
     time_disp = _dispersion(moments.time_var, "time")
     total = layout.length * moments.sub_energy * moments.coef_energy + layout.length * moments.overlap

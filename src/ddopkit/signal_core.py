@@ -160,8 +160,6 @@ def sum_of_products(a: np.ndarray, b: np.ndarray):
 
 def energy(signal: SampledSignal) -> float:
     """Midpoint Riemann sum of |g(t)|^2."""
-    if signal.samples.size == 0:
-        raise InvalidInputError("empty signal")
     mags = np.abs(signal.samples)
     return float(sum_of_products(mags, mags) * signal.grid.sample_interval)
 

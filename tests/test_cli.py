@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config precedence, output contracts."""
 
+import argparse
 import dataclasses
 import io
 import json
@@ -30,6 +31,54 @@ def run(argv, capsys):
 
 def test_parser_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+class TestDeclaredOnce:
+    """The report's quantities and the CLI's settings are each declared in
+    one place, which every reader takes them from."""
+
+    def test_quantities_name_the_columns_keys_and_metric_choices(self):
+        """REPORT_HEADER's quantity columns, the percent_diff keys, the JSON
+        row's keys and the sweep's --metric choices follow QUANTITIES, in
+        order, and each key reads its own LocalizationMetrics attribute."""
+        keys = [key for key, _, _ in experiments.QUANTITIES]
+        assert keys == ["dT", "dF", "dA", "k"]
+        header = REPORT_HEADER.split(",")
+        assert header == ["parameter", *(f"{column}_{part}" for _, column, _ in experiments.QUANTITIES
+                                         for part in ("num", "ana", "pct")), "energy_capture", "status"]
+        numeric = metrics.LocalizationMetrics(0.0, 0.0, 2.0, 3.0, metrics.Provenance.NUMERIC, 0.5)
+        analytic = metrics.LocalizationMetrics(0.0, 0.0, 2.0, 4.0, metrics.Provenance.ANALYTIC)
+        row = experiments.SweepRow("x", numeric, analytic)
+        assert row.percent_diff == pytest.approx({"dT": 0.0, "dF": 25.0, "dA": 25.0, "k": 100.0 / 3})
+        assert list(row.percent_diff) == keys == list(experiments.SweepRow("x", None, None).percent_diff)
+        assert list(row.to_json_dict()) == header
+        assert [row.to_json_dict()[f"{column}_num"] for _, column, _ in experiments.QUANTITIES] == [
+            2.0, 3.0, 6.0, 2.0 / 3]
+        metric = next(a for a in subparser("sweep")._actions if "--metric" in a.option_strings)
+        assert list(metric.choices) == keys
+
+    @pytest.mark.parametrize("command", ["synth", "metrics", "sweep", "verify"])
+    def test_every_pulse_field_and_setting_is_a_flag_dest(self, command):
+        dests = {action.dest for action in subparser(command)._actions}
+        assert {field.name for field in dataclasses.fields(pulses.PulseSpec)} <= dests
+        assert set(cli._SETTINGS) <= dests
+
+    def test_a_field_without_a_flag_is_read_from_the_config(self, tmp_path, capsys):
+        """resolve_config reads each field's flag by name where there is one:
+        a namespace without the otfs_n or band_half_width flag takes them from
+        the config file, as it would a field that has no flag."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"pulse": {"M": 32, "N": 8, "family": "otfs", "otfs_n": 3},
+                                   "band_half_width": 40.0}))
+        args = cli.build_parser().parse_args(["metrics", "--config", str(cfg)])
+        del args.otfs_n, args.band_half_width
+        resolved = cli.resolve_config(args)
+        assert resolved.pulse.otfs_n == 3 and resolved.band == metrics.AnalysisBand(40.0)
 
 
 class TestUsageErrors:

@@ -697,7 +697,7 @@ class TestBandKernel:
 
         monkeypatch.setattr(metrics, "_lit_bins", refuse)
         measure_train(parts, band, zero_pad)
-        measure_train(parts, band, zero_pad, layout)
+        metrics._measure_on(parts, band, layout)
 
     def test_as_many_comb_bins_as_samples_read_the_lit_rows(self, monkeypatch):
         """odd-L's 0.3/dt band holds B = w = 9 bins of positive comb weight,
@@ -756,7 +756,7 @@ class TestBandKernel:
 
 class TestSpectrumLayout:
     """A layout holds what a train's band moments read besides its sub-pulse
-    samples; it serves only the trains, band and zero_pad it was built for."""
+    samples; it serves the trains of one ``layout_key``."""
 
     @pytest.mark.parametrize("spec,oversample,fits_g", [
         (PulseSpec(M=16, N=4, beta=0.2), 16, True),
@@ -770,17 +770,19 @@ class TestSpectrumLayout:
         point's layout measures the second to the same bits as its own,
         whether the sub-pulse fits in g = gcd(L, P) or not."""
         band = AnalysisBand.default_for(spec)
-        layout = metrics.spectrum_layout(train_parts(spec, oversample), band)
+        first = train_parts(spec, oversample)
+        layout = metrics.spectrum_layout(first, band)
         other = train_parts(replace(spec, beta=0.7), oversample)
-        assert layout.key == metrics.layout_key(other, band, 4)
+        assert metrics.layout_key(first, band, 4) == metrics.layout_key(other, band, 4)
         assert (other.subpulse.shape[0] <= layout.length // layout.period) == fits_g
-        assert measure_train(other, band, 4, layout) == measure_train(other, band, 4)
+        assert metrics._measure_on(other, band, layout) == measure_train(other, band, 4)
 
     @pytest.mark.parametrize("other", ["band", "zero_pad", "Q", "otfs_n"])
-    def test_layout_of_another_train_rejected(self, other):
-        """A layout built for another band, zero_pad or Q, or for other
-        coefficients (another otfs_n on the same grid), raises instead of
-        measuring with the wrong bins, rows or comb."""
+    def test_layout_key_tells_another_train_apart(self, other):
+        """Another band, zero_pad or Q, or other coefficients (another
+        otfs_n on the same grid), is another ``layout_key``, so
+        ``experiments.measure_point`` never reads a layout with the wrong
+        bins, rows or comb: it builds the train's own."""
         spec = PulseSpec(M=32, N=8, Q=2, family=PulseFamily.OTFS_BASIS, otfs_m=5, otfs_n=2)
         if other == "Q":
             spec = PulseSpec(M=32, N=8, Q=2)
@@ -794,9 +796,7 @@ class TestSpectrumLayout:
         }[other]
         if other == "otfs_n":
             assert built_for[0].grid == parts.grid and built_for[0].subpulse.shape == parts.subpulse.shape
-        layout = metrics.spectrum_layout(*built_for)
-        with pytest.raises(InvalidInputError, match="spectrum layout was built for another train"):
-            measure_train(parts, band, zero_pad, layout)
+        assert metrics.layout_key(*built_for) != metrics.layout_key(parts, band, zero_pad)
 
     @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
     def test_rows_and_runs_match_a_mask(self, case):
@@ -835,7 +835,7 @@ class TestSpectrumLayout:
         found = []
         for beta in (0.3, 0.7):
             parts = train_parts(replace(spec, beta=beta), 16)
-            found.append(measure_train(parts, band, 4, layout))
+            found.append(metrics._measure_on(parts, band, layout))
             assert found[-1] == measure_train(parts, band)
         assert found[0] != found[1]
         assert all(np.array_equal(a, b) for a, b in zip(before, (layout.kernel, layout.rows, layout.runs)))

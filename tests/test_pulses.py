@@ -18,7 +18,6 @@ from ddopkit.pulses import (
     _dirichlet,
     _rrc_profile,
     default_q,
-    eval_btrrc_freq,
     pulse_grid,
     synth_pulse,
     train_layout,
@@ -52,6 +51,30 @@ def eval_rrc_freq(spec: PulseSpec, f, energy: float = 1.0):
         roll = (af > f_lo) & (af <= f_hi)
         phase = np.pi * spec.T / (spec.beta * spec.M) * (af[roll] - f_lo)
         out[roll] = np.sqrt(spec.T * energy / (2.0 * spec.M) * (1.0 + np.cos(phase)))
+    return out if out.ndim else float(out)
+
+
+def eval_btrrc_freq(spec: PulseSpec, f):
+    """Closed-form magnitude spectrum of the unit-energy exponential-rolloff sub-pulse.
+
+    Flat at sqrt(T/M) up to M(1-beta)/(2T), decaying exponential branch to
+    M/(2T) (half power exactly at M/(2T)), complementary branch to
+    M(1+beta)/(2T), zero beyond. At beta = 0 both rolloff branches are empty:
+    flat up to M/(2T), zero beyond.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    af = np.abs(f)
+    flat_sq = spec.T / spec.M
+    f_lo = spec.M * (1.0 - spec.beta) / (2.0 * spec.T)
+    f_mid = spec.M / (2.0 * spec.T)
+    f_hi = spec.M * (1.0 + spec.beta) / (2.0 * spec.T)
+    rate = 2.0 * math.log(2.0) * spec.T / (spec.beta * spec.M) if spec.beta > 0.0 else 0.0
+    out = np.zeros(f.shape, dtype=np.float64)
+    out[af <= f_lo] = math.sqrt(flat_sq)
+    lower = (af > f_lo) & (af <= f_mid)
+    out[lower] = np.sqrt(flat_sq * np.exp(-rate * (af[lower] - f_lo)))
+    upper = (af > f_mid) & (af <= f_hi)
+    out[upper] = np.sqrt(flat_sq * (1.0 - np.exp(-rate * (f_hi - af[upper]))))
     return out if out.ndim else float(out)
 
 

@@ -67,8 +67,15 @@ the sampled spectrum, holding rounding where the train's spectrum holds
 exact zeros, accepts it; and of ``--M 32 --N 8 --band 40``, a configured
 band that measures, while the family orderings keep their default bands.
 Last, metrics of the btrrc sub-pulse at ``--M 32 --Q 16 --beta 0.5
---oversample 4``, whose upper branch needs a degree-64 rule: 341 distinct
-cases. Every train is measured from its parts.
+--oversample 4``, whose upper branch needs a degree-64 rule. Then the
+``--metric`` line of ``sweep --vary q --steps 3 --M 64 --N 8 --oversample
+8`` for each of dT, dF, dA and k; the tdm beta sweep above (rrc, csv) with
+``--metric dT``, whose ΔT is only a bound, so no row compares and the run
+exits 2; json ``sweep --vary mn`` over the default (M, N) grid; ``metrics
+--M 32 --N 8 --tolerance 0``, which exits 1 with every metric over the
+tolerance; and ``--help`` of each subcommand, with ``COLUMNS`` pinned to 80
+so the help text wraps the same in any terminal: 352 distinct cases.
+Every train is measured from its parts.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from typing import NamedTuple
@@ -142,13 +150,21 @@ def cases() -> list[list[str]]:
                  ["metrics", "--band", "0.5", "--format", "json"],
                  ["verify", "--family", "fdm", "--M", "45", "--N", "2", "--oversample", "1", "--zero-pad", "1"],
                  ["verify", "--M", "32", "--N", "8", "--band", "40"],
-                 ["metrics", "--family", "btrrc", "--M", "32", "--Q", "16", "--beta", "0.5", "--oversample", "4"]):
+                 ["metrics", "--family", "btrrc", "--M", "32", "--Q", "16", "--beta", "0.5", "--oversample", "4"],
+                 *(["sweep", "--vary", "q", "--steps", "3", "--M", "64", "--N", "8", "--oversample", "8",
+                    "--metric", metric] for metric in ("dT", "dF", "dA", "k")),
+                 ["sweep", "--vary", "beta", "--steps", "3", "--family", "tdm", "--subpulse", "rrc",
+                  "--M", "64", "--N", "8", "--oversample", "8", "--format", "csv", "--metric", "dT"],
+                 ["sweep", "--vary", "mn", "--format", "json"],
+                 ["metrics", "--M", "32", "--N", "8", "--tolerance", "0"],
+                 *([command, "--help"] for command in ("synth", "metrics", "sweep", "verify"))):
         out.setdefault(" ".join(argv), argv)
     return list(out.values())
 
 
 def run_matrix(src: str) -> dict[str, list]:
     sys.path.insert(0, src)
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
     from ddopkit import cli
 
     records = {}
